@@ -14,9 +14,9 @@ import pytest
 
 from repro.core.os_elm import OSELM
 from repro.core.regularization import RegularizationConfig
-from repro.experiments.reporting import format_table
 from repro.fpga.timing import FPGACoreLatencyModel
 from repro.linalg.incremental import sherman_morrison_update, woodbury_update
+from repro.utils.tables import format_table
 
 N_HIDDEN = 64
 

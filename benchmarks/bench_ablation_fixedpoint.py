@@ -14,9 +14,9 @@ import pytest
 
 from repro.core.os_elm import OSELM
 from repro.core.regularization import RegularizationConfig
-from repro.experiments.reporting import format_table
 from repro.fixedpoint.qformat import QFormat
 from repro.fpga.core_sim import FixedPointOSELMCore
+from repro.utils.tables import format_table
 
 N_HIDDEN = 32
 N_UPDATES = 100

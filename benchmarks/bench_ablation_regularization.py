@@ -21,7 +21,7 @@ import pytest
 from repro.core.designs import design_spec
 from repro.core.elm import ELM
 from repro.core.regularization import RegularizationConfig
-from repro.experiments.reporting import format_table
+from repro.utils.tables import format_table
 
 VARIANTS = ("OS-ELM", "OS-ELM-L2", "OS-ELM-Lipschitz", "OS-ELM-L2-Lipschitz")
 

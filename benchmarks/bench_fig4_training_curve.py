@@ -12,31 +12,35 @@ qualitative relationships the paper reports:
   Section 3.3).
 
 The full Figure 4 protocol (six designs x four hidden sizes x 50,000-episode
-budget) is available via ``TrainingCurveExperiment.paper_scale()`` and the
-``examples/figure4_training_curves.py`` script.
+budget) is the registered ``figure4`` spec (``python -m repro run figure4``);
+``examples/figure4_training_curves.py`` runs it with custom budgets.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.training_curve import TrainingCurveExperiment
-from repro.rl.runner import TrainingConfig
+from repro.api import get_spec, run
 
 #: Designs exercised at CI scale (one per family keeps the runtime minutes-scale).
 CI_DESIGNS = ("OS-ELM", "OS-ELM-L2", "DQN")
 CI_EPISODES = 120
 
 
+def _figure4(designs, n_hidden: int, *, max_episodes: int, solved_window: int,
+             seed: int):
+    spec = get_spec("figure4").with_grid(
+        designs=designs, hidden_sizes=(n_hidden,),
+    ).with_budget(max_episodes=max_episodes, solved_threshold=100.0,
+                  solved_window=solved_window)
+    return run(replace(spec, seed=seed), backend="serial").to_training_curve_result()
+
+
 def _run_experiment(n_hidden: int):
-    experiment = TrainingCurveExperiment(
-        designs=CI_DESIGNS,
-        hidden_sizes=(n_hidden,),
-        training=TrainingConfig(max_episodes=CI_EPISODES, solved_threshold=100.0,
-                                solved_window=25),
-        seed=6,
-    )
-    return experiment.run()
+    return _figure4(CI_DESIGNS, n_hidden, max_episodes=CI_EPISODES, solved_window=25,
+                    seed=6)
 
 
 @pytest.mark.benchmark(group="figure4", min_rounds=1, max_time=1.0)
@@ -63,13 +67,9 @@ def test_figure4_training_curves_32_units(benchmark, ci_hidden_sizes):
 @pytest.mark.benchmark(group="figure4", min_rounds=1, max_time=1.0)
 def test_figure4_curve_series_shape(benchmark):
     """The per-episode series behind one Figure 4 panel line."""
-    experiment = TrainingCurveExperiment(
-        designs=("OS-ELM-L2",),
-        hidden_sizes=(32,),
-        training=TrainingConfig(max_episodes=60, solved_threshold=100.0, solved_window=20),
-        seed=3,
-    )
-    collected = benchmark.pedantic(experiment.run, rounds=1, iterations=1)
+    collected = benchmark.pedantic(
+        _figure4, args=(("OS-ELM-L2",), 32),
+        kwargs=dict(max_episodes=60, solved_window=20, seed=3), rounds=1, iterations=1)
     series = collected.curve_series("OS-ELM-L2", 32)
     assert set(series) == {"episodes", "steps", "moving_average"}
     assert len(series["episodes"]) == len(series["steps"]) == len(series["moving_average"])

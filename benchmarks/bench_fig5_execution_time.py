@@ -10,27 +10,23 @@ OS-ELM designs and train_DQN dominating the baseline.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.execution_time import (
-    PAPER_SPEEDUPS,
-    ExecutionTimeExperiment,
-)
-from repro.experiments.reporting import format_table
+from repro.api import get_spec, run
+from repro.api.reports import PAPER_SPEEDUPS
 from repro.fpga.platform import PynqZ1Platform
-from repro.rl.runner import TrainingConfig
+from repro.utils.tables import format_table
 
 CI_DESIGNS = ("OS-ELM-L2", "OS-ELM-L2-Lipschitz", "DQN", "FPGA")
 
 
 def _run_experiment(n_hidden: int):
-    experiment = ExecutionTimeExperiment(
-        designs=CI_DESIGNS,
-        hidden_sizes=(n_hidden,),
-        training=TrainingConfig(max_episodes=80, solved_threshold=100.0, solved_window=25),
-        seed=11,
-    )
-    return experiment.run()
+    spec = get_spec("figure5").with_grid(
+        designs=CI_DESIGNS, hidden_sizes=(n_hidden,),
+    ).with_budget(max_episodes=80, solved_threshold=100.0, solved_window=25)
+    return run(replace(spec, seed=11), backend="serial").to_execution_time_result()
 
 
 @pytest.mark.benchmark(group="figure5", min_rounds=1, max_time=1.0)

@@ -9,22 +9,21 @@ with the hidden-layer size.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.execution_time import ExecutionTimeExperiment, fpga_breakdown_rows
-from repro.experiments.reporting import format_table
+from repro.api import get_spec, run
+from repro.api.reports import fpga_breakdown_rows
 from repro.fpga.platform import PynqZ1Platform
-from repro.rl.runner import TrainingConfig
+from repro.utils.tables import format_table
 
 
 def _run(hidden_sizes):
-    experiment = ExecutionTimeExperiment(
-        designs=("FPGA",),
-        hidden_sizes=hidden_sizes,
-        training=TrainingConfig(max_episodes=50, solved_threshold=100.0, solved_window=20),
-        seed=21,
-    )
-    return experiment.run()
+    spec = get_spec("figure5").with_grid(
+        designs=("FPGA",), hidden_sizes=hidden_sizes,
+    ).with_budget(max_episodes=50, solved_threshold=100.0, solved_window=20)
+    return run(replace(spec, seed=21), backend="serial").to_execution_time_result()
 
 
 @pytest.mark.benchmark(group="figure6", min_rounds=1, max_time=1.0)

@@ -45,8 +45,8 @@ if str(_SRC) not in sys.path:
 import numpy as np
 
 from repro import Trainer, TrainingConfig, make_design
-from repro.experiments.reporting import format_table
 from repro.serving import PolicyClient, PolicyServer
+from repro.utils.tables import format_table
 
 BATCH_SIZES = (1, 8, 32)
 

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.resource_table import (
-    compare_with_paper,
-    render_table3,
-    resource_table,
-)
+from repro.api.reports import compare_with_paper, render_table3, resource_table
 from repro.fpga.resources import TABLE3_PAPER_VALUES, OSELMCoreResourceModel
 
 

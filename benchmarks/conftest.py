@@ -1,10 +1,11 @@
 """Shared configuration for the benchmark harness.
 
-Each benchmark module regenerates one of the paper's tables or figures (see
-DESIGN.md's per-experiment index).  The training-based benchmarks run with
-CI-scale budgets so the whole suite finishes in minutes; the paper-scale
-protocol is available through the experiment classes' ``paper_scale()``
-constructors and the examples.
+Each benchmark module regenerates one of the paper's tables or figures
+(``bench_table3_*``, ``bench_fig4_*``, ``bench_fig5_*``, ``bench_fig6_*``) or
+times an ablation.  The training-based benchmarks run with CI-scale budgets
+so the whole suite finishes in minutes; the paper-scale protocol is the
+registered ``figure4``/``figure5`` specs (``python -m repro run figure4``)
+and the examples.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ if str(_SRC) not in sys.path:
 from repro.distributed import SweepBroker
 from repro.fleet import AutoscaleConfig, FleetAutoscaler
 from repro.parallel import SweepRunner, SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def build_tasks():

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Figure 4 reproduction: training curves of the software designs.
 
-Runs the training-curve experiment for a configurable set of designs and
-hidden-layer sizes, prints the per-design outcome table and writes the raw
+Runs the registered ``figure4`` experiment through :func:`repro.api.run`
+for a configurable set of designs and hidden-layer sizes, prints the per-design outcome table and writes the raw
 per-episode series (episode, steps, moving average) to CSV files so they can
 be plotted exactly like the paper's Figure 4.
 
@@ -18,12 +18,13 @@ Run something closer to the paper (expect hours):
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
+from repro.api import get_spec, run
+from repro.api.reports import stability_classification
 from repro.core.designs import SOFTWARE_DESIGNS
-from repro.experiments.reporting import rows_to_csv
-from repro.experiments.training_curve import TrainingCurveExperiment, stability_classification
-from repro.rl.runner import TrainingConfig
+from repro.utils.tables import rows_to_csv
 
 
 def main() -> None:
@@ -40,15 +41,12 @@ def main() -> None:
     parser.add_argument("--output-dir", type=Path, default=Path("results/figure4"))
     args = parser.parse_args()
 
-    experiment = TrainingCurveExperiment(
-        designs=tuple(args.designs),
-        hidden_sizes=tuple(args.hidden),
-        training=TrainingConfig(max_episodes=args.episodes,
-                                solved_threshold=args.threshold,
-                                solved_window=args.window),
-        seed=args.seed,
-    )
-    collected = experiment.run()
+    spec = get_spec("figure4").with_grid(
+        designs=args.designs, hidden_sizes=args.hidden,
+    ).with_budget(max_episodes=args.episodes, solved_threshold=args.threshold,
+                  solved_window=args.window)
+    collected = run(replace(spec, seed=args.seed),
+                    backend="serial").to_training_curve_result()
 
     print()
     print(collected.render())

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Figure 5 / Figure 6 / Table 3 reproduction: execution time and FPGA resources.
 
-Trains the selected designs, projects their per-operation counts through the
+Trains the selected designs through the registered ``figure5`` experiment
+(:func:`repro.api.run`), projects their per-operation counts through the
 PYNQ-Z1 latency models (650 MHz Cortex-A9 software, 125 MHz programmable
 logic for the FPGA design), and prints:
 
@@ -21,17 +22,17 @@ Closer to the paper (expect hours):
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
-from repro.core.designs import DESIGN_NAMES
-from repro.experiments.execution_time import (
+from repro.api import get_spec, run
+from repro.api.reports import (
     PAPER_EXECUTION_TIMES,
     PAPER_SPEEDUPS,
-    ExecutionTimeExperiment,
     fpga_breakdown_rows,
+    render_table3,
 )
-from repro.experiments.reporting import format_table
-from repro.experiments.resource_table import render_table3
-from repro.rl.runner import TrainingConfig
+from repro.core.designs import DESIGN_NAMES
+from repro.utils.tables import format_table
 
 
 def main() -> None:
@@ -49,15 +50,12 @@ def main() -> None:
     print(render_table3())
     print()
 
-    experiment = ExecutionTimeExperiment(
-        designs=tuple(args.designs),
-        hidden_sizes=tuple(args.hidden),
-        training=TrainingConfig(max_episodes=args.episodes,
-                                solved_threshold=args.threshold,
-                                solved_window=args.window),
-        seed=args.seed,
-    )
-    result = experiment.run()
+    spec = get_spec("figure5").with_grid(
+        designs=args.designs, hidden_sizes=args.hidden,
+    ).with_budget(max_episodes=args.episodes, solved_threshold=args.threshold,
+                  solved_window=args.window)
+    result = run(replace(spec, seed=args.seed),
+                 backend="serial").to_execution_time_result()
 
     print(result.render())
     print()

@@ -36,8 +36,8 @@ if str(_SRC) not in sys.path:
 
 from repro.distributed import SweepBroker, spawn_local_workers
 from repro.parallel import SweepSpec
-from repro.rl.runner import TrainingConfig
 from repro.telemetry.fleet import fetch_fleet_stats, format_fleet_status
+from repro.training import TrainingConfig
 
 
 def check_reconciled(snapshot: dict) -> None:

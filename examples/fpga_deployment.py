@@ -21,12 +21,12 @@ import argparse
 import numpy as np
 
 from repro.core.regularization import RegularizationConfig
-from repro.experiments.reporting import format_table
 from repro.fpga.accelerator import FPGAAcceleratedOSELM
 from repro.fpga.device import PYNQ_Z1, XC7Z020
 from repro.fpga.resources import OSELMCoreResourceModel
 from repro.fpga.timing import CortexA9LatencyModel, FPGACoreLatencyModel
 from repro.utils.exceptions import ResourceExhaustedError
+from repro.utils.tables import format_table
 
 
 def main() -> None:

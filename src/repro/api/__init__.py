@@ -1,6 +1,6 @@
 """repro.api: the unified experiment API (spec -> registry -> engine -> store).
 
-One declarative front door replaces the bespoke per-figure harnesses:
+One declarative front door runs every paper deliverable:
 
 >>> from repro.api import run
 >>> report = run("figure4", scale="ci", backend="vectorized")

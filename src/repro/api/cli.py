@@ -55,8 +55,8 @@ Subcommands
     unreadable store, missing policy) exits 2 with one aggregated
     preflight error.
 
-The summary table printed by ``run``/``report`` is identical to what the
-legacy harnesses rendered, and ``--csv`` writes the same rows as CSV — the
+The summary table printed by ``run``/``report`` is the paper report of
+:mod:`repro.api.reports`, and ``--csv`` writes the same rows as CSV — the
 CI workflow diffs those files across backends to guard backend equivalence.
 """
 
@@ -70,8 +70,8 @@ from typing import List, Optional
 from repro.api.engine import BACKENDS, RunReport, run
 from repro.api.registry import get_spec, list_experiments
 from repro.api.spec import ExperimentSpec
-from repro.experiments.reporting import format_table
 from repro.utils.serialization import load_json
+from repro.utils.tables import format_table
 
 
 def _resolve_spec(name_or_path: str, scale: str) -> ExperimentSpec:

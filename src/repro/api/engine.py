@@ -1,16 +1,15 @@
 """The one front door: ``run(spec_or_name)`` executes any experiment spec.
 
-Every trial — serial, vectorized or process-pooled — goes through
-:class:`~repro.parallel.sweep.SweepRunner`, so the four bespoke launch paths
-of the legacy harnesses collapse into one engine with interchangeable
-backends.  On top of that single code path the engine adds:
+Every trial — serial, vectorized, process-pooled or distributed — goes
+through :class:`~repro.parallel.sweep.SweepRunner`, one engine with
+interchangeable backends.  On top of that single code path the engine adds:
 
 * **registry resolution** — pass ``"figure4"`` instead of building a spec;
 * **artifact-store caching** — with a store attached, finished trials are
   content-addressed on disk and later runs of the same (or an overlapping)
   spec complete from cache instead of retraining;
-* **uniform reporting** — the returned :class:`RunReport` renders the same
-  tables/CSVs the legacy harnesses printed.
+* **uniform reporting** — the returned :class:`RunReport` renders the
+  paper's tables/CSVs through :mod:`repro.api.reports`.
 
 Library calls default to ``store=None`` (pure, no disk writes); the CLI
 attaches a store so ``repro run`` resumes for free.
@@ -310,7 +309,7 @@ def _trial_checkpointer(store: ArtifactStore, backend: str):
 def _run_resource_table(spec: ExperimentSpec, backend: str,
                         start: float) -> RunReport:
     """Resource-table specs have no trials: evaluate the area model directly."""
-    from repro.experiments.resource_table import resource_table
+    from repro.api.reports import resource_table
 
     report = RunReport(spec=spec, backend=backend)
     report.resource_report = resource_table(spec.hidden_sizes)

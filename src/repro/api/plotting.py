@@ -152,7 +152,7 @@ def plot_execution_times(report: "RunReport", out_dir: Path) -> List[Path]:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    from repro.experiments.execution_time import project_timing
+    from repro.api.reports import project_timing
     from repro.fpga.platform import PynqZ1Platform
 
     platform = PynqZ1Platform()

@@ -39,8 +39,7 @@ from repro.api.spec import Budget, ExperimentSpec
 #: Scale names accepted by :func:`get_spec` and the CLI.
 SCALES = ("paper", "ci")
 
-#: The minutes-scale budget shared by the built-in CI variants (matches the
-#: budgets the legacy ``ci_scale()`` harness constructors always used).
+#: The minutes-scale budget shared by the built-in CI variants.
 CI_BUDGET = Budget(max_episodes=60, solved_threshold=60.0, solved_window=20)
 
 

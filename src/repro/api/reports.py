@@ -1,43 +1,346 @@
-"""Report adapters: engine output -> the tables/CSVs the harnesses printed.
+"""Paper reports: engine output -> the tables and CSVs of the paper.
 
-The engine hands back raw per-trial :class:`~repro.rl.recording.TrainingResult`
-objects; everything presentational lives here.  For the paper deliverables
-the adapters reuse the legacy result containers
-(:class:`~repro.experiments.training_curve.TrainingCurveResult`,
-:class:`~repro.experiments.execution_time.ExecutionTimeResult`) so
-``repro run figure4`` renders byte-identical summaries to what
-``TrainingCurveExperiment.ci_scale().run().render()`` always printed — the
-shim-equivalence tests pin this.
+The engine hands back raw per-trial
+:class:`~repro.training.records.TrainingResult` objects; everything
+presentational lives here:
+
+* Figure 4 — :class:`TrainingCurveResult` (training outcome per design and
+  hidden size) and :func:`stability_classification`;
+* Figures 5 and 6 — :class:`ExecutionTimeResult`, the modelled time to
+  complete CartPole-v0 with per-operation breakdowns, speed-ups over DQN and
+  the FPGA breakdown of :func:`fpga_breakdown_rows`;
+* Table 3 — :func:`resource_table` / :func:`render_table3`, the FPGA
+  resource utilization of the OS-ELM Q-Network core;
+* the adapters that collect a :class:`~repro.api.engine.RunReport` into
+  those containers (``RunReport.render()``, ``summary_csv()``, ...).
+
+``tests/data/pinned_reports.json`` pins the rendered text byte-for-byte.
 
 Execution-time projection happens here, not in the engine: cached trial
 artifacts store platform-independent operation *counts*, and the PYNQ-Z1
-latency model projects them at render time.  Re-reporting a finished run
-under a different platform model is therefore free.
+latency model (:class:`~repro.fpga.platform.PynqZ1Platform`: Cortex-A9
+latencies for the software designs, 125 MHz programmable-logic latencies
+for the FPGA design's predict_seq / seq_train) projects them at render
+time.  Re-reporting a finished run under a different platform model is
+therefore free.  The measured host wall-clock breakdown is kept for
+reference, but only the modelled times are comparable across designs
+because the host CPU is not a 650 MHz Cortex-A9.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.reporting import format_table, rows_to_csv
+import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.engine import RunReport
-    from repro.experiments.execution_time import ExecutionTimeResult
-    from repro.experiments.training_curve import TrainingCurveResult
-    from repro.fpga.platform import PynqZ1Platform
+from repro.api.engine import RunReport
+from repro.fpga.device import FPGADevice, XC7Z020
+from repro.fpga.platform import PynqZ1Platform
+from repro.fpga.resources import (
+    TABLE3_HIDDEN_SIZES,
+    TABLE3_PAPER_VALUES,
+    OSELMCoreResourceModel,
+    ResourceReport,
+)
+from repro.training.records import TrainingResult
+from repro.utils.tables import format_table, relative_error, rows_to_csv
+from repro.utils.timer import TimeBreakdown
+
+#: Hidden-layer sizes of Figures 5 and 6.
+FIGURE5_HIDDEN_SIZES: Tuple[int, ...] = (32, 64, 128, 192)
 
 
-def _is_simple(report: "RunReport") -> bool:
-    """One trial per (design, hidden size): the legacy containers' key space."""
+# ---------------------------------------------------------------------- Figure 4
+
+@dataclass
+class TrainingCurveResult:
+    """All runs of one training-curve experiment, indexed by (design, n_hidden)."""
+
+    results: Dict[Tuple[str, int], TrainingResult] = field(default_factory=dict)
+
+    def add(self, result: TrainingResult) -> None:
+        self.results[(result.design, result.n_hidden)] = result
+
+    def get(self, design: str, n_hidden: int) -> TrainingResult:
+        return self.results[(design, n_hidden)]
+
+    def designs(self) -> List[str]:
+        return sorted({key[0] for key in self.results})
+
+    def hidden_sizes(self) -> List[int]:
+        return sorted({key[1] for key in self.results})
+
+    def curve_series(self, design: str, n_hidden: int) -> Dict[str, np.ndarray]:
+        """The (episodes, steps, moving_average) series for one panel line of Figure 4."""
+        return self.get(design, n_hidden).curve.as_dict()
+
+    def summary_rows(self) -> List[Dict[str, object]]:
+        rows = []
+        for (design, n_hidden), result in sorted(self.results.items(),
+                                                 key=lambda kv: (kv[0][1], kv[0][0])):
+            rows.append({
+                "design": design,
+                "n_hidden": n_hidden,
+                "solved": result.solved,
+                "episodes": result.episodes,
+                "episodes_to_solve": result.episodes_to_solve,
+                "final_avg_steps": round(result.curve.final_average(), 1),
+                "weight_resets": result.weight_resets,
+            })
+        return rows
+
+    def render(self) -> str:
+        return format_table(self.summary_rows(),
+                            title="Figure 4 summary: training outcome per design / hidden size")
+
+
+def stability_classification(result: TrainingResult, *, collapse_window: int = 50,
+                             collapse_threshold: float = 0.5) -> str:
+    """Classify a training curve the way Section 4.3 discusses them.
+
+    Returns one of:
+
+    * ``"solved"`` — reached the solved criterion;
+    * ``"collapsed"`` — the late moving average fell below ``collapse_threshold``
+      times the peak moving average (the paper's description of plain OS-ELM,
+      whose performance degrades as outliers corrupt beta);
+    * ``"not_learning"`` — never rose meaningfully above the initial performance.
+    """
+    if result.solved:
+        return "solved"
+    averages = result.curve.moving_average
+    if averages.size == 0:
+        return "not_learning"
+    peak = float(averages.max())
+    if peak <= 15.0:
+        return "not_learning"
+    tail = averages[-collapse_window:]
+    if tail.size and float(tail.mean()) < collapse_threshold * peak:
+        return "collapsed"
+    return "not_learning"
+
+
+# ---------------------------------------------------------------------- Figures 5 and 6
+
+# The paper's per-table Section 4.4 values, for shape comparison.  The
+# abstract quotes its own headline factors at 64 hidden units (29.77x and
+# 89.40x), which differ from these table entries; the constants follow the
+# tables.
+
+#: Completion times (seconds) of the designs that "acquire correct behaviors".
+PAPER_EXECUTION_TIMES: Dict[int, Dict[str, float]] = {
+    32: {"OS-ELM-L2": 132.27, "OS-ELM-L2-Lipschitz": 55.02, "DQN": 3232.54, "FPGA": 6.88},
+    64: {"ELM": 127.08, "OS-ELM-L2": 647.56, "OS-ELM-L2-Lipschitz": 74.20,
+         "DQN": 2208.897, "FPGA": 17.52},
+    128: {"OS-ELM-L2-Lipschitz": 241.81, "DQN": 1348.99, "FPGA": 81.79},
+    192: {"OS-ELM-L2-Lipschitz": 722.64, "DQN": 1581.02, "FPGA": 155.00},
+}
+
+#: Speed-ups over DQN.
+PAPER_SPEEDUPS: Dict[int, Dict[str, float]] = {
+    32: {"OS-ELM-L2": 24.43, "OS-ELM-L2-Lipschitz": 58.75, "FPGA": 469.80},
+    64: {"ELM": 17.38, "OS-ELM-L2": 3.41, "OS-ELM-L2-Lipschitz": 29.76, "FPGA": 126.06},
+    128: {"OS-ELM-L2-Lipschitz": 5.58, "FPGA": 16.49},
+    192: {"OS-ELM-L2-Lipschitz": 2.18, "FPGA": 10.19},
+}
+
+
+@dataclass
+class DesignTiming:
+    """Execution-time record of one (design, hidden size) run."""
+
+    design: str
+    n_hidden: int
+    solved: bool
+    episodes: int
+    modelled: TimeBreakdown
+    measured: TimeBreakdown
+    counts: Dict[str, int]
+
+    @property
+    def modelled_total(self) -> float:
+        return self.modelled.total()
+
+    @property
+    def measured_total(self) -> float:
+        return self.measured.total()
+
+
+def project_timing(result: TrainingResult, platform: PynqZ1Platform) -> DesignTiming:
+    """Project a finished run's operation counts through a platform model.
+
+    Trial artifacts store platform-independent counts; this turns them into
+    modelled seconds.
+    """
+    modelled = platform.project_breakdown(
+        result.design, result.breakdown.counts, n_hidden=result.n_hidden,
+    )
+    return DesignTiming(
+        design=result.design,
+        n_hidden=result.n_hidden,
+        solved=result.solved,
+        episodes=result.episodes,
+        modelled=modelled,
+        measured=result.breakdown,
+        counts=dict(result.breakdown.counts),
+    )
+
+
+@dataclass
+class ExecutionTimeResult:
+    """All timings of one experiment run, with speed-up helpers."""
+
+    timings: Dict[Tuple[str, int], DesignTiming] = field(default_factory=dict)
+
+    def add(self, timing: DesignTiming) -> None:
+        self.timings[(timing.design, timing.n_hidden)] = timing
+
+    def get(self, design: str, n_hidden: int) -> DesignTiming:
+        return self.timings[(design, n_hidden)]
+
+    def speedup_vs_dqn(self, design: str, n_hidden: int) -> Optional[float]:
+        """Modelled completion-time ratio DQN / design (None when either is missing)."""
+        key_dqn = ("DQN", n_hidden)
+        key = (design, n_hidden)
+        if key_dqn not in self.timings or key not in self.timings:
+            return None
+        denominator = self.timings[key].modelled_total
+        if denominator <= 0:
+            return None
+        return self.timings[key_dqn].modelled_total / denominator
+
+    def summary_rows(self) -> List[Dict[str, object]]:
+        rows = []
+        for (design, n_hidden), timing in sorted(self.timings.items(),
+                                                 key=lambda kv: (kv[0][1], kv[0][0])):
+            rows.append({
+                "design": design,
+                "n_hidden": n_hidden,
+                "solved": timing.solved,
+                "episodes": timing.episodes,
+                "modelled_seconds": round(timing.modelled_total, 3),
+                "speedup_vs_DQN": (round(s, 2) if (s := self.speedup_vs_dqn(design, n_hidden))
+                                   else None),
+            })
+        return rows
+
+    def breakdown_rows(self, design: str, n_hidden: int) -> List[Dict[str, object]]:
+        """Per-operation rows for one bar of Figure 5 / Figure 6."""
+        timing = self.get(design, n_hidden)
+        total = timing.modelled_total
+        rows = []
+        for operation, seconds in sorted(timing.modelled.seconds.items(),
+                                         key=lambda kv: -kv[1]):
+            rows.append({
+                "operation": operation,
+                "count": timing.counts.get(operation, 0),
+                "modelled_seconds": round(seconds, 4),
+                "fraction": round(seconds / total, 3) if total > 0 else 0.0,
+            })
+        return rows
+
+    def render(self) -> str:
+        return format_table(self.summary_rows(),
+                            title="Figure 5 summary: modelled execution time to complete")
+
+
+def fpga_breakdown_rows(result: ExecutionTimeResult,
+                        hidden_sizes: Sequence[int] = FIGURE5_HIDDEN_SIZES
+                        ) -> List[Dict[str, object]]:
+    """Figure 6: the FPGA design's per-operation breakdown across hidden sizes."""
+    rows: List[Dict[str, object]] = []
+    for n_hidden in hidden_sizes:
+        key = ("FPGA", int(n_hidden))
+        if key not in result.timings:
+            continue
+        timing = result.timings[key]
+        row: Dict[str, object] = {
+            "n_hidden": n_hidden,
+            "total_seconds": round(timing.modelled_total, 4),
+        }
+        for operation in ("init_train", "predict_init", "predict_seq", "seq_train"):
+            row[operation] = round(timing.modelled.seconds.get(operation, 0.0), 4)
+        rows.append(row)
+    return rows
+
+
+# ---------------------------------------------------------------------- Table 3
+
+def resource_table(hidden_sizes: Sequence[int] = TABLE3_HIDDEN_SIZES, *,
+                   n_inputs: int = 5, n_outputs: int = 1,
+                   device: FPGADevice = XC7Z020,
+                   model: Optional[OSELMCoreResourceModel] = None) -> ResourceReport:
+    """Generate the Table-3 sweep with the analytical area model."""
+    if model is None:
+        model = OSELMCoreResourceModel(n_inputs=n_inputs, n_outputs=n_outputs)
+    return model.report(hidden_sizes, device)
+
+
+def compare_with_paper(report: Optional[ResourceReport] = None) -> List[Dict[str, object]]:
+    """Side-by-side rows: modelled utilization vs the paper's Table 3 values.
+
+    Rows for designs the paper marks as unimplementable compare the *fits*
+    flag instead of percentages.
+    """
+    if report is None:
+        report = resource_table()
+    rows: List[Dict[str, object]] = []
+    for n_hidden, paper_values in TABLE3_PAPER_VALUES.items():
+        try:
+            row = report.row_for(n_hidden)
+        except KeyError:
+            continue
+        if paper_values is None:
+            rows.append({
+                "Units": n_hidden,
+                "paper_fits": False,
+                "model_fits": row.fits,
+                "agreement": not row.fits,
+            })
+            continue
+        for resource, paper_pct in paper_values.items():
+            model_pct = row.utilization_percent[resource]
+            rows.append({
+                "Units": n_hidden,
+                "resource": resource,
+                "paper_percent": paper_pct,
+                "model_percent": round(model_pct, 2),
+                "relative_error": round(relative_error(model_pct, paper_pct), 3),
+            })
+    return rows
+
+
+def render_table3(report: Optional[ResourceReport] = None) -> str:
+    """Text rendering in the paper's Table 3 layout."""
+    if report is None:
+        report = resource_table()
+    rows = []
+    for row in report.rows:
+        cells: Dict[str, object] = {"Units": row.n_hidden}
+        if row.fits:
+            cells.update({f"{k} [%]": round(v, 2) for k, v in row.utilization_percent.items()})
+        else:
+            cells.update({f"{k} [%]": None for k in ("BRAM", "DSP", "FF", "LUT")})
+        rows.append(cells)
+    return format_table(
+        rows,
+        columns=["Units", "BRAM [%]", "DSP [%]", "FF [%]", "LUT [%]"],
+        title="Table 3: FPGA resource utilization of OS-ELM Q-Network core "
+              f"({report.device_name})",
+    )
+
+
+# ---------------------------------------------------------------------- RunReport adapters
+
+def _is_simple(report: RunReport) -> bool:
+    """One trial per (design, hidden size): the paper containers' key space."""
     spec = report.spec
     return spec.n_seeds == 1 and len(spec.env_ids) == 1
 
 
-def training_curve_result(report: "RunReport") -> "TrainingCurveResult":
-    """Collect a training-curve run into the legacy Figure 4 container."""
-    from repro.experiments.training_curve import TrainingCurveResult
-
+def training_curve_result(report: RunReport) -> TrainingCurveResult:
+    """Collect a training-curve run into the Figure 4 container."""
     if not _is_simple(report):
         raise ValueError(
             "TrainingCurveResult keys by (design, n_hidden); this run has "
@@ -49,13 +352,10 @@ def training_curve_result(report: "RunReport") -> "TrainingCurveResult":
     return collected
 
 
-def execution_time_result(report: "RunReport", *,
-                          platform: Optional["PynqZ1Platform"] = None
-                          ) -> "ExecutionTimeResult":
-    """Project a run's operation counts into the legacy Figure 5 container."""
-    from repro.experiments.execution_time import ExecutionTimeResult, project_timing
-    from repro.fpga.platform import PynqZ1Platform
-
+def execution_time_result(report: RunReport, *,
+                          platform: Optional[PynqZ1Platform] = None
+                          ) -> ExecutionTimeResult:
+    """Project a run's operation counts into the Figure 5 container."""
     if not _is_simple(report):
         raise ValueError(
             "ExecutionTimeResult keys by (design, n_hidden); use "
@@ -68,14 +368,14 @@ def execution_time_result(report: "RunReport", *,
     return collected
 
 
-def summary_rows(report: "RunReport", *,
-                 platform: Optional["PynqZ1Platform"] = None
+def summary_rows(report: RunReport, *,
+                 platform: Optional[PynqZ1Platform] = None
                  ) -> List[Dict[str, object]]:
-    """The run's summary table as dict rows (CSV-able, legacy-identical).
+    """The run's summary table as dict rows (CSV-able).
 
-    For single-seed single-env runs of the paper kinds these are exactly the
-    rows the legacy harnesses produced; multi-seed/multi-env runs get the
-    same columns plus ``env_id`` and ``trial``.
+    Single-seed single-env runs of the paper kinds get the paper
+    containers' rows; multi-seed/multi-env runs get the same columns plus
+    ``env_id`` and ``trial``.
     """
     spec = report.spec
     if spec.kind == "resource_table":
@@ -89,13 +389,11 @@ def summary_rows(report: "RunReport", *,
     return _extended_training_rows(report)
 
 
-def render(report: "RunReport", *,
-           platform: Optional["PynqZ1Platform"] = None) -> str:
-    """Aligned text table of the run summary (legacy titles for paper kinds)."""
+def render(report: RunReport, *,
+           platform: Optional[PynqZ1Platform] = None) -> str:
+    """Aligned text table of the run summary (paper titles for paper kinds)."""
     spec = report.spec
     if spec.kind == "resource_table":
-        from repro.experiments.resource_table import render_table3
-
         return render_table3(report.resource_report)
     if _is_simple(report):
         if spec.kind == "execution_time":
@@ -106,15 +404,15 @@ def render(report: "RunReport", *,
                               f"backend={report.backend})")
 
 
-def summary_csv(report: "RunReport", *,
-                platform: Optional["PynqZ1Platform"] = None) -> str:
+def summary_csv(report: RunReport, *,
+                platform: Optional[PynqZ1Platform] = None) -> str:
     """The summary rows as CSV text (what the CI equivalence check diffs)."""
     return rows_to_csv(summary_rows(report, platform=platform))
 
 
 # ---------------------------------------------------------------------- helpers
 
-def _resource_rows(report: "RunReport") -> List[Dict[str, object]]:
+def _resource_rows(report: RunReport) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
     for row in report.resource_report.rows:
         cells: Dict[str, object] = {"Units": row.n_hidden, "fits": row.fits}
@@ -125,7 +423,7 @@ def _resource_rows(report: "RunReport") -> List[Dict[str, object]]:
     return rows
 
 
-def _extended_training_rows(report: "RunReport") -> List[Dict[str, object]]:
+def _extended_training_rows(report: RunReport) -> List[Dict[str, object]]:
     rows = []
     ordered = sorted(report.trials,
                      key=lambda r: (r.task.n_hidden, r.task.design,
@@ -146,12 +444,9 @@ def _extended_training_rows(report: "RunReport") -> List[Dict[str, object]]:
     return rows
 
 
-def _extended_execution_rows(report: "RunReport", *,
-                             platform: Optional["PynqZ1Platform"] = None
+def _extended_execution_rows(report: RunReport, *,
+                             platform: Optional[PynqZ1Platform] = None
                              ) -> List[Dict[str, object]]:
-    from repro.experiments.execution_time import project_timing
-    from repro.fpga.platform import PynqZ1Platform
-
     if platform is None:
         platform = PynqZ1Platform()
     rows = []
@@ -172,5 +467,22 @@ def _extended_execution_rows(report: "RunReport", *,
     return rows
 
 
-__all__ = ["execution_time_result", "render", "summary_csv", "summary_rows",
-           "training_curve_result"]
+__all__ = [
+    "DesignTiming",
+    "ExecutionTimeResult",
+    "FIGURE5_HIDDEN_SIZES",
+    "PAPER_EXECUTION_TIMES",
+    "PAPER_SPEEDUPS",
+    "TrainingCurveResult",
+    "compare_with_paper",
+    "execution_time_result",
+    "fpga_breakdown_rows",
+    "project_timing",
+    "render",
+    "render_table3",
+    "resource_table",
+    "stability_classification",
+    "summary_csv",
+    "summary_rows",
+    "training_curve_result",
+]

@@ -9,17 +9,16 @@ content-addressable (:attr:`ExperimentSpec.spec_hash`), which is what makes
 the artifact store's resume/caching work: the same spec always names the
 same trials.
 
-Seed derivation is part of the spec so that the declarative path reproduces
-the legacy harnesses bit-for-bit: a trial's seed is ::
+Seed derivation is part of the spec, so a spec names its trials' seeds
+exactly: a trial's seed is ::
 
     seed + 1000*trial + seed_stride*n_hidden
          + stable_hash(design) % seed_mod + 104729*env_index
 
-With ``seed_stride=17, seed_mod=997`` (the ``figure4`` registry defaults)
-this is exactly the formula ``TrainingCurveExperiment.run_single`` has
-always used; ``figure5`` uses ``13 / 991``.  The env term is zero for the
-first environment, so single-env specs match the legacy CartPole-only
-harnesses while multi-env specs still get distinct streams per environment.
+The ``figure4`` registry spec uses ``seed_stride=17, seed_mod=997`` and
+``figure5`` uses ``13 / 991``.  The env term is zero for the first environment, so a
+single-env spec keeps those seeds while multi-env specs still get distinct
+streams per environment.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.designs import SOFTWARE_DESIGNS, design_spec
-from repro.rl.runner import TrainingConfig
+from repro.training.config import TrainingConfig
 from repro.utils.seeding import stable_digest, stable_hash
 
 #: Experiment kinds the engine knows how to execute and report.
@@ -37,7 +36,7 @@ EXPERIMENT_KINDS: Tuple[str, ...] = ("training_curve", "execution_time",
                                      "resource_table")
 
 #: Prime spacing the env index contributes to trial seeds (0 for env 0, so
-#: single-env specs reproduce the legacy seed formula exactly).
+#: single-env specs keep the seed formula without an env term).
 _ENV_SEED_STRIDE = 104729
 
 #: Spec-format version recorded in every serialized spec / trial descriptor.
@@ -80,7 +79,7 @@ class Budget:
 
     @staticmethod
     def from_training_config(config: TrainingConfig) -> "Budget":
-        """Lift a legacy :class:`TrainingConfig` into a budget (drops env/seed)."""
+        """Lift a :class:`TrainingConfig` into a budget (drops env/seed)."""
         return Budget(
             max_episodes=config.max_episodes,
             max_steps_per_episode=config.max_steps_per_episode,
@@ -211,7 +210,7 @@ class ExperimentSpec:
 
     def trial_seed(self, design: str, n_hidden: int, trial: int = 0,
                    env_index: int = 0) -> int:
-        """The deterministic per-trial seed (legacy-compatible for env 0)."""
+        """The deterministic per-trial seed (no env term for env 0)."""
         return (self.seed + 1000 * trial + self.seed_stride * int(n_hidden)
                 + stable_hash(design) % self.seed_mod
                 + _ENV_SEED_STRIDE * env_index)

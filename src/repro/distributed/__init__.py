@@ -12,7 +12,7 @@ The distributed backend turns one sweep grid into a TCP work queue:
   distributed --workers N``, auto-spawning a local fleet when no external
   address is involved.
 
-Every trial is executed by exactly one ``train_agent`` call somewhere in
+Every trial is executed by exactly one ``Trainer.fit`` call somewhere in
 the fleet, so distributed results replay serial results bit-for-bit on
 fixed seeds — the backend-equivalence CI job enforces this.
 """

@@ -22,7 +22,7 @@ job is to make the fleet *safe to lose*:
   stored trials before they ever reach the broker).
 
 Determinism: the broker never reorders computation — each task is executed
-by exactly one ``train_agent`` call inside some worker, identical to the
+by exactly one ``Trainer.fit`` call inside some worker, identical to the
 serial backend's loop — so distributed results replay serial results
 bit-for-bit on fixed seeds regardless of which worker ran what, in what
 order, or how many times a lease bounced.

@@ -4,8 +4,8 @@
 executes: connect to a :class:`~repro.distributed.broker.SweepBroker`, pull
 :class:`~repro.parallel.sweep.SweepTask`s one at a time, run each through
 the *exact* serial trainer code path
-(:func:`repro.parallel.sweep._run_sweep_task` -> ``train_agent``), and
-stream the :class:`~repro.rl.recording.TrainingResult` back.  Because the
+(:func:`repro.parallel.sweep._run_sweep_task` -> ``Trainer.fit``), and
+stream the :class:`~repro.training.records.TrainingResult` back.  Because the
 computation per task is identical to the serial backend, a distributed
 sweep replays a serial sweep bit-for-bit on fixed seeds — the worker adds
 transport, never arithmetic.
@@ -30,7 +30,7 @@ loses no leases: this is the actuation primitive of
 
 Reconnect (1.8+): with ``WorkerOptions(reconnect=RetryPolicy(...))`` a
 lost broker connection no longer ends the worker — it backs off on the
-policy's deterministic schedule, reconnects, re-``HELLO``\ s under the
+policy's deterministic schedule, reconnects, sends ``HELLO`` again under the
 *same* worker id (so broker accounting reconciles the gap as a
 reconnection, not a new worker), redelivers any result it computed during
 the outage (the broker's dedup absorbs the copy if the original landed),

@@ -1,6 +1,6 @@
 """repro.parallel: vectorized environments and multi-seed sweep orchestration.
 
-The subsystem has three layers (see the README for the architecture sketch
+The subsystem has two layers (see the README for the architecture sketch
 and determinism guarantees):
 
 * **Vector envs** — :class:`SyncVectorEnv` / :class:`SubprocVectorEnv` /
@@ -9,17 +9,16 @@ and determinism guarantees):
   ``step_async``/``step_wait`` split that overlaps env stepping with agent
   compute); :func:`make_vector` builds any of them from a registered id
   with ``spawn_seeds``-derived per-env seeds.
-* **Lock-step training** — :func:`train_agents_lockstep` advances N
-  independent ELM-family trials with batched agent math over a vector env
-  (the single-core throughput path).
 * **Sweep orchestration** — :class:`SweepRunner` fans a
   (design x env x seed) :class:`SweepSpec` grid across the vectorized,
   process-pool, serial or distributed (:mod:`repro.distributed`) backend
-  and aggregates the streamed results into a :class:`SweepResult`.
+  and aggregates the streamed results into a :class:`SweepResult`.  The
+  vectorized backend trains each batch through
+  :meth:`repro.training.Trainer.fit_lockstep` (the single-core throughput
+  path).
 """
 
 from repro.parallel.async_env import AsyncVectorEnv, pipelined_rollout
-from repro.parallel.lockstep import supports_lockstep, train_agents_lockstep
 from repro.parallel.pool import parallel_map
 from repro.parallel.rollout import evaluate_agent_vectorized
 from repro.parallel.subproc import SubprocVectorEnv
@@ -47,6 +46,4 @@ __all__ = [
     "make_vector",
     "parallel_map",
     "pipelined_rollout",
-    "supports_lockstep",
-    "train_agents_lockstep",
 ]

@@ -1,6 +1,6 @@
 """Vectorized greedy rollouts: evaluate one agent over N envs at once.
 
-The serial :func:`repro.rl.runner.evaluate_agent` plays evaluation episodes
+The serial :func:`repro.training.evaluate_agent` plays evaluation episodes
 one at a time.  ``evaluate_agent_vectorized`` drives a
 :class:`~repro.parallel.vector_env.VectorEnv` with the agent's batched
 action path (:meth:`~repro.core.agents.QLearningAgent.act_batch`): each

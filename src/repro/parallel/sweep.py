@@ -6,7 +6,7 @@ cell, derives every task's seed from the sweep's root seed with
 :func:`~repro.utils.seeding.spawn_seeds` (reproducible, pairwise
 non-overlapping), executes the grid on one of three interchangeable
 backends, and aggregates the streamed
-:class:`~repro.rl.recording.TrainingResult`s into a :class:`SweepResult`.
+:class:`~repro.training.records.TrainingResult`s into a :class:`SweepResult`.
 
 Backends
 --------
@@ -49,12 +49,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.designs import design_spec, make_design
-from repro.experiments.reporting import format_table
 from repro.parallel.pool import parallel_map
 from repro.training.config import TrainingConfig
 from repro.training.records import TrainingResult
 from repro.utils.logging import get_logger
 from repro.utils.seeding import spawn_seeds
+from repro.utils.tables import format_table
 
 _LOGGER = get_logger("repro.parallel.sweep")
 
@@ -82,9 +82,8 @@ class SweepTask:
     env registry's capability metadata
     (:func:`repro.envs.registry.env_dimensions`) at construction.  Passing
     them explicitly still works — unregistered test doubles need it — but an
-    explicit value that *contradicts* the registry is a deprecated override:
-    it warns now and will become an error once the one-release grace period
-    ends (register the env with the right metadata instead).
+    explicit value that *contradicts* the registry raises ``ValueError``
+    (register the env with the right metadata instead).
     """
 
     design: str
@@ -100,25 +99,19 @@ class SweepTask:
     def __post_init__(self) -> None:
         from repro.envs.registry import env_dimensions, registry as env_registry
 
-        if self.n_states is None or self.n_actions is None:
+        if (self.n_states is None or self.n_actions is None
+                or self.env_id in env_registry):
             n_states, n_actions = env_dimensions(self.env_id)
             if self.n_states is None:
                 object.__setattr__(self, "n_states", n_states)
             if self.n_actions is None:
                 object.__setattr__(self, "n_actions", n_actions)
-        elif self.env_id in env_registry:
-            n_states, n_actions = env_dimensions(self.env_id)
             if (self.n_states, self.n_actions) != (n_states, n_actions):
-                import warnings
-
-                warnings.warn(
-                    f"SweepTask(env_id={self.env_id!r}) overrides the registry "
+                raise ValueError(
+                    f"SweepTask(env_id={self.env_id!r}) contradicts the registry "
                     f"dimensions ({n_states}, {n_actions}) with "
-                    f"({self.n_states}, {self.n_actions}); explicit "
-                    "n_states/n_actions overrides are deprecated and will be "
-                    "removed in the next release — register the environment "
-                    "with the intended metadata instead",
-                    DeprecationWarning, stacklevel=3)
+                    f"({self.n_states}, {self.n_actions}); register the "
+                    "environment with the intended metadata instead")
 
     def make_agent(self):
         """Instantiate the trial's agent (called inside the executing worker)."""

@@ -35,8 +35,8 @@ import uuid
 from typing import Dict, List, Optional
 
 from repro.distributed import protocol
-from repro.experiments.reporting import format_table
 from repro.utils.retry import RetryPolicy
+from repro.utils.tables import format_table
 
 
 class FleetStatusError(ConnectionError):

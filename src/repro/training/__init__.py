@@ -7,10 +7,9 @@ episode/step protocol for any :class:`AgentProtocol` agent, serially or in
 lock-step over a vector env, with a typed :class:`Callback` lifecycle for
 progress streaming, metric recording and mid-trial checkpointing.
 
-The historical entry points — ``repro.rl.runner.train_agent``,
-``repro.parallel.lockstep.train_agents_lockstep`` and the DQN episode loop
-— are deprecated thin wrappers over this package and remain bit-for-bit
-compatible on fixed seeds.
+It is the only training entry point: ``Trainer().fit`` for one trial,
+``Trainer().fit_lockstep`` for a batch.  Fixed-seed curves replay the
+pre-Trainer hand-rolled loops bit-for-bit (``tests/data/pinned_curves.json``).
 """
 
 from repro.training.callbacks import (
@@ -32,7 +31,13 @@ from repro.training.strategies import (
     resolve_strategy,
     supports_lockstep,
 )
-from repro.training.trainer import Trainer, TrainingRun, TrialState, resolve_env
+from repro.training.trainer import (
+    Trainer,
+    TrainingRun,
+    TrialState,
+    evaluate_agent,
+    resolve_env,
+)
 
 __all__ = [
     "AgentProtocol",
@@ -53,6 +58,7 @@ __all__ = [
     "TrainingResult",
     "TrainingRun",
     "TrialState",
+    "evaluate_agent",
     "progress_to_stderr",
     "resolve_env",
     "resolve_strategy",

@@ -15,23 +15,21 @@ agent implementing :class:`~repro.training.protocols.AgentProtocol`, with:
 Two drivers share that one set of episode semantics:
 
 :meth:`Trainer.fit`
-    One agent against one scalar :class:`~repro.envs.core.Env` — the
-    historical ``repro.rl.runner.train_agent`` loop, reproduced
-    bit-for-bit (that function is now a thin wrapper over this method).
+    One agent against one scalar :class:`~repro.envs.core.Env`; fixed-seed
+    curves replay the pre-Trainer serial loop bit-for-bit.
 :meth:`Trainer.fit_lockstep`
     N independent trials advanced in lock-step through one vector env,
     delegating the per-step math to a
     :mod:`~repro.training.strategies` object: the batched ELM/OS-ELM
-    strategy (stacked matmuls + batched Sherman-Morrison, the historical
-    ``train_agents_lockstep``) or the generic strategy that drives *any*
-    protocol agent — which is what finally lets the DQN baseline and the
-    FPGA fixed-point design train under the lock-step backend.  Per-trial
-    results are bit-for-bit those of the serial driver on fixed seeds.
+    strategy (stacked matmuls + batched Sherman-Morrison) or the generic
+    strategy that drives *any* protocol agent — which is what lets the DQN
+    baseline and the FPGA fixed-point design train under the lock-step
+    backend.  Per-trial results are bit-for-bit those of the serial driver
+    on fixed seeds.
 
 Every per-episode decision — criterion update, record construction, solved
 handling, the stall-reset rule, callback firing — lives in exactly one
-place (:meth:`Trainer._finish_episode`), so the three historical loops can
-no longer drift apart.
+place (:meth:`Trainer._finish_episode`), so the drivers cannot drift apart.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ from repro.training.config import TrainingConfig
 from repro.training.records import EpisodeRecord, TrainingCurve, TrainingResult
 from repro.utils.logging import get_logger
 from repro.utils.metrics import SolvedCriterion
+from repro.utils.seeding import spawn_seeds
 
 _LOGGER = get_logger("repro.training.trainer")
 
@@ -106,6 +105,36 @@ def resolve_env(env: Union[str, Env, None], config: TrainingConfig) -> Env:
             kwargs["max_episode_steps"] = config.max_steps_per_episode
         return make_env(env, seed=config.seed, **kwargs)
     return env
+
+
+def evaluate_agent(agent: Any, env: Union[str, Env, None] = None, *,
+                   n_episodes: int = 10, config: TrainingConfig = TrainingConfig()
+                   ) -> np.ndarray:
+    """Run greedy (no-exploration) evaluation episodes and return their lengths.
+
+    When ``config.seed`` is set, each episode's initial state is drawn from
+    its own :func:`~repro.utils.seeding.spawn_seeds`-derived seed, so the
+    evaluation suite is reproducible episode-by-episode and independent of
+    how much entropy training consumed from the environment's stream.
+    """
+    if n_episodes <= 0:
+        raise ValueError("n_episodes must be positive")
+    environment = resolve_env(env, config)
+    episode_seeds = (spawn_seeds(config.seed, n_episodes) if config.seed is not None
+                     else [None] * n_episodes)
+    lengths = np.zeros(n_episodes, dtype=int)
+    for i in range(n_episodes):
+        state, _ = environment.reset(seed=episode_seeds[i])
+        steps = 0
+        done = False
+        while not done:
+            action = agent.act(state, explore=False)
+            result = environment.step(action)
+            state = result.observation
+            steps += 1
+            done = result.done
+        lengths[i] = steps
+    return lengths
 
 
 class Trainer:
@@ -351,7 +380,7 @@ class Trainer:
         strategy:
             ``"auto"`` picks the batched ELM/OS-ELM strategy when every
             agent qualifies (see
-            :func:`~repro.parallel.lockstep.supports_lockstep`) and the
+            :func:`~repro.training.strategies.supports_lockstep`) and the
             generic per-agent strategy otherwise; ``"batched"`` /
             ``"generic"`` force one; or pass a strategy instance.
         """
@@ -495,4 +524,4 @@ def _build_vector_env(configs: Sequence[TrainingConfig], *,
 
 
 __all__ = ["CHECKPOINT_STATE_VERSION", "Trainer", "TrainingRun", "TrialState",
-           "resolve_env"]
+           "evaluate_agent", "resolve_env"]

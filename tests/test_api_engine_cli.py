@@ -1,4 +1,4 @@
-"""Tests for the engine, the report adapters, the CLI and shim equivalence."""
+"""Tests for the engine, the report adapters, the CLI and the pinned reports."""
 
 import subprocess
 import sys
@@ -9,9 +9,8 @@ import pytest
 
 from repro.api import Budget, ExperimentSpec, get_spec, run
 from repro.api.cli import main
-from repro.experiments.execution_time import ExecutionTimeExperiment
-from repro.experiments.training_curve import TrainingCurveExperiment
-from repro.utils.serialization import save_json
+from repro.api.reports import fpga_breakdown_rows
+from repro.utils.serialization import load_json, save_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -74,52 +73,41 @@ class TestEngine:
         assert run("table3").spec.name == "table3"
 
 
-class TestShimEquivalence:
-    """The deprecated harness classes must reproduce their historical output."""
+class TestPinnedReports:
+    """The rendered paper reports replay byte-for-byte on the serial and vectorized backends.
 
-    def test_training_curve_rows_pinned(self):
-        legacy = TrainingCurveExperiment.ci_scale(
-            designs=("OS-ELM-L2",), hidden_sizes=(16,), max_episodes=8)
-        with pytest.deprecated_call():
-            collected = legacy.run()
-        spec = legacy.to_spec()
-        report = run(spec, backend="serial")
-        assert collected.summary_rows() == report.summary_rows()
-        # And the engine's vectorized path agrees too (the CI guarantee).
-        assert run(spec, backend="vectorized").summary_rows() == collected.summary_rows()
+    ``tests/data/pinned_reports.json`` was rendered by the experiment
+    harnesses that preceded :func:`repro.api.run`; the engine must keep
+    producing exactly that text.
+    """
 
-    def test_training_curve_seeds_match_run_single(self):
-        """The spec path must train on exactly run_single's seeds."""
-        experiment = TrainingCurveExperiment.ci_scale(
-            designs=("OS-ELM-L2",), hidden_sizes=(16,), max_episodes=5)
-        direct = experiment.run_single("OS-ELM-L2", 16)
-        report = run(experiment.to_spec(), backend="serial")
-        assert report.trials[0].result.seed == direct.seed
-        np.testing.assert_array_equal(report.trials[0].result.curve.steps,
-                                      direct.curve.steps)
+    PINS = load_json(Path(__file__).parent / "data" / "pinned_reports.json")
 
-    def test_execution_time_rows_pinned(self):
-        legacy = ExecutionTimeExperiment.ci_scale(
-            designs=("OS-ELM-L2", "FPGA"), hidden_sizes=(16,), max_episodes=4)
-        with pytest.deprecated_call():
-            result = legacy.run()
-        report = run(legacy.to_spec(), backend="serial")
-        assert result.summary_rows() == report.summary_rows()
-        timing = report.to_execution_time_result().get("FPGA", 16)
-        assert timing.modelled_total > 0
+    def _report(self, name, backend):
+        pin = self.PINS[name]
+        spec = get_spec(name, scale="ci").with_grid(
+            designs=tuple(pin["designs"]), hidden_sizes=tuple(pin["hidden_sizes"]),
+        ).with_budget(max_episodes=pin["max_episodes"])
+        return run(spec, backend=backend)
 
-    def test_scale_constructors_route_through_specs(self):
-        paper = TrainingCurveExperiment.paper_scale()
-        assert paper.training.max_episodes == 50_000
-        assert paper.training.solved_threshold == 195.0
-        ci = TrainingCurveExperiment.ci_scale()
-        assert ci.training.max_episodes == 60
-        assert ci.training.solved_threshold == 60.0
-        # ci and paper must differ only in declarative fields, sharing seeds.
-        assert ci.seed == paper.seed == 42
-        et_paper = ExecutionTimeExperiment.paper_scale()
-        assert et_paper.training.max_episodes == 50_000
-        assert et_paper.seed == ExecutionTimeExperiment.ci_scale().seed == 7
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_figure4(self, backend):
+        report = self._report("figure4", backend)
+        assert report.render() == self.PINS["figure4"]["render"]
+        assert report.summary_csv() == self.PINS["figure4"]["summary_csv"]
+
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_figure5_and_fpga_breakdown(self, backend):
+        pin = self.PINS["figure5"]
+        report = self._report("figure5", backend)
+        assert report.render() == pin["render"]
+        assert report.summary_csv() == pin["summary_csv"]
+        rows = fpga_breakdown_rows(report.to_execution_time_result(),
+                                   hidden_sizes=pin["hidden_sizes"])
+        assert rows == pin["fpga_breakdown_rows"]
+
+    def test_table3(self):
+        assert run("table3").render() == self.PINS["table3"]["render"]
 
 
 class TestCLI:

@@ -75,8 +75,8 @@ class TestExperimentSpec:
         assert base.spec_hash != base.with_grid(hidden_sizes=(32,)).spec_hash
 
     def test_trial_seed_matches_legacy_formula(self):
-        """The figure4 spec must derive exactly the seeds
-        TrainingCurveExperiment.run_single has always used."""
+        """The figure4/figure5 specs must derive exactly the seeds the
+        paper reports have always been pinned under (strides 17/997, 13/991)."""
         spec = get_spec("figure4", scale="paper")
         for design in spec.designs:
             for n_hidden in spec.hidden_sizes:

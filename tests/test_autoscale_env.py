@@ -274,14 +274,20 @@ class TestSweepTaskDimensionDerivation:
                              n_states=4, n_actions=2)
         assert (task.n_states, task.n_actions) == (4, 2)
 
-    def test_contradicting_explicit_dims_warn(self):
-        with pytest.warns(DeprecationWarning, match="registry"):
-            task = SweepTask(design="DQN", env_id="CartPole-v0", n_hidden=8,
-                             gamma=0.99, seed=1, trial=0,
-                             training=TrainingConfig(max_episodes=1),
-                             n_states=6, n_actions=3)
-        # Deprecated, but the override still wins for one release.
-        assert (task.n_states, task.n_actions) == (6, 3)
+    def test_contradicting_explicit_dims_raise(self):
+        with pytest.raises(ValueError, match="registry"):
+            SweepTask(design="DQN", env_id="CartPole-v0", n_hidden=8,
+                      gamma=0.99, seed=1, trial=0,
+                      training=TrainingConfig(max_episodes=1),
+                      n_states=6, n_actions=3)
+
+    @pytest.mark.parametrize("explicit", [{"n_states": 6}, {"n_actions": 3},
+                                          {"n_states": 6, "n_actions": 2}])
+    def test_one_contradicting_explicit_dim_raises(self, explicit):
+        with pytest.raises(ValueError, match="registry"):
+            SweepTask(design="DQN", env_id="CartPole-v0", n_hidden=8,
+                      gamma=0.99, seed=1, trial=0,
+                      training=TrainingConfig(max_episodes=1), **explicit)
 
     def test_unregistered_env_requires_and_keeps_explicit_dims(self):
         with warnings.catch_warnings():

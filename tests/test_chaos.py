@@ -28,7 +28,7 @@ from repro.distributed.broker import SweepBroker
 from repro.distributed.journal import SweepJournal
 from repro.distributed.worker import WorkerOptions, run_worker
 from repro.parallel.sweep import SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 from repro.utils.retry import RetryError, RetryPolicy
 
 

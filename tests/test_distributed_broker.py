@@ -18,7 +18,7 @@ from repro.distributed import protocol
 from repro.distributed.broker import SweepBroker
 from repro.distributed.coordinator import run_distributed_sweep
 from repro.parallel.sweep import SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 from repro.telemetry.fleet import (
     FleetStatusError,
     fetch_fleet_stats,
@@ -908,7 +908,17 @@ class TestDrainCrossVersion:
         with SweepBroker(_tiny_tasks(2)) as broker:
             host, port = broker.address
             drain = threading.Event()
+            drain_requested = threading.Event()
             done = {}
+
+            def hold_first_ack(task, result):
+                # The broker ACKs a result only after its callback returns.
+                # Holding the first ACK until the drain is marked keeps the
+                # worker connected; otherwise it can finish both tiny tasks
+                # and disconnect before request_drain reaches the broker.
+                drain_requested.wait(timeout=10.0)
+
+            broker.callback = hold_first_ack
 
             def serve():
                 done["completed"] = run_worker(
@@ -920,7 +930,10 @@ class TestDrainCrossVersion:
             thread.start()
             _wait_until(lambda: broker.completed_count >= 1,
                         message="first result")
-            request_drain(host, port, ["w0"])
+            try:
+                request_drain(host, port, ["w0"])
+            finally:
+                drain_requested.set()
             thread.join(timeout=10.0)
             assert not thread.is_alive()
             _wait_until(lambda: broker.drains_completed == 1,

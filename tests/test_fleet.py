@@ -24,7 +24,7 @@ from repro.fleet import (
     WorkerView,
 )
 from repro.parallel.sweep import SweepRunner, SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def _tiny_spec(n_seeds=3, max_episodes=3):

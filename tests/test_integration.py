@@ -1,33 +1,62 @@
 """End-to-end integration tests crossing module boundaries.
 
-These exercise the complete stack — environment, agent, runner, platform
+These exercise the complete stack — environment, agent, trainer, platform
 models — on small budgets so they stay fast while still covering the paths
-the benchmark harnesses use.
+the benchmarks use.
 """
+
+import importlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
-from repro import TrainingConfig, evaluate_agent, make_design, train_agent
+from repro import Trainer, TrainingConfig, evaluate_agent, make_design
+from repro.api.reports import project_timing
 from repro.core.agents import AgentConfig, OSELMQAgent
 from repro.core.regularization import RegularizationConfig
 from repro.envs import make as make_env
-from repro.experiments.execution_time import ExecutionTimeExperiment
 from repro.fpga.platform import PynqZ1Platform
 
 
 class TestPublicAPI:
     def test_version_and_exports(self):
         assert repro.__version__
-        for name in ("make_design", "train_agent", "OSELM", "ELM", "DESIGN_NAMES",
-                     "FPGAAcceleratedOSELM", "PynqZ1Platform", "Q20"):
+        # tomllib is missing on Python 3.10, so read the version line directly.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+        assert declared is not None
+        assert declared.group(1) == repro.__version__
+        for name in ("make_design", "Trainer", "evaluate_agent", "OSELM", "ELM",
+                     "DESIGN_NAMES", "FPGAAcceleratedOSELM", "PynqZ1Platform", "Q20"):
             assert hasattr(repro, name), name
+
+    @pytest.mark.parametrize("module", ["repro.rl", "repro.rl.runner",
+                                        "repro.experiments",
+                                        "repro.parallel.lockstep"])
+    def test_removed_compatibility_modules_stay_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_public_names_resolve(self):
+        for name in repro.__all__:
+            assert hasattr(repro, name), name
+        for removed in ("train_agent", "train_agents_lockstep"):
+            assert removed not in repro.__all__
+            assert not hasattr(repro, removed)
+
+    def test_evaluate_agent_lives_beside_the_trainer(self):
+        from repro import training
+        from repro.training import trainer
+
+        assert repro.evaluate_agent is training.evaluate_agent is trainer.evaluate_agent
 
     def test_quickstart_flow(self):
         """The README quickstart must work as written (tiny budget here)."""
         agent = repro.make_design("OS-ELM-L2-Lipschitz", n_hidden=16, seed=0)
-        result = repro.train_agent(agent, config=repro.TrainingConfig(max_episodes=5, seed=0))
+        result = repro.Trainer().fit(agent, config=repro.TrainingConfig(max_episodes=5, seed=0))
         assert result.episodes == 5
 
 
@@ -37,7 +66,7 @@ class TestAllDesignsSmoke:
     def test_each_design_trains_without_error(self, design):
         agent = make_design(design, n_hidden=16, seed=3)
         config = TrainingConfig(max_episodes=4, seed=3)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert result.design == agent.name
         assert result.episodes == 4
         assert result.breakdown.total() >= 0
@@ -49,7 +78,7 @@ class TestAllDesignsSmoke:
         must keep running (the paper's 'unstable' behaviour) rather than crash."""
         agent = make_design("OS-ELM", n_hidden=32, seed=2)
         config = TrainingConfig(max_episodes=60, seed=2)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert result.episodes == 60   # completed the run without raising
 
 
@@ -60,7 +89,7 @@ class TestLearningBehaviour:
         agent = make_design("OS-ELM-L2", n_hidden=64, seed=6, reset_after_episodes=None)
         config = TrainingConfig(max_episodes=600, seed=6, stop_when_solved=True,
                                 solved_threshold=80.0, solved_window=30)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         peak = float(result.curve.moving_average.max())
         assert result.solved or peak > 40.0
 
@@ -70,7 +99,7 @@ class TestLearningBehaviour:
         agent = make_design("DQN", n_hidden=32, seed=0)
         config = TrainingConfig(max_episodes=150, seed=0, solved_threshold=120.0,
                                 solved_window=20)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         greedy_lengths = evaluate_agent(agent, n_episodes=5, config=TrainingConfig(seed=9))
         assert result.solved or float(np.mean(greedy_lengths)) > 60.0
 
@@ -79,7 +108,7 @@ class TestFPGAPathIntegration:
     def test_fpga_agent_accumulates_modelled_time(self):
         agent = make_design("FPGA", n_hidden=16, seed=0)
         config = TrainingConfig(max_episodes=10, seed=0)
-        train_agent(agent, config=config)
+        Trainer().fit(agent, config=config)
         modelled = agent.model.modelled_time
         assert modelled.counts.get("seq_train", 0) > 0
         assert modelled.counts.get("predict_seq", 0) > 0
@@ -121,9 +150,10 @@ class TestFPGAPathIntegration:
         assert fpga < software < dqn
 
     def test_execution_time_experiment_single_projection(self):
-        experiment = ExecutionTimeExperiment.ci_scale(designs=("FPGA",), hidden_sizes=(16,),
-                                                      max_episodes=4)
-        timing = experiment.run_single("FPGA", 16)
+        agent = make_design("FPGA", n_hidden=16, seed=0)
+        result = Trainer().fit(agent, config=TrainingConfig(max_episodes=4, seed=0),
+                               n_hidden=16)
+        timing = project_timing(result, PynqZ1Platform())
         assert timing.design == "FPGA"
         assert timing.modelled_total > 0
         assert timing.counts.get("seq_train", 0) >= 0
@@ -136,7 +166,7 @@ class TestCustomConfigurations:
                              regularization=RegularizationConfig.l2(1.0))
         agent = OSELMQAgent(config)
         assert agent.config.input_size == 6
-        result = train_agent(agent, config=TrainingConfig(max_episodes=3, seed=0))
+        result = Trainer().fit(agent, config=TrainingConfig(max_episodes=3, seed=0))
         assert result.episodes == 3
 
     def test_mountain_car_environment_with_oselm(self):
@@ -147,7 +177,7 @@ class TestCustomConfigurations:
         env = make_env("MountainCar-v0", seed=0)
         training = TrainingConfig(env_id="MountainCar-v0", max_episodes=3,
                                   reward_shaping=False, seed=0)
-        result = train_agent(agent, env, config=training)
+        result = Trainer().fit(agent, env, config=training)
         assert result.episodes == 3
 
     def test_acrobot_environment_with_dqn(self):
@@ -156,5 +186,5 @@ class TestCustomConfigurations:
         env = make_env("Acrobot-v1", seed=0, max_episode_steps=60)
         training = TrainingConfig(env_id="Acrobot-v1", max_episodes=2,
                                   reward_shaping=False, seed=0)
-        result = train_agent(agent, env, config=training)
+        result = Trainer().fit(agent, env, config=training)
         assert result.episodes == 2

@@ -21,7 +21,7 @@ from repro.distributed.journal import (
     task_journal_key,
 )
 from repro.parallel.sweep import SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def _tiny_tasks(n_seeds=2, root_seed=99):

@@ -1,26 +1,27 @@
-"""Tests for lock-step training, sweep orchestration and experiment wiring."""
+"""Tests for lock-step training and sweep orchestration."""
 
 import numpy as np
 import pytest
 
+from repro.api import get_spec, run
 from repro.core.designs import make_design
-from repro.experiments.execution_time import ExecutionTimeExperiment
-from repro.experiments.training_curve import TrainingCurveExperiment
 from repro.parallel import (
     SweepRunner,
     SweepSpec,
     evaluate_agent_vectorized,
     parallel_map,
-    supports_lockstep,
-    train_agents_lockstep,
 )
-from repro.rl.runner import TrainingConfig, train_agent
+from repro.training import Trainer, TrainingConfig, supports_lockstep
 
 
 def _train_serial(design, n_hidden, seeds, configs):
-    return [train_agent(make_design(design, n_hidden=n_hidden, seed=seed),
-                        config=config, n_hidden=n_hidden)
+    return [Trainer().fit(make_design(design, n_hidden=n_hidden, seed=seed),
+                          config=config, n_hidden=n_hidden)
             for seed, config in zip(seeds, configs)]
+
+
+def _train_batched(agents, configs):
+    return Trainer().fit_lockstep(agents, configs, strategy="batched")
 
 
 class TestLockstepTrainer:
@@ -32,7 +33,7 @@ class TestLockstepTrainer:
         serial = _train_serial("OS-ELM-L2-Lipschitz", 16, seeds, configs)
         agents = [make_design("OS-ELM-L2-Lipschitz", n_hidden=16, seed=seed)
                   for seed in seeds]
-        batched = train_agents_lockstep(agents, configs)
+        batched = _train_batched(agents, configs)
         for serial_result, batch_result in zip(serial, batched):
             np.testing.assert_array_equal(serial_result.curve.steps,
                                           batch_result.curve.steps)
@@ -43,7 +44,7 @@ class TestLockstepTrainer:
         seeds = [5, 6]
         configs = [TrainingConfig(max_episodes=30, seed=seed) for seed in seeds]
         serial = _train_serial("ELM", 16, seeds, configs)
-        batched = train_agents_lockstep(
+        batched = _train_batched(
             [make_design("ELM", n_hidden=16, seed=seed) for seed in seeds], configs)
         for serial_result, batch_result in zip(serial, batched):
             np.testing.assert_array_equal(serial_result.curve.steps,
@@ -54,12 +55,12 @@ class TestLockstepTrainer:
         lock-step path must re-randomise identically to the serial loop."""
         seeds = [3, 4]
         configs = [TrainingConfig(max_episodes=40, seed=seed) for seed in seeds]
-        serial = [train_agent(
+        serial = [Trainer().fit(
             make_design("OS-ELM-L2", n_hidden=16, seed=seed, reset_after_episodes=10),
             config=config) for seed, config in zip(seeds, configs)]
         agents = [make_design("OS-ELM-L2", n_hidden=16, seed=seed,
                               reset_after_episodes=10) for seed in seeds]
-        batched = train_agents_lockstep(agents, configs)
+        batched = _train_batched(agents, configs)
         for serial_result, batch_result in zip(serial, batched):
             assert serial_result.weight_resets > 0
             assert serial_result.weight_resets == batch_result.weight_resets
@@ -70,7 +71,7 @@ class TestLockstepTrainer:
         configs = [TrainingConfig(max_episodes=100, solved_threshold=2.0,
                                   solved_window=5, seed=seed) for seed in (0, 1)]
         agents = [make_design("OS-ELM-L2", n_hidden=8, seed=seed) for seed in (0, 1)]
-        results = train_agents_lockstep(agents, configs)
+        results = _train_batched(agents, configs)
         for result in results:
             assert result.solved
             assert result.episodes == result.episodes_to_solve < 100
@@ -86,11 +87,11 @@ class TestLockstepTrainer:
         assert supports_lockstep(make_design("OS-ELM-L2", n_hidden=8, seed=0))
         assert supports_lockstep(make_design("ELM", n_hidden=8, seed=0))
         with pytest.raises(TypeError):
-            train_agents_lockstep([dqn], [TrainingConfig(max_episodes=2, seed=0)])
+            _train_batched([dqn], [TrainingConfig(max_episodes=2, seed=0)])
 
     def test_unregularized_oselm_falls_back_and_matches_serial(self):
-        """'OS-ELM' routed through the vectorized backend must take the serial
-        fallback and therefore reproduce backend='serial' exactly."""
+        """'OS-ELM' routed through the vectorized backend trains through the
+        generic lock-step strategy and must reproduce backend='serial' exactly."""
         spec = SweepSpec(designs=("OS-ELM",), n_seeds=2, n_hidden=8,
                          training=TrainingConfig(max_episodes=15), root_seed=44)
         vec = SweepRunner(spec, backend="vectorized").run()
@@ -104,19 +105,19 @@ class TestLockstepTrainer:
                   make_design("OS-ELM-L2", n_hidden=16, seed=1)]
         configs = [TrainingConfig(max_episodes=2, seed=s) for s in (0, 1)]
         with pytest.raises(ValueError):
-            train_agents_lockstep(agents, configs)
+            _train_batched(agents, configs)
         mixed_activation = [make_design("OS-ELM-L2", n_hidden=8, seed=0),
                             make_design("OS-ELM-L2", n_hidden=8, seed=1,
                                         activation="sigmoid")]
         with pytest.raises(ValueError, match="activation"):
-            train_agents_lockstep(mixed_activation, configs)
+            _train_batched(mixed_activation, configs)
         with pytest.raises(ValueError):
-            train_agents_lockstep(agents[:1], configs)
+            _train_batched(agents[:1], configs)
         mixed_envs = [TrainingConfig(max_episodes=2, env_id="CartPole-v0", seed=0),
                       TrainingConfig(max_episodes=2, env_id="CartPole-v1", seed=1)]
         with pytest.raises(ValueError):
-            train_agents_lockstep([make_design("OS-ELM-L2", n_hidden=8, seed=s)
-                                   for s in (0, 1)], mixed_envs)
+            _train_batched([make_design("OS-ELM-L2", n_hidden=8, seed=s)
+                            for s in (0, 1)], mixed_envs)
 
 
 class TestSweepSpec:
@@ -239,6 +240,32 @@ class TestSweepRunner:
             sweep.aggregate_curve("DQN", "CartPole-v0")
 
 
+class TestReportsOnProcessBackend:
+    """The paper reports come out the same when trials run in a process pool."""
+
+    @staticmethod
+    def _reports(name):
+        spec = get_spec(name, scale="ci").with_grid(
+            designs=("OS-ELM-L2",), hidden_sizes=(8,)).with_budget(max_episodes=4)
+        return (run(spec, backend="serial"),
+                run(spec, backend="process", max_workers=2))
+
+    def test_training_curve_process_matches_serial(self):
+        serial, process = (report.to_training_curve_result()
+                           for report in self._reports("figure4"))
+        np.testing.assert_array_equal(serial.get("OS-ELM-L2", 8).curve.steps,
+                                      process.get("OS-ELM-L2", 8).curve.steps)
+        assert serial.summary_rows() == process.summary_rows()
+
+    def test_execution_time_process_matches_serial(self):
+        serial, process = (report.to_execution_time_result()
+                           for report in self._reports("figure5"))
+        assert (serial.get("OS-ELM-L2", 8).counts
+                == process.get("OS-ELM-L2", 8).counts)
+        assert (serial.get("OS-ELM-L2", 8).modelled_total
+                == process.get("OS-ELM-L2", 8).modelled_total)
+
+
 class TestParallelMap:
     def test_serial_backend_orders_results(self):
         assert parallel_map(abs, [-3, -1, -2], backend="serial") == [3, 1, 2]
@@ -257,37 +284,17 @@ class TestParallelMap:
         assert seen == [(0, 1), (1, 2)]
 
 
-class TestExperimentParallelFlag:
-    def test_training_curve_parallel_matches_serial(self):
-        kwargs = dict(designs=("OS-ELM-L2",), hidden_sizes=(8,),
-                      training=TrainingConfig(max_episodes=4))
-        serial = TrainingCurveExperiment(**kwargs).run()
-        parallel = TrainingCurveExperiment(parallel=True, max_workers=2, **kwargs).run()
-        serial_result = serial.get("OS-ELM-L2", 8)
-        parallel_result = parallel.get("OS-ELM-L2", 8)
-        np.testing.assert_array_equal(serial_result.curve.steps,
-                                      parallel_result.curve.steps)
-
-    def test_execution_time_parallel_matches_serial(self):
-        kwargs = dict(designs=("OS-ELM-L2",), hidden_sizes=(8,),
-                      training=TrainingConfig(max_episodes=4))
-        serial = ExecutionTimeExperiment(**kwargs).run()
-        parallel = ExecutionTimeExperiment(parallel=True, max_workers=2, **kwargs).run()
-        assert (serial.get("OS-ELM-L2", 8).counts
-                == parallel.get("OS-ELM-L2", 8).counts)
-
-
 class TestVectorizedEvaluation:
     def test_returns_requested_episode_lengths(self):
         agent = make_design("OS-ELM-L2", n_hidden=8, seed=0)
-        train_agent(agent, config=TrainingConfig(max_episodes=10, seed=0))
+        Trainer().fit(agent, config=TrainingConfig(max_episodes=10, seed=0))
         lengths = evaluate_agent_vectorized(agent, n_episodes=5, num_envs=3, seed=2)
         assert lengths.shape == (5,)
         assert np.all(lengths >= 1)
 
     def test_reproducible_for_fixed_seed(self):
         agent = make_design("OS-ELM-L2", n_hidden=8, seed=0)
-        train_agent(agent, config=TrainingConfig(max_episodes=10, seed=0))
+        Trainer().fit(agent, config=TrainingConfig(max_episodes=10, seed=0))
         first = evaluate_agent_vectorized(agent, n_episodes=4, num_envs=2, seed=8)
         second = evaluate_agent_vectorized(agent, n_episodes=4, num_envs=2, seed=8)
         np.testing.assert_array_equal(first, second)

@@ -16,7 +16,7 @@ import pytest
 
 from repro import telemetry
 from repro.parallel.sweep import SweepRunner, SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 from repro.telemetry.registry import (
     COUNT_BUCKETS,
     Counter,

@@ -1,56 +1,39 @@
-"""Tests for the training runner, schedules, recording and experiment harnesses."""
+"""Tests for the serial trainer, training records and the paper reports."""
 
 import numpy as np
 import pytest
 
-from repro.core.designs import make_design
-from repro.experiments.execution_time import (
+from repro.api import get_spec, run
+from repro.api.reports import (
     PAPER_EXECUTION_TIMES,
     PAPER_SPEEDUPS,
-    ExecutionTimeExperiment,
     ExecutionTimeResult,
+    TrainingCurveResult,
+    compare_with_paper,
     fpga_breakdown_rows,
-)
-from repro.experiments.reporting import (
-    format_table,
-    paper_comparison_rows,
-    relative_error,
-    rows_to_csv,
-)
-from repro.experiments.resource_table import compare_with_paper, render_table3, resource_table
-from repro.experiments.training_curve import (
-    TrainingCurveExperiment,
+    project_timing,
+    render_table3,
+    resource_table,
     stability_classification,
 )
-from repro.rl.recording import EpisodeRecord, TrainingCurve, TrainingResult
-from repro.rl.runner import TrainingConfig, evaluate_agent, train_agent
-from repro.rl.schedule import ConstantSchedule, ExponentialDecaySchedule, LinearSchedule
+from repro.core.designs import make_design
+from repro.fpga.platform import PynqZ1Platform
+from repro.training import (
+    EpisodeRecord,
+    Trainer,
+    TrainingConfig,
+    TrainingCurve,
+    TrainingResult,
+    evaluate_agent,
+)
+from repro.utils.tables import format_table, relative_error, rows_to_csv
 from repro.utils.timer import TimeBreakdown
 
 
-class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantSchedule(0.7)
-        assert schedule(0) == 0.7 and schedule(10_000) == 0.7
-
-    def test_linear(self):
-        schedule = LinearSchedule(1.0, 0.0, duration=10)
-        assert schedule(0) == 1.0
-        assert schedule(5) == pytest.approx(0.5)
-        assert schedule(50) == 0.0
-
-    def test_exponential(self):
-        schedule = ExponentialDecaySchedule(1.0, 0.1, decay=0.9)
-        assert schedule(0) == pytest.approx(1.0)
-        assert schedule(100) == pytest.approx(0.1, abs=1e-3)
-
-    def test_negative_step_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantSchedule(1.0)(-1)
-
-    def test_invalid_decay(self):
-        with pytest.raises(ValueError):
-            ExponentialDecaySchedule(1.0, 0.0, decay=1.5)
+def _ci_run(name, designs, max_episodes):
+    spec = get_spec(name, scale="ci").with_grid(
+        designs=designs, hidden_sizes=(16,)).with_budget(max_episodes=max_episodes)
+    return run(spec, backend="serial")
 
 
 class TestRecording:
@@ -76,17 +59,17 @@ class TestRecording:
         assert result.completed
 
 
-class TestRunner:
+class TestTrainerFit:
     def test_training_config_validation(self):
         with pytest.raises(ValueError):
             TrainingConfig(max_episodes=0)
         with pytest.raises(ValueError):
             TrainingConfig(solved_window=0)
 
-    def test_train_agent_returns_result(self):
+    def test_fit_returns_result(self):
         agent = make_design("OS-ELM-L2", n_hidden=16, seed=1)
         config = TrainingConfig(max_episodes=12, solved_threshold=500.0, seed=1)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert result.episodes == 12
         assert not result.solved
         assert len(result.curve) == 12
@@ -94,42 +77,43 @@ class TestRunner:
         assert result.breakdown.total() > 0
         assert all(record.steps >= 1 for record in result.curve.records)
 
-    def test_train_agent_stops_when_solved(self):
+    def test_fit_stops_when_solved(self):
         # A trivially low threshold is reached as soon as the window fills.
         agent = make_design("OS-ELM-L2", n_hidden=8, seed=0)
         config = TrainingConfig(max_episodes=200, solved_threshold=2.0, solved_window=5, seed=0)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert result.solved
         assert result.episodes_to_solve == result.episodes < 200
 
-    def test_train_agent_dqn(self):
+    def test_fit_dqn(self):
         agent = make_design("DQN", n_hidden=16, seed=0, min_replay_size=32)
         config = TrainingConfig(max_episodes=6, seed=0)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert result.design == "DQN"
         assert result.breakdown.counts.get("predict_1", 0) > 0
 
-    def test_train_agent_accepts_env_instance(self, cartpole_env):
+    def test_fit_accepts_env_instance(self, cartpole_env):
         agent = make_design("OS-ELM", n_hidden=8, seed=0)
-        result = train_agent(agent, cartpole_env, config=TrainingConfig(max_episodes=3, seed=0))
+        result = Trainer().fit(agent, cartpole_env,
+                               config=TrainingConfig(max_episodes=3, seed=0))
         assert result.episodes == 3
 
     def test_reward_shaping_bounds(self):
         """With shaping on, every shaped return lies in [-1, +1]."""
         agent = make_design("OS-ELM-L2", n_hidden=8, seed=0)
         config = TrainingConfig(max_episodes=10, reward_shaping=True, seed=0)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert all(-1.0 <= r.shaped_return <= 1.0 for r in result.curve.records)
 
     def test_record_lipschitz_option(self):
         agent = make_design("OS-ELM-L2", n_hidden=8, seed=0)
         config = TrainingConfig(max_episodes=5, record_lipschitz=True, seed=0)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert np.isfinite(result.curve.lipschitz_bounds[-1])
 
     def test_evaluate_agent(self):
         agent = make_design("OS-ELM-L2", n_hidden=8, seed=0)
-        train_agent(agent, config=TrainingConfig(max_episodes=5, seed=0))
+        Trainer().fit(agent, config=TrainingConfig(max_episodes=5, seed=0))
         lengths = evaluate_agent(agent, n_episodes=3, config=TrainingConfig(seed=1))
         assert lengths.shape == (3,)
         assert np.all(lengths >= 1)
@@ -160,18 +144,26 @@ class TestReporting:
         assert csv_text.splitlines()[0] == "a,b"
         assert '"x,y"' in csv_text
 
+    def test_format_table_explicit_columns(self):
+        text = format_table([{"a": 1, "b": 2.5, "c": "x"}], columns=("c", "b"))
+        header = text.splitlines()[0]
+        assert header.split(" | ") == ["c", "b   "]
+        assert "a" not in header
+
+    def test_rows_to_csv_empty(self):
+        assert rows_to_csv([]) == ""
+
+    def test_rows_to_csv_escapes_quotes(self):
+        csv_text = rows_to_csv([{"name": 'say "hi"', "n": None}])
+        assert csv_text.splitlines()[1] == '"say ""hi""",'
+
     def test_relative_error(self):
         assert relative_error(110.0, 100.0) == pytest.approx(0.1)
         assert relative_error(1.0, 0.0) == float("inf")
         assert relative_error(0.0, 0.0) == 0.0
 
-    def test_paper_comparison_rows(self):
-        rows = paper_comparison_rows({"speedup": 20.0}, {"speedup": 29.76})
-        assert rows[0]["paper"] == 29.76
-        assert rows[0]["relative_error"] == pytest.approx(abs(20 - 29.76) / 29.76)
 
-
-class TestResourceTableExperiment:
+class TestResourceTable:
     def test_resource_table_rows(self):
         report = resource_table()
         assert [row.n_hidden for row in report.rows] == [32, 64, 128, 192, 256]
@@ -193,11 +185,9 @@ class TestResourceTableExperiment:
         assert all(row["relative_error"] <= 0.15 for row in bram_rows)
 
 
-class TestTrainingCurveExperiment:
+class TestTrainingCurveReport:
     def test_ci_scale_run(self):
-        experiment = TrainingCurveExperiment.ci_scale(
-            designs=("OS-ELM-L2",), hidden_sizes=(16,), max_episodes=8)
-        collected = experiment.run()
+        collected = _ci_run("figure4", ("OS-ELM-L2",), 8).to_training_curve_result()
         assert ("OS-ELM-L2", 16) in collected.results
         rows = collected.summary_rows()
         assert rows[0]["episodes"] <= 8
@@ -206,9 +196,19 @@ class TestTrainingCurveExperiment:
         assert "Figure 4" in collected.render()
 
     def test_paper_scale_configuration(self):
-        experiment = TrainingCurveExperiment.paper_scale()
-        assert experiment.training.max_episodes == 50_000
-        assert experiment.training.solved_threshold == 195.0
+        budget = get_spec("figure4", scale="paper").budget
+        assert budget.max_episodes == 50_000
+        assert budget.solved_threshold == 195.0
+
+    def test_designs_and_hidden_sizes_sorted(self):
+        collected = TrainingCurveResult()
+        for design, n_hidden in (("OS-ELM", 64), ("DQN", 32), ("OS-ELM", 32)):
+            collected.add(TrainingResult(design, n_hidden, False, 1, None, 0.0,
+                                         TrainingCurve(), TimeBreakdown()))
+        assert collected.designs() == ["DQN", "OS-ELM"]
+        assert collected.hidden_sizes() == [32, 64]
+        assert [(row["n_hidden"], row["design"]) for row in collected.summary_rows()] \
+            == [(32, "DQN"), (32, "OS-ELM"), (64, "OS-ELM")]
 
     def test_stability_classification(self):
         solved = TrainingResult("X", 32, True, 10, 10, 1.0, TrainingCurve(), TimeBreakdown())
@@ -228,16 +228,32 @@ class TestTrainingCurveExperiment:
         assert stability_classification(dull) == "not_learning"
 
 
-class TestExecutionTimeExperiment:
+class TestExecutionTimeReport:
     def test_paper_reference_tables_complete(self):
         assert set(PAPER_EXECUTION_TIMES) == {32, 64, 128, 192}
         assert PAPER_SPEEDUPS[64]["OS-ELM-L2-Lipschitz"] == 29.76
         assert PAPER_SPEEDUPS[64]["FPGA"] == 126.06
 
+    def test_paper_scale_grid_matches_reference_tables(self):
+        spec = get_spec("figure5", scale="paper")
+        assert set(spec.hidden_sizes) == set(PAPER_EXECUTION_TIMES)
+        assert {"DQN", "OS-ELM-L2-Lipschitz", "FPGA"} <= set(spec.designs)
+
+    def test_project_timing_keeps_measured_counts(self):
+        breakdown = TimeBreakdown()
+        breakdown.add("seq_train", 0.5, 40)
+        breakdown.add("predict_1", 0.25, 100)
+        result = TrainingResult("FPGA", 64, True, 7, 7, 1.0, TrainingCurve(), breakdown)
+        timing = project_timing(result, PynqZ1Platform())
+        assert (timing.design, timing.n_hidden, timing.solved, timing.episodes) \
+            == ("FPGA", 64, True, 7)
+        assert timing.counts == {"seq_train": 40, "predict_1": 100}
+        assert timing.measured_total == pytest.approx(0.75)
+        assert timing.modelled_total > 0
+
     def test_ci_scale_run_and_speedups(self):
-        experiment = ExecutionTimeExperiment.ci_scale(
-            designs=("OS-ELM-L2", "DQN", "FPGA"), hidden_sizes=(16,), max_episodes=6)
-        result = experiment.run()
+        result = _ci_run("figure5", ("OS-ELM-L2", "DQN", "FPGA"),
+                         6).to_execution_time_result()
         assert isinstance(result, ExecutionTimeResult)
         for design in ("OS-ELM-L2", "DQN", "FPGA"):
             timing = result.get(design, 16)
@@ -254,9 +270,7 @@ class TestExecutionTimeExperiment:
         assert "Figure 5" in result.render()
 
     def test_breakdown_rows(self):
-        experiment = ExecutionTimeExperiment.ci_scale(designs=("FPGA",), hidden_sizes=(16,),
-                                                      max_episodes=4)
-        result = experiment.run()
+        result = _ci_run("figure5", ("FPGA",), 4).to_execution_time_result()
         rows = result.breakdown_rows("FPGA", 16)
         assert sum(row["fraction"] for row in rows) == pytest.approx(1.0, abs=0.01)
         fig6 = fpga_breakdown_rows(result, hidden_sizes=(16,))

@@ -1,9 +1,8 @@
 """Bit-for-bit equivalence of the unified Trainer vs. the legacy loops.
 
 ``tests/data/pinned_curves.json`` was generated by the pre-refactor
-hand-rolled loops (``train_agent`` / ``train_agents_lockstep``) at the
-commit before ``repro.training`` landed — see
-``tests/data/generate_pinned_curves.py``.  Every driver/strategy of the new
+hand-rolled serial and lock-step loops at the commit before
+``repro.training`` landed — see ``tests/data/generate_pinned_curves.py``.  Every driver/strategy of the new
 Trainer must replay those curves exactly (episode lengths, float-exact
 shaped returns and moving averages), for every registered design including
 DQN and the fixed-point FPGA configuration.
@@ -16,13 +15,12 @@ import numpy as np
 import pytest
 
 from repro.core.designs import DESIGN_NAMES, make_design
-from repro.parallel.lockstep import train_agents_lockstep
 from repro.parallel.sweep import SweepRunner, SweepSpec
-from repro.rl.runner import TrainingConfig, train_agent
 from repro.training import (
     AgentProtocol,
     BatchableAgentProtocol,
     Trainer,
+    TrainingConfig,
 )
 
 PINS = json.loads((Path(__file__).parent / "data" / "pinned_curves.json")
@@ -51,18 +49,16 @@ def _serial_case(case):
 
 
 class TestSerialDriverMatchesLegacy:
+    def test_every_design_has_a_serial_pin(self):
+        """A design added to the registry must fail loudly here rather than
+        silently going unpinned."""
+        assert {case["design"] for case in PINS["serial"]} == set(DESIGN_NAMES)
+
     @pytest.mark.parametrize("case", PINS["serial"],
                              ids=[c["design"] for c in PINS["serial"]])
     def test_trainer_fit_replays_pinned_legacy_curve(self, case):
         agent, config = _serial_case(case)
         result = Trainer().fit(agent, config=config, n_hidden=case["n_hidden"])
-        _assert_matches_pin(result, case["result"])
-
-    @pytest.mark.parametrize("case", PINS["serial"],
-                             ids=[c["design"] for c in PINS["serial"]])
-    def test_train_agent_wrapper_replays_pinned_legacy_curve(self, case):
-        agent, config = _serial_case(case)
-        result = train_agent(agent, config=config, n_hidden=case["n_hidden"])
         _assert_matches_pin(result, case["result"])
 
 
@@ -103,15 +99,6 @@ class TestBatchedLockstepMatchesLegacy:
         configs = [TrainingConfig(max_episodes=e, seed=s)
                    for _, _, e, s in cases]
         results = Trainer().fit_lockstep(agents, configs, strategy="batched")
-        for result, pin in zip(results, PINS["lockstep_batch"]["results"]):
-            _assert_matches_pin(result, pin)
-
-    def test_wrapper_replays_pinned_legacy_batch(self):
-        cases = PINS["lockstep_batch"]["cases"]
-        agents = [make_design(d, n_hidden=h, seed=s) for d, h, _, s in cases]
-        configs = [TrainingConfig(max_episodes=e, seed=s)
-                   for _, _, e, s in cases]
-        results = train_agents_lockstep(agents, configs)
         for result, pin in zip(results, PINS["lockstep_batch"]["results"]):
             _assert_matches_pin(result, pin)
 
