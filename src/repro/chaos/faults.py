@@ -15,8 +15,9 @@ misbehaviour that wraps real sockets:
 * **delay** — ``delay_seconds`` added before every frame send, exercising
   timeout paths without a real slow network.
 
-Injection points: ``WorkerOptions(connect_factory=plan.connect)`` and
-``PolicyClient(connect_factory=plan.connect)`` — or :meth:`FaultPlan.wrap`
+Injection point: ``connect_factory=plan.connect`` on
+:func:`repro.distributed.protocol.dial`, which every client dials through
+(``WorkerOptions`` and ``PolicyClient`` pass it on) — or :meth:`FaultPlan.wrap`
 around any already-connected socket (tests wrap one end of a socketpair).
 The ``repro worker --fault-plan SPEC`` CLI flag parses the same
 comma-separated spec :meth:`FaultPlan.from_spec` does, which is how the

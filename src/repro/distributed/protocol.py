@@ -117,6 +117,26 @@ client sends            server replies              meaning
                                                     shape, undecodable blob...
 =====================  ==========================  =========================
 
+Opening a connection
+--------------------
+Every client (worker, :class:`~repro.serving.PolicyClient`, ``repro fleet
+status``, drain requests) opens its session with :func:`dial`: connect,
+``(HELLO, client_id)``, expect ``(WELCOME, dict)`` advertising every
+required capability.  Each failure is one :class:`HandshakeError`:
+
+=======================================================  =========
+failure                                                  transient
+=======================================================  =========
+connect refused, unreachable or timed out                yes
+EOF, reset or timeout before ``WELCOME``                 yes
+reply is not ``WELCOME``, or its info is not a dict      no
+malformed or oversized frame                             no
+a required capability is not advertised                  no
+=======================================================  =========
+
+Given a :class:`~repro.utils.retry.RetryPolicy`, :func:`dial` retries the
+transient failures on its schedule; definitive ones raise at once.
+
 Security note: frames are pickles, so the broker must only be bound to
 interfaces you trust (the default is loopback).  This mirrors the stdlib
 ``multiprocessing`` connection model the in-process backends already rely
@@ -133,7 +153,9 @@ import pickle
 import socket
 import struct
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+
+from repro.utils.retry import RetryPolicy
 
 #: Message kinds (worker -> broker unless noted).
 HELLO = "hello"
@@ -266,9 +288,12 @@ def recv_message(sock: socket.socket, *,
                  max_frame_bytes: Optional[int] = None) -> Tuple[str, Any]:
     """Read one framed message; raises ``ConnectionError`` on EOF/corruption.
 
-    ``max_frame_bytes`` caps the peer-supplied length *before* any
-    allocation happens (default :func:`default_max_frame_bytes`); an
-    oversized frame raises :class:`ProtocolError`.  Daemons that accept
+    EOF mid-frame is a plain ``ConnectionError`` (an outage); a payload
+    that does not unpickle, or is not a ``(kind, payload)`` tuple, is a
+    :class:`ProtocolError` (a violation).  ``max_frame_bytes`` caps the
+    peer-supplied length *before* any allocation happens (default
+    :func:`default_max_frame_bytes`); an oversized frame raises
+    :class:`ProtocolError`.  Daemons that accept
     connections from the network pass a limit sized to their real traffic —
     the broker's trial results and the policy server's observations are
     orders of magnitude below the 1 GiB default.
@@ -282,7 +307,11 @@ def recv_message(sock: socket.socket, *,
     if length > limit:
         raise ProtocolError(
             f"frame of {length} bytes exceeds the {limit}-byte limit")
-    message = pickle.loads(_recv_exact(sock, length))
+    body = _recv_exact(sock, length)
+    try:
+        message = pickle.loads(body)
+    except Exception as error:
+        raise ProtocolError(f"undecodable frame: {error!r}") from error
     if not (isinstance(message, tuple) and len(message) == 2
             and isinstance(message[0], str)):
         raise ProtocolError(f"malformed message: {type(message).__name__}")
@@ -302,6 +331,83 @@ def _recv_exact(sock: socket.socket, n_bytes: int) -> bytes:
     return b"".join(chunks)
 
 
+class HandshakeError(ConnectionError):
+    """:func:`dial` failed.  ``transient``: a retry might succeed.
+    ``connected``: the peer accepted the connection, then failed HELLO."""
+
+    def __init__(self, message: str, *, transient: bool = False,
+                 connected: bool = True) -> None:
+        super().__init__(message)
+        self.transient = transient
+        self.connected = connected
+
+
+def dial(host: str, port: int, client_id: str, *,
+         require: Mapping[str, str], timeout: Optional[float],
+         retry: Optional[RetryPolicy] = None,
+         connect_factory: Optional[Callable[[str, int, Optional[float]],
+                                            socket.socket]] = None,
+         ) -> Tuple[socket.socket, Dict[str, Any]]:
+    """Connect, ``HELLO`` and check the ``WELCOME``; ``(socket, info)``.
+
+    ``require`` maps each capability the ``WELCOME`` info must advertise
+    to the error message used when it does not.  ``timeout`` bounds the
+    connect and the handshake.  ``connect_factory(host, port, timeout)``
+    replaces ``socket.create_connection`` (the
+    :class:`~repro.chaos.FaultPlan` seam).  An exhausted ``retry`` raises
+    :class:`~repro.utils.retry.RetryError`.
+    """
+    if retry is not None:
+        return _retry_transient(retry, lambda: dial(
+            host, port, client_id, require=require, timeout=timeout,
+            connect_factory=connect_factory))
+    try:
+        if connect_factory is not None:
+            sock = connect_factory(host, port, timeout)
+        else:
+            sock = socket.create_connection((host, port), timeout=timeout)
+    except OSError as error:
+        raise HandshakeError(f"connect failed: {error}", transient=True,
+                             connected=False) from error
+    try:
+        try:
+            send_message(sock, HELLO, client_id)
+            kind, info = recv_message(sock)
+        except ProtocolError as error:
+            raise HandshakeError(
+                f"bad reply to HELLO from {host}:{port}: {error}") from error
+        except OSError as error:
+            raise HandshakeError(f"connection lost before WELCOME: {error}",
+                                 transient=True) from error
+        if kind != WELCOME:
+            raise HandshakeError(
+                f"unexpected {kind!r} reply to HELLO from {host}:{port}")
+        if not isinstance(info, dict):
+            raise HandshakeError(f"malformed WELCOME from {host}:{port}: "
+                                 f"{type(info).__name__}, not a dict")
+        for flag, message in require.items():
+            if not info.get(flag):
+                raise HandshakeError(message)
+    except HandshakeError:
+        sock.close()
+        raise
+    return sock, info
+
+
+def _retry_transient(retry: Optional[RetryPolicy],
+                     attempt: Callable[[], Any]) -> Any:
+    """``attempt()``, retried on ``retry`` while it raises a
+    ``ConnectionError`` whose ``transient`` flag is set."""
+    clock = None if retry is None else retry.clock()
+    while True:
+        try:
+            return attempt()
+        except ConnectionError as error:
+            if clock is None or not getattr(error, "transient", False):
+                raise
+            clock.failed(error)
+
+
 def parse_address(address: str) -> Tuple[str, int]:
     """Parse ``"host:port"`` (the CLI's ``--connect``/``--bind`` format)."""
     host, sep, port = address.rpartition(":")
@@ -312,9 +418,9 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 __all__ = [
     "ACK", "ACT", "ACTION", "DRAIN", "ERROR", "GET", "HEARTBEAT", "HELLO",
-    "MAX_FRAME_BYTES", "MAX_FRAME_ENV_VAR", "OBSERVER_PREFIX",
-    "ProtocolError", "RESULT", "SHUTDOWN", "STATS", "SWAP", "SWAPPED",
-    "TASK", "TASKS", "TransportCounters", "WAIT", "WELCOME",
-    "default_max_frame_bytes", "parse_address", "recv_message",
-    "send_message", "transport_counters",
+    "HandshakeError", "MAX_FRAME_BYTES", "MAX_FRAME_ENV_VAR",
+    "OBSERVER_PREFIX", "ProtocolError", "RESULT", "SHUTDOWN", "STATS",
+    "SWAP", "SWAPPED", "TASK", "TASKS", "TransportCounters", "WAIT",
+    "WELCOME", "default_max_frame_bytes", "dial", "parse_address",
+    "recv_message", "send_message", "transport_counters",
 ]

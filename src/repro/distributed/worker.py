@@ -85,7 +85,7 @@ class WorkerOptions:
     store_root: Optional[str] = None     #: local artifact cache (resume + checkpoint)
     heartbeat_interval: float = 2.0      #: seconds between keep-alive frames mid-trial
     max_tasks: Optional[int] = None      #: stop after N trials (tests/failure injection)
-    connect_timeout: float = 10.0        #: seconds to wait for the broker socket
+    connect_timeout: float = 10.0        #: seconds to wait for the broker socket and its WELCOME
     handle_signals: bool = True          #: SIGTERM/SIGINT -> graceful drain (main thread only)
     drain_event: Optional[threading.Event] = field(default=None, compare=False)
     """Optional externally-owned drain trigger (tests drive in-thread workers
@@ -192,12 +192,6 @@ def run_worker(host: str, port: int,
     restore = (_install_drain_handlers(drain, worker_id)
                if options.handle_signals else [])
 
-    def connect() -> socket.socket:
-        if options.connect_factory is not None:
-            return options.connect_factory(host, port, options.connect_timeout)
-        return socket.create_connection((host, port),
-                                        timeout=options.connect_timeout)
-
     def on_retry(attempt: int, delay: float, error: BaseException) -> None:
         _LOGGER.warning("broker unreachable; backing off", worker=worker_id,
                         attempt=attempt, delay=round(delay, 3), error=str(error))
@@ -213,25 +207,33 @@ def run_worker(host: str, port: int,
     try:
         while not drain.is_set():
             try:
-                sock = connect()
-            except (ConnectionError, OSError) as error:
-                if options.reconnect is None:
+                sock, info = protocol.dial(
+                    host, port, worker_id, require={},
+                    timeout=options.connect_timeout,
+                    connect_factory=options.connect_factory)
+            except protocol.HandshakeError as error:
+                if not error.transient:
                     raise
+                if options.reconnect is None:
+                    if not error.connected:
+                        raise
+                    # A broker that hangs up mid-handshake is shutting down.
+                    _LOGGER.info("broker connection closed", worker=worker_id)
+                    break
                 if clock is None:
                     clock = options.reconnect.clock()
                 clock.failed(error, on_retry=on_retry)   # sleeps or raises
                 continue
-            outcome = _serve_connection(sock, worker_id, store, drain,
+            clock = None    # handshook: the next outage starts fresh
+            sessions += 1
+            if sessions > 1:
+                state.reconnects += 1
+                telemetry.count("worker.reconnects")
+                _LOGGER.info("worker reconnected", worker=worker_id,
+                             session=sessions)
+            outcome = _serve_connection(sock, info, worker_id, store, drain,
                                         options, state)
-            if outcome.handshook:
-                sessions += 1
-                if sessions > 1:
-                    state.reconnects += 1
-                    telemetry.count("worker.reconnects")
-                    _LOGGER.info("worker reconnected", worker=worker_id,
-                                 session=sessions)
-                clock = None    # productive session: next outage starts fresh
-            if outcome.kind != "lost":
+            if outcome != "lost":
                 break
             if options.reconnect is None:
                 # Pre-1.8 behaviour: the broker is gone — sweep finished (it
@@ -239,12 +241,6 @@ def run_worker(host: str, port: int,
                 # died; either way the worker's job here is over.
                 _LOGGER.info("broker connection closed", worker=worker_id)
                 break
-            if not outcome.handshook:
-                # Connected but died before WELCOME: burns retry budget like
-                # a failed connect, or a flapping broker would spin us hot.
-                if clock is None:
-                    clock = options.reconnect.clock()
-                clock.failed(outcome.error, on_retry=on_retry)
             _LOGGER.warning("broker connection lost; reconnecting",
                             worker=worker_id,
                             undelivered=len(state.undelivered))
@@ -259,22 +255,14 @@ def run_worker(host: str, port: int,
     return state.completed
 
 
-class _ConnectionOutcome:
-    """Why one broker connection ended."""
-
-    __slots__ = ("kind", "handshook", "error")
-
-    def __init__(self, kind: str, handshook: bool,
-                 error: Optional[BaseException] = None) -> None:
-        self.kind = kind            # "lost" | "shutdown" | "drain" | "max_tasks"
-        self.handshook = handshook  # WELCOME received on this connection
-        self.error = error
-
-
-def _serve_connection(sock: socket.socket, worker_id: str, store,
+def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
                       drain: threading.Event, options: WorkerOptions,
-                      state: _WorkerState) -> _ConnectionOutcome:
-    """One connection's HELLO -> GET/RESULT loop; never raises transport errors."""
+                      state: _WorkerState) -> str:
+    """One handshaken connection's GET/RESULT loop; why it ended.
+
+    Returns ``"lost"``, ``"shutdown"``, ``"drain"`` or ``"max_tasks"``;
+    transport errors end the connection as ``"lost"`` instead of raising.
+    """
     send_lock = threading.Lock()
 
     def send(kind: str, payload=None) -> None:
@@ -312,21 +300,10 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
         # connection to a dead broker times out into the reconnect path
         # instead of hanging the worker forever.
         sock.settimeout(options.idle_timeout)
-        try:
-            send(protocol.HELLO, worker_id)
-            kind, info = protocol.recv_message(sock)
-        except protocol.ProtocolError:
-            # A *violation* (malformed/oversized frame), not an outage:
-            # retrying a broker that speaks garbage would spin forever.
-            raise
-        except (ConnectionError, OSError) as error:
-            return _ConnectionOutcome("lost", False, error)
-        if kind != protocol.WELCOME:
-            raise protocol.ProtocolError(f"expected WELCOME, got {kind!r}")
         # 1.7+ brokers advertise "drain" in WELCOME; only then may the GET
         # payload be upgraded to a capability dict (an old broker would
         # misread the dict, so the flag gates the whole exchange).
-        drain_negotiated = bool(isinstance(info, dict) and info.get("drain"))
+        drain_negotiated = bool(info.get("drain"))
         get_payload = ({"capacity": LEASE_CAPACITY, "drain": True}
                        if drain_negotiated else LEASE_CAPACITY)
         _LOGGER.info("worker registered", worker=worker_id,
@@ -342,8 +319,8 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
                 deliver(index, result, backend)
             except protocol.ProtocolError:
                 raise
-            except (ConnectionError, OSError) as error:
-                return _ConnectionOutcome("lost", True, error)
+            except (ConnectionError, OSError):
+                return "lost"
             state.undelivered.pop(0)
             telemetry.count("distributed.worker.redelivered_results")
             _LOGGER.info("stranded result redelivered", worker=worker_id,
@@ -353,16 +330,16 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
                 _LOGGER.info("drain requested; exiting cleanly",
                              worker=worker_id, completed=state.completed)
                 announce_drain(drain_negotiated)
-                return _ConnectionOutcome("drain", True)
+                return "drain"
             try:
                 send(protocol.GET, get_payload)
                 kind, payload = protocol.recv_message(sock)
             except protocol.ProtocolError:
                 raise
-            except (ConnectionError, OSError) as error:
-                return _ConnectionOutcome("lost", True, error)
+            except (ConnectionError, OSError):
+                return "lost"
             if kind == protocol.SHUTDOWN:
-                return _ConnectionOutcome("shutdown", True)
+                return "shutdown"
             if kind == protocol.DRAIN:
                 # The broker retired this worker (fleet scale-down).  No
                 # lease is held at this point — GET only goes out between
@@ -370,7 +347,7 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
                 telemetry.count("distributed.worker.drains")
                 _LOGGER.info("drained by broker", worker=worker_id,
                              completed=state.completed)
-                return _ConnectionOutcome("drain", True)
+                return "drain"
             if kind == protocol.WAIT:
                 telemetry.count("distributed.worker.wait_frames")
                 time.sleep(float(payload))
@@ -392,7 +369,7 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
                     fresh = deliver(index, result, DISTRIBUTED_BACKEND)
                 except protocol.ProtocolError:
                     raise
-                except (ConnectionError, OSError) as error:
+                except (ConnectionError, OSError):
                     # Result may or may not have landed; the broker requeues
                     # the lease if it didn't, and dedups the delivery if it
                     # did.  Stash it for redelivery after a reconnect; the
@@ -402,7 +379,7 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
                                     task=index)
                     state.undelivered.append((index, result,
                                               DISTRIBUTED_BACKEND))
-                    return _ConnectionOutcome("lost", True, error)
+                    return "lost"
                 if was_cached:
                     telemetry.count("distributed.worker.cache_hits")
                 _LOGGER.info("task done", worker=worker_id, task=index,
@@ -410,7 +387,7 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
             # A signal that landed mid-batch drains at the *batch* boundary:
             # every lease the worker held has now been delivered and acked,
             # so the drain requeues nothing (the loop top exits next pass).
-        return _ConnectionOutcome("max_tasks", True)
+        return "max_tasks"
     finally:
         sock.close()
 

@@ -2,12 +2,12 @@
 
 The autoscaler (and anything else that wants to retire workers — an ops
 script, a future multi-broker shard manager) asks the broker to drain
-workers through a short-lived observer connection, exactly like
-:func:`repro.telemetry.fleet.fetch_fleet_stats` queries stats: connect,
-``HELLO`` with an :data:`~repro.distributed.protocol.OBSERVER_PREFIX` id
-(so the connection never enters worker accounting), confirm the broker's
-``WELCOME`` advertises the ``drain`` capability, send ``(DRAIN, [ids])``
-and read back the broker's disposition report::
+workers through a short-lived observer connection, the same observer
+exchange :func:`repro.telemetry.fleet.fetch_fleet_stats` makes: dial the
+broker (:func:`repro.distributed.protocol.dial`) with an
+:data:`~repro.distributed.protocol.OBSERVER_PREFIX` id, so the connection
+never enters worker accounting, requiring the ``drain`` capability; send
+``(DRAIN, [ids])`` and read back the broker's disposition report::
 
     {"marked": [...], "already_draining": [...],
      "unknown": [...], "gone": [...]}
@@ -19,11 +19,10 @@ coordinator's dead-fleet detection.
 
 from __future__ import annotations
 
-import socket
 from typing import Dict, List, Optional, Sequence
 
 from repro.distributed import protocol
-from repro.telemetry.fleet import FleetStatusError, observer_id
+from repro.telemetry.fleet import FleetStatusError, _observe
 from repro.utils.retry import RetryPolicy
 
 
@@ -51,46 +50,12 @@ def request_drain(host: str, port: int, worker_ids: Sequence[str], *,
     if not ids:
         return {"marked": [], "already_draining": [], "unknown": [],
                 "gone": []}
-    if retry is not None:
-        clock = retry.clock()
-        while True:
-            try:
-                return request_drain(host, port, ids, timeout=timeout)
-            except FleetControlError as error:
-                if not error.transient:
-                    raise
-                clock.failed(error)
-    try:
-        sock = socket.create_connection((host, port), timeout=timeout)
-    except OSError as error:
-        raise FleetControlError(
-            f"cannot reach broker at {host}:{port}: {error}",
-            transient=True) from error
-    with sock:
-        try:
-            protocol.send_message(sock, protocol.HELLO, observer_id())
-            kind, info = protocol.recv_message(sock)
-            if kind != protocol.WELCOME:
-                raise protocol.ProtocolError(
-                    f"expected WELCOME, got {kind!r}")
-            if not (isinstance(info, dict) and info.get("drain")):
-                raise FleetControlError(
-                    f"broker at {host}:{port} does not advertise the DRAIN "
-                    "capability (repro < 1.7); retire its workers by "
-                    "signal instead")
-            protocol.send_message(sock, protocol.DRAIN, ids)
-            kind, report = protocol.recv_message(sock)
-            if kind != protocol.DRAIN:
-                raise protocol.ProtocolError(f"expected DRAIN, got {kind!r}")
-        except FleetControlError:
-            raise
-        except (ConnectionError, OSError) as error:
-            raise FleetControlError(
-                f"broker at {host}:{port} dropped the drain request: "
-                f"{error}", transient=True) from error
-    if not isinstance(report, dict):
-        raise FleetControlError(
-            f"malformed DRAIN reply: {type(report).__name__}")
+    report = _observe(
+        host, port, protocol.DRAIN, ids, timeout=timeout, retry=retry,
+        require={"drain": f"broker at {host}:{port} does not advertise the "
+                          "DRAIN capability (repro < 1.7); retire its "
+                          "workers by signal instead"},
+        error_type=FleetControlError)
     return {key: list(report.get(key, []))
             for key in ("marked", "already_draining", "unknown", "gone")}
 

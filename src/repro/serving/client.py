@@ -12,9 +12,9 @@ serving daemon), then
   server, the transport under :class:`~repro.serving.WeightPushCallback`;
 * :meth:`PolicyClient.stats` — the server's counters + latency histograms.
 
-Mirrors the :func:`~repro.telemetry.fleet.fetch_fleet_stats` connection
-idiom; errors surface as :class:`ServingError` with the reason the server
-gave, never a raw pickle traceback.
+The connection opens through :func:`repro.distributed.protocol.dial`, like
+every other client of the framing; errors surface as :class:`ServingError`
+with the reason the server gave, never a raw pickle traceback.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ class ServingError(RuntimeError):
 
     ``transient`` marks failures a retry might fix (server unreachable,
     connection dropped) as opposed to definitive rejections (wrong peer,
-    unknown design) — :class:`~repro.serving.WeightPushCallback`'s backoff
-    and the ``retry=`` connect path both branch on it.
+    unknown design).
     """
 
     def __init__(self, message: str, *, transient: bool = False) -> None:
@@ -58,18 +57,13 @@ class PolicyClient:
         default); required per call otherwise.
     timeout:
         Socket timeout in seconds for connect and each reply.
-    retry:
-        Optional :class:`~repro.utils.retry.RetryPolicy` for the connect +
-        handshake: *transient* failures (server not up yet, connection
-        dropped mid-handshake) back off and retry on its schedule, so a
-        client racing a restarting server converges instead of dying.
-        Definitive rejections ("that's a sweep broker") raise immediately.
-        Established connections are never silently re-dialed — a dropped
-        request still raises, because replaying it could double-act.
-    connect_factory:
-        Socket factory ``(host, port, timeout) -> socket`` replacing
-        ``socket.create_connection`` (the :class:`~repro.chaos.FaultPlan`
-        injection seam, mirroring ``WorkerOptions.connect_factory``).
+    retry / connect_factory:
+        Passed to :func:`~repro.distributed.protocol.dial`: a
+        :class:`~repro.utils.retry.RetryPolicy` that retries *transient*
+        connect + handshake failures (a restarting server), and a socket
+        factory replacing ``socket.create_connection``.  Established
+        connections are never silently re-dialed — a dropped request still
+        raises, because replaying it could double-act.
     """
 
     def __init__(self, host: str, port: int, *,
@@ -79,55 +73,22 @@ class PolicyClient:
                  connect_factory: Optional[Callable[[str, int, float],
                                                     socket.socket]] = None) -> None:
         self.client_id = client_id or f"client-{uuid.uuid4().hex[:8]}"
-        self._connect_factory = connect_factory
-        if retry is None:
-            self._sock, info = self._open(host, port, timeout)
-        else:
-            clock = retry.clock()
-            while True:
-                try:
-                    self._sock, info = self._open(host, port, timeout)
-                    break
-                except ServingError as error:
-                    if not error.transient:
-                        raise
-                    clock.failed(error)
+        try:
+            self._sock, info = protocol.dial(
+                host, port, self.client_id, timeout=timeout, retry=retry,
+                connect_factory=connect_factory,
+                require={"serving": f"peer at {host}:{port} is not a policy "
+                                    "server (a sweep broker?); point the "
+                                    "client at `repro serve`"})
+        except protocol.HandshakeError as error:
+            message = (f"cannot reach policy server at {host}:{port}: {error}"
+                       if error.transient else str(error))
+            raise ServingError(message, transient=error.transient) from error
         self.server_info: Dict[str, Any] = info
         self.designs: List[str] = list(info.get("designs", []))
         if design is None and len(self.designs) == 1:
             design = self.designs[0]
         self.design = design
-
-    def _open(self, host: str, port: int, timeout: float):
-        """One connect + HELLO/WELCOME handshake; ``(socket, server info)``."""
-        try:
-            if self._connect_factory is not None:
-                sock = self._connect_factory(host, port, timeout)
-            else:
-                sock = socket.create_connection((host, port), timeout=timeout)
-        except OSError as error:
-            raise ServingError(
-                f"cannot reach policy server at {host}:{port}: {error}",
-                transient=True) from error
-        try:
-            protocol.send_message(sock, protocol.HELLO, self.client_id)
-            kind, info = protocol.recv_message(sock)
-            if kind != protocol.WELCOME or not isinstance(info, dict):
-                raise ServingError(
-                    f"unexpected {kind!r} reply to HELLO from {host}:{port}")
-            if not info.get("serving"):
-                raise ServingError(
-                    f"peer at {host}:{port} is not a policy server "
-                    f"(a sweep broker?); point the client at `repro serve`")
-        except (ConnectionError, OSError) as error:
-            sock.close()
-            raise ServingError(
-                f"handshake with {host}:{port} failed: {error}",
-                transient=True) from error
-        except ServingError:
-            sock.close()
-            raise
-        return sock, info
 
     # ------------------------------------------------------------------ lifecycle
     def close(self) -> None:
@@ -151,12 +112,28 @@ class PolicyClient:
                 f"pass design=...")
         return resolved
 
-    def _recv(self) -> Any:
+    def _send(self, kind: str, payload: Any) -> None:
         try:
-            return protocol.recv_message(self._sock)
-        except (ConnectionError, OSError) as error:
+            protocol.send_message(self._sock, kind, payload)
+        except OSError as error:
             raise ServingError(f"server connection lost: {error}",
-                transient=True) from error
+                               transient=True) from error
+
+    def _reply(self, request: str, expected: str) -> Any:
+        """The payload of the next reply, which must be of kind ``expected``."""
+        try:
+            kind, payload = protocol.recv_message(self._sock)
+        except OSError as error:
+            raise ServingError(
+                f"server connection lost: {error}",
+                transient=not isinstance(error, protocol.ProtocolError),
+            ) from error
+        if kind == protocol.ERROR:
+            raise ServingError(str(payload))
+        if kind != expected:
+            raise ServingError(
+                f"unexpected {kind!r} reply to {request.upper()}")
+        return payload
 
     def act(self, state: Sequence[float], *,
             design: Optional[str] = None) -> int:
@@ -178,21 +155,11 @@ class PolicyClient:
         if matrix.ndim != 2:
             raise ValueError(
                 f"states must be (batch, n_states), got shape {matrix.shape}")
-        try:
-            for row in matrix:
-                protocol.send_message(self._sock, protocol.ACT,
-                                      (resolved, row))
-        except (ConnectionError, OSError) as error:
-            raise ServingError(f"server connection lost: {error}",
-                transient=True) from error
+        for row in matrix:
+            self._send(protocol.ACT, (resolved, row))
         actions = np.empty(matrix.shape[0], dtype=np.int64)
         for index in range(matrix.shape[0]):
-            kind, payload = self._recv()
-            if kind == protocol.ERROR:
-                raise ServingError(str(payload))
-            if kind != protocol.ACTION:
-                raise ServingError(f"unexpected {kind!r} reply to ACT")
-            actions[index] = int(payload)
+            actions[index] = int(self._reply(protocol.ACT, protocol.ACTION))
         return actions
 
     def swap(self, agent: Any, *, design: Optional[str] = None) -> Dict[str, Any]:
@@ -205,33 +172,16 @@ class PolicyClient:
         """
         resolved = self._design(design)
         blob = pickle.dumps(agent, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            protocol.send_message(self._sock, protocol.SWAP, (resolved, blob))
-        except (ConnectionError, OSError) as error:
-            raise ServingError(f"server connection lost: {error}",
-                transient=True) from error
-        kind, payload = self._recv()
-        if kind == protocol.ERROR:
-            raise ServingError(str(payload))
-        if kind != protocol.SWAPPED:
-            raise ServingError(f"unexpected {kind!r} reply to SWAP")
+        self._send(protocol.SWAP, (resolved, blob))
+        payload = self._reply(protocol.SWAP, protocol.SWAPPED)
         if resolved not in self.designs:
             self.designs.append(resolved)
         return dict(payload)
 
     def stats(self) -> Dict[str, Any]:
         """The server's ``STATS`` snapshot (counters, latency percentiles)."""
-        try:
-            protocol.send_message(self._sock, protocol.STATS, None)
-        except (ConnectionError, OSError) as error:
-            raise ServingError(f"server connection lost: {error}",
-                transient=True) from error
-        kind, payload = self._recv()
-        if kind == protocol.ERROR:
-            raise ServingError(str(payload))
-        if kind != protocol.STATS:
-            raise ServingError(f"unexpected {kind!r} reply to STATS")
-        return dict(payload)
+        self._send(protocol.STATS, None)
+        return dict(self._reply(protocol.STATS, protocol.STATS))
 
 
 __all__ = ["PolicyClient", "ServingError"]

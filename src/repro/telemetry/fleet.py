@@ -1,11 +1,11 @@
 """Client side of the broker ``STATS`` channel: ``repro fleet status``.
 
 :func:`fetch_fleet_stats` opens a short-lived observer connection to a
-live :class:`~repro.distributed.broker.SweepBroker`, performs the normal
-``HELLO``/``WELCOME`` registration (with an id prefixed
+live :class:`~repro.distributed.broker.SweepBroker` through
+:func:`~repro.distributed.protocol.dial` (with an id prefixed
 :data:`~repro.distributed.protocol.OBSERVER_PREFIX` so the broker keeps
-it out of the worker accounting), confirms the broker advertises the
-``STATS`` capability, and returns one JSON-ready snapshot::
+it out of the worker accounting, requiring the ``STATS`` capability) and
+returns one JSON-ready snapshot::
 
     {
       "tasks":   {"total": N, "queued": q, "leased": l, "done": d},
@@ -30,9 +30,8 @@ the CLI prints; ``repro fleet status --json`` emits the raw document.
 
 from __future__ import annotations
 
-import socket
 import uuid
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Type
 
 from repro.distributed import protocol
 from repro.utils.retry import RetryPolicy
@@ -66,48 +65,49 @@ def fetch_fleet_stats(host: str, port: int, *, timeout: float = 5.0,
     With ``retry`` set, transient failures (broker unreachable or dropping
     the query — e.g. mid-restart from its journal) are retried on the
     policy's backoff schedule; definitive failures (no STATS capability,
-    malformed reply) raise immediately either way.
+    wrong peer, malformed reply) raise immediately either way.
     """
-    if retry is not None:
-        clock = retry.clock()
-        while True:
-            try:
-                return fetch_fleet_stats(host, port, timeout=timeout)
-            except FleetStatusError as error:
-                if not error.transient:
-                    raise
-                clock.failed(error)
-    try:
-        sock = socket.create_connection((host, port), timeout=timeout)
-    except OSError as error:
-        raise FleetStatusError(
-            f"cannot reach broker at {host}:{port}: {error}",
-            transient=True) from error
-    with sock:
+    return _observe(
+        host, port, protocol.STATS, None, timeout=timeout, retry=retry,
+        require={"stats": f"broker at {host}:{port} does not advertise the "
+                          "STATS channel (repro < 1.5); upgrade the broker "
+                          "to use `repro fleet status`"},
+        error_type=FleetStatusError)
+
+
+def _observe(host: str, port: int, kind: str, payload: object, *,
+             require: Dict[str, str], timeout: float,
+             retry: Optional[RetryPolicy],
+             error_type: Type[FleetStatusError]) -> Dict[str, object]:
+    """Dial as an observer, send ``(kind, payload)``, return the dict reply.
+
+    Failures raise ``error_type``; a connection lost at any point is
+    transient, and ``retry`` repeats the whole exchange.
+    """
+    def attempt() -> Dict[str, object]:
         try:
-            protocol.send_message(sock, protocol.HELLO, observer_id())
-            kind, info = protocol.recv_message(sock)
-            if kind != protocol.WELCOME:
-                raise protocol.ProtocolError(f"expected WELCOME, got {kind!r}")
-            if not (isinstance(info, dict) and info.get("stats")):
-                raise FleetStatusError(
-                    f"broker at {host}:{port} does not advertise the STATS "
-                    "channel (repro < 1.5); upgrade the broker to use "
-                    "`repro fleet status`")
-            protocol.send_message(sock, protocol.STATS)
-            kind, snapshot = protocol.recv_message(sock)
-            if kind != protocol.STATS:
-                raise protocol.ProtocolError(f"expected STATS, got {kind!r}")
-        except FleetStatusError:
-            raise
-        except (ConnectionError, OSError) as error:
-            raise FleetStatusError(
-                f"broker at {host}:{port} dropped the stats query: "
-                f"{error}", transient=True) from error
-    if not isinstance(snapshot, dict):
-        raise FleetStatusError(
-            f"malformed STATS payload: {type(snapshot).__name__}")
-    return snapshot
+            sock, _info = protocol.dial(host, port, observer_id(),
+                                        require=require, timeout=timeout)
+        except protocol.HandshakeError as error:
+            message = (f"cannot reach broker at {host}:{port}: {error}"
+                       if error.transient else str(error))
+            raise error_type(message, transient=error.transient) from error
+        with sock:
+            try:
+                protocol.send_message(sock, kind, payload)
+                reply_kind, reply = protocol.recv_message(sock)
+            except OSError as error:
+                raise error_type(
+                    f"{kind} request to broker at {host}:{port} failed: {error}",
+                    transient=not isinstance(error, protocol.ProtocolError),
+                ) from error
+        if reply_kind != kind or not isinstance(reply, dict):
+            raise error_type(f"malformed {kind} reply from {host}:{port}: "
+                             f"{reply_kind!r} frame carrying "
+                             f"{type(reply).__name__}")
+        return reply
+
+    return protocol._retry_transient(retry, attempt)
 
 
 def format_fleet_status(snapshot: Dict[str, object]) -> str:

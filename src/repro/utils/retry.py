@@ -1,10 +1,10 @@
 """Deterministic retry with capped exponential backoff.
 
-Every network-facing edge of the repo — the worker's broker connection,
-``fetch_fleet_stats``, ``request_drain``, :class:`~repro.serving.client.
-PolicyClient`, :class:`~repro.serving.WeightPushCallback` — retries
+Every network-facing edge of the repo — client handshakes and observer
+requests through :func:`repro.distributed.protocol.dial`, the worker's
+reconnect clock, :class:`~repro.serving.WeightPushCallback` — retries
 transient failures through one shared :class:`RetryPolicy`, so the fleet's
-recovery behaviour is a handful of numbers instead of five bespoke loops.
+recovery behaviour is a handful of numbers.
 
 The backoff is **deterministic on purpose**: no jitter, no wall-clock
 randomness.  The chaos harness (:mod:`repro.chaos`) asserts bit-identical

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import socket
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -40,3 +42,61 @@ def tiny_agent_config():
     from repro.core.agents import AgentConfig
 
     return AgentConfig(n_states=4, n_actions=2, n_hidden=16, seed=0)
+
+
+class ScriptedPeer:
+    """A loopback TCP peer running ``handler(connection)`` per accepted client.
+
+    Stands in for a broker or policy server that misbehaves in one exact way
+    (hangs up mid-handshake, answers HELLO with the wrong frame, ...).
+    Connections are served one at a time; ``connections`` counts accepts so
+    a test can assert how often a client dialled.
+    """
+
+    def __init__(self, handler):
+        self._handler = handler
+        self._server = socket.socket()
+        self._server.bind(("127.0.0.1", 0))
+        self._server.listen(8)
+        self._server.settimeout(0.1)
+        self.address = self._server.getsockname()[:2]
+        self.connections = 0
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                connection, _ = self._server.accept()
+            except socket.timeout:
+                continue
+            except OSError:
+                return
+            self.connections += 1
+            with connection:
+                connection.settimeout(5.0)
+                try:
+                    self._handler(connection)
+                except (ConnectionError, OSError):
+                    pass
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+        self._server.close()
+
+
+@pytest.fixture
+def scripted_peer():
+    """Factory fixture: ``scripted_peer(handler)`` -> a running :class:`ScriptedPeer`."""
+    peers = []
+
+    def start(handler):
+        peer = ScriptedPeer(handler)
+        peers.append(peer)
+        return peer
+
+    yield start
+    for peer in peers:
+        peer.close()

@@ -243,6 +243,80 @@ class TestWorkerReconnect:
         thread.join(timeout=2.0)
 
 
+def _hang_up_after_hello(connection):
+    protocol.recv_message(connection)
+
+
+def _welcome(info):
+    def handler(connection):
+        protocol.recv_message(connection)
+        protocol.send_message(connection, protocol.WELCOME, info)
+    return handler
+
+
+class TestWorkerHandshake:
+    """How ``run_worker`` reacts to a broker that fails the handshake."""
+
+    def test_no_reconnect_policy_peer_closing_before_welcome_ends_quietly(
+            self, scripted_peer):
+        # A broker that hangs up mid-handshake is shutting down: without a
+        # reconnect policy the worker's job is over, not an error.
+        peer = scripted_peer(_hang_up_after_hello)
+        completed = run_worker(*peer.address,
+                               WorkerOptions(worker_id="late",
+                                             handle_signals=False))
+        assert completed == 0
+        assert peer.connections == 1
+
+    def test_drop_before_welcome_uses_one_reconnect_attempt(self,
+                                                            scripted_peer):
+        peer = scripted_peer(_hang_up_after_hello)
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0)
+        with pytest.raises(RetryError) as caught:
+            run_worker(*peer.address,
+                       WorkerOptions(worker_id="flapping",
+                                     handle_signals=False, reconnect=policy))
+        assert caught.value.attempts == 3
+        assert peer.connections == 3
+
+    def test_non_dict_welcome_is_definitive(self, scripted_peer):
+        peer = scripted_peer(_welcome("not-a-dict"))
+        policy = RetryPolicy(max_attempts=5, base_delay=0.0)
+        with pytest.raises(Exception) as caught:
+            run_worker(*peer.address,
+                       WorkerOptions(worker_id="confused",
+                                     handle_signals=False, reconnect=policy))
+        assert not isinstance(caught.value, RetryError)
+        assert peer.connections == 1
+
+
+class TestDial:
+    def test_missing_capability_raises_the_callers_message(self,
+                                                            scripted_peer):
+        peer = scripted_peer(_welcome({"tasks": 1}))
+        with pytest.raises(protocol.HandshakeError,
+                           match="no serving channel here") as caught:
+            protocol.dial(*peer.address, "probe",
+                          require={"serving": "no serving channel here"},
+                          timeout=5.0)
+        assert not caught.value.transient
+
+    def test_refused_connects_are_retried_until_one_succeeds(self,
+                                                             scripted_peer):
+        peer = scripted_peer(_welcome({"tasks": 1, "stats": True}))
+        plan = FaultPlan(refuse_connects=2)
+        sock, info = protocol.dial(
+            *peer.address, "probe", require={"stats": "no stats"},
+            timeout=5.0, retry=RetryPolicy(max_attempts=3, base_delay=0.0),
+            connect_factory=plan.connect)
+        sock.close()
+        assert info == {"tasks": 1, "stats": True}
+        snap = plan.snapshot()
+        assert snap["connects_attempted"] == 3
+        assert snap["connects_refused"] == 2
+        assert peer.connections == 1
+
+
 class TestChaosEndToEnd:
     def test_sigkilled_broker_resumes_byte_identical(self, tmp_path):
         """The headline crash-safety guarantee, end to end: SIGKILL the

@@ -17,6 +17,7 @@ import pytest
 from repro.distributed import protocol
 from repro.distributed.broker import SweepBroker
 from repro.distributed.coordinator import run_distributed_sweep
+from repro.fleet import request_drain
 from repro.parallel.sweep import SweepSpec
 from repro.training import TrainingConfig
 from repro.telemetry.fleet import (
@@ -24,6 +25,7 @@ from repro.telemetry.fleet import (
     fetch_fleet_stats,
     format_fleet_status,
 )
+from repro.utils.retry import RetryClock, RetryPolicy
 
 
 def _tiny_tasks(n_seeds=2):
@@ -281,6 +283,33 @@ class TestProtocolHelpers:
             assert not isinstance(caught.value, protocol.ProtocolError)
         finally:
             right.close()
+
+
+class TestObserverHandshake:
+    @pytest.mark.parametrize("observe", [
+        lambda host, port, retry: fetch_fleet_stats(host, port, timeout=5.0,
+                                                    retry=retry),
+        lambda host, port, retry: request_drain(host, port, ["w0"],
+                                                timeout=5.0, retry=retry),
+    ], ids=["fetch_fleet_stats", "request_drain"])
+    def test_wrong_peer_is_not_retried(self, scripted_peer, monkeypatch,
+                                       observe):
+        """A peer that answers HELLO with the wrong frame will answer the
+        same way every time: fail at once instead of backing off."""
+        def bogus(connection):
+            protocol.recv_message(connection)
+            protocol.send_message(connection, "bogus", None)
+
+        sleeps = []
+        monkeypatch.setattr(RetryPolicy, "clock",
+                            lambda self, **_: RetryClock(self,
+                                                         sleep=sleeps.append))
+        peer = scripted_peer(bogus)
+        with pytest.raises(FleetStatusError) as caught:
+            observe(*peer.address, RetryPolicy(max_attempts=5))
+        assert not caught.value.transient
+        assert sleeps == []
+        assert peer.connections == 1
 
 
 class TestLeaseBatching:

@@ -5,6 +5,7 @@ models — on small budgets so they stay fast while still covering the paths
 the benchmarks use.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -39,6 +40,18 @@ class TestPublicAPI:
     def test_removed_compatibility_modules_stay_gone(self, module):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
+
+    def test_only_protocol_sends_hello(self):
+        """Every client handshake goes through ``protocol.dial``."""
+        package = Path(repro.__file__).resolve().parent
+        senders = set()
+        for path in package.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and any(
+                        getattr(arg, "id", getattr(arg, "attr", None)) == "HELLO"
+                        for arg in node.args):
+                    senders.add(path.relative_to(package).as_posix())
+        assert senders == {"distributed/protocol.py"}
 
     def test_public_names_resolve(self):
         for name in repro.__all__:

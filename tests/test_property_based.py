@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) on the core numerical invariants."""
 
+import socket
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.clipping import q_learning_target, shaped_cartpole_reward
 from repro.core.os_elm import OSELM
 from repro.core.regularization import RegularizationConfig
+from repro.distributed import protocol
 from repro.fixedpoint.qformat import Q20, QFormat
 from repro.linalg.incremental import sherman_morrison_update
 from repro.linalg.spectral import spectral_norm, spectral_normalize
@@ -151,3 +155,29 @@ class TestMetricProperties:
         stats.extend(values)
         assert stats.mean == pytest.approx(float(np.mean(values)), rel=1e-9, abs=1e-9)
         assert stats.variance == pytest.approx(float(np.var(values)), rel=1e-6, abs=1e-9)
+
+
+#: Arbitrary bytes, plus bytes behind a well-formed length header so the
+#: payload decoder is exercised and not only the header check.
+wire_bytes = st.one_of(
+    st.binary(max_size=512),
+    st.binary(max_size=512).map(lambda body: struct.pack(">Q", len(body)) + body),
+)
+
+
+class TestFramingProperties:
+    @_SETTINGS
+    @given(data=wire_bytes)
+    def test_recv_message_raises_only_connection_errors(self, data):
+        writer, reader = socket.socketpair()
+        try:
+            writer.sendall(data)
+            writer.close()
+            try:
+                kind, _payload = protocol.recv_message(reader,
+                                                       max_frame_bytes=4096)
+            except (protocol.ProtocolError, ConnectionError):
+                return
+            assert isinstance(kind, str)
+        finally:
+            reader.close()

@@ -310,6 +310,29 @@ class TestServerProtocol:
                 PolicyClient(host, port)
 
 
+    @pytest.mark.parametrize("garbled", ["welcome", "action"])
+    def test_undecodable_frame_surfaces_as_serving_error(self, scripted_peer,
+                                                         garbled):
+        """A reply that is not a pickle is a ServingError, not a raw
+        UnpicklingError from deep inside the framing."""
+        garbage = b"this is not a pickle!!"
+
+        def server(connection):
+            protocol.recv_message(connection)                   # HELLO
+            if garbled == "welcome":
+                connection.sendall(struct.pack(">Q", len(garbage)) + garbage)
+                return
+            protocol.send_message(connection, protocol.WELCOME,
+                                  {"serving": True, "designs": ["OS-ELM"]})
+            protocol.recv_message(connection)                   # ACT
+            connection.sendall(struct.pack(">Q", len(garbage)) + garbage)
+
+        peer = scripted_peer(server)
+        with pytest.raises(ServingError):
+            with PolicyClient(*peer.address, timeout=5.0) as client:
+                client.act([0.0, 0.0, 0.0, 0.0])
+
+
 # ------------------------------------------------------------------ byte identity
 class TestByteIdentity:
     @pytest.mark.parametrize("design", DESIGNS)
