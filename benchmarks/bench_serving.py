@@ -4,12 +4,11 @@ Measures :class:`~repro.serving.PolicyServer` end to end over loopback TCP
 on a trained OS-ELM policy:
 
 1. **request/reply latency** — each client blocks on ``act()`` per
-   observation, so every request pays the full round trip plus whatever the
-   micro-batcher holds it back; reported as p50/p90/p99 across all clients,
-   for every ``max_batch`` in {1, 8, 32} x client concurrency.  The batching
-   tradeoff is visible directly: with fewer concurrent clients than
-   ``max_batch`` the partial-batch timer (``max_wait_us``) sets the latency
-   floor, while at ``max_batch=1`` every request dispatches alone;
+   observation, so every request pays the full round trip; reported as
+   p50/p90/p99 across all clients, for every ``max_batch`` in {1, 8, 32} x
+   client concurrency.  The batcher never waits for a batch to fill, so a
+   batch holds only the requests that queued during the previous dispatch,
+   while at ``max_batch=1`` every request dispatches alone;
 2. **pipelined throughput** — one client streams all its observations with
    ``act_many`` before reading any reply, which is what lets the batcher
    actually fill batches; reported as requests/sec per ``max_batch``;
@@ -73,13 +72,13 @@ def _served_clone(agent):
 
 
 def bench_latency(agent, design: str, offline: np.ndarray, states: np.ndarray,
-                  *, max_batch: int, clients: int, max_wait_us: float) -> dict:
+                  *, max_batch: int, clients: int) -> dict:
     """Per-request ``act()`` latency under ``clients`` concurrent clients."""
     latencies: list = []
     mismatches = [0]
     lock = threading.Lock()
-    with PolicyServer({design: _served_clone(agent)}, max_batch=max_batch,
-                      max_wait_us=max_wait_us) as server:
+    with PolicyServer({design: _served_clone(agent)},
+                      max_batch=max_batch) as server:
         host, port = server.address
 
         def drive() -> None:
@@ -119,12 +118,11 @@ def bench_latency(agent, design: str, offline: np.ndarray, states: np.ndarray,
 
 
 def bench_pipelined(agent, design: str, offline: np.ndarray,
-                    states: np.ndarray, *, max_batch: int, rounds: int,
-                    max_wait_us: float) -> dict:
+                    states: np.ndarray, *, max_batch: int, rounds: int) -> dict:
     """``act_many`` streaming throughput: the batcher actually fills up."""
     mismatches = 0
-    with PolicyServer({design: _served_clone(agent)}, max_batch=max_batch,
-                      max_wait_us=max_wait_us) as server:
+    with PolicyServer({design: _served_clone(agent)},
+                      max_batch=max_batch) as server:
         with PolicyClient(*server.address) as client:
             start = time.perf_counter()
             for _ in range(rounds):
@@ -150,13 +148,12 @@ def bench(args: argparse.Namespace) -> int:
     offline = _offline_greedy(agent, states)
     print(f"workload: {args.design} (n_hidden={args.hidden}, "
           f"{args.episodes} training episodes), {args.requests} observations "
-          f"per client, max_wait_us={args.max_wait_us:g}\n")
+          "per client\n")
 
     concurrency = (1, 4) if args.smoke else (1, 4, 8)
     latency_rows = [
         bench_latency(agent, args.design, offline, states,
-                      max_batch=max_batch, clients=clients,
-                      max_wait_us=args.max_wait_us)
+                      max_batch=max_batch, clients=clients)
         for max_batch in BATCH_SIZES
         for clients in concurrency
     ]
@@ -166,8 +163,7 @@ def bench(args: argparse.Namespace) -> int:
     rounds = 2 if args.smoke else 8
     pipelined_rows = [
         bench_pipelined(agent, args.design, offline, states,
-                        max_batch=max_batch, rounds=rounds,
-                        max_wait_us=args.max_wait_us)
+                        max_batch=max_batch, rounds=rounds)
         for max_batch in BATCH_SIZES
     ]
     print()
@@ -187,7 +183,6 @@ def bench(args: argparse.Namespace) -> int:
                 "n_hidden": args.hidden,
                 "episodes": args.episodes,
                 "requests_per_client": args.requests,
-                "max_wait_us": args.max_wait_us,
                 "smoke": bool(args.smoke),
             },
             "latency": latency_rows,
@@ -214,8 +209,6 @@ def main(argv=None) -> int:
                         help="training episodes (default 5 smoke / 50 full)")
     parser.add_argument("--requests", type=int, default=None,
                         help="observations per client (default 50 smoke / 200 full)")
-    parser.add_argument("--max-wait-us", type=float, default=1000.0,
-                        help="micro-batcher partial-batch timer")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write every measured figure as a JSON "
                              "document (the CI BENCH_serving.json artifact)")

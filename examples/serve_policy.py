@@ -61,11 +61,9 @@ def main() -> None:
     # The server hosts a pickle round-tripped copy — exactly what loading
     # from `repro run --save-policy` artifacts produces.
     served_copy = pickle.loads(pickle.dumps(agent))
-    with PolicyServer({"OS-ELM-L2": served_copy},
-                      max_batch=8, max_wait_us=2000) as server:
+    with PolicyServer({"OS-ELM-L2": served_copy}, max_batch=8) as server:
         host, port = server.address
-        print(f"serving at {host}:{port} "
-              f"(max_batch=8, max_wait_us=2000)")
+        print(f"serving at {host}:{port} (max_batch=8)")
         with PolicyClient(host, port) as client:
             served = client.act_many(states)   # pipelined: batches fill up
         reference = offline_greedy(agent, states)

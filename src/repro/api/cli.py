@@ -48,8 +48,8 @@ Subcommands
 ``repro serve <name|spec.json> [--ci] [--store DIR] [--bind HOST:PORT]``
     Host the spec's trained policies (written by ``repro run
     --save-policy``) as an online action service: ``ACT`` requests are
-    micro-batched onto the vectorized greedy predict path
-    (``--max-batch``/``--max-wait-us``), weights hot-swap via ``SWAP``
+    batched onto the vectorized greedy predict path (each dispatch takes
+    whatever is queued, up to ``--max-batch``), weights hot-swap via ``SWAP``
     frames from a live trainer, and a ``STATS`` frame reports request
     counters plus p50/p90/p99 latency.  A bad launch (occupied port,
     unreadable store, missing policy) exits 2 with one aggregated
@@ -378,8 +378,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     host, port = parse_address(args.bind)
     server = PolicyServer(policies, host=host, port=port,
-                          max_batch=args.max_batch,
-                          max_wait_us=args.max_wait_us)
+                          max_batch=args.max_batch)
     with server:
         bound_host, bound_port = server.address
         print(f"serving {len(policies)} "
@@ -550,13 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve only these designs of the spec "
                              "(default: all of them)")
     server.add_argument("--max-batch", type=int, default=8, metavar="N",
-                        help="micro-batch size: dispatch as soon as N "
-                             "requests are queued for one design (default 8)")
-    server.add_argument("--max-wait-us", type=float, default=2000.0,
-                        metavar="T",
-                        help="micro-batch wait: dispatch a partial batch "
-                             "once its oldest request has waited T "
-                             "microseconds (default 2000)")
+                        help="micro-batch size: one dispatch takes at most "
+                             "N of the requests queued for a design; none "
+                             "waits for a batch to fill (default 8)")
     server.add_argument("--max-seconds", type=float, default=0.0, metavar="S",
                         help="exit after S seconds (0 = serve until "
                              "interrupted; useful for CI)")

@@ -59,21 +59,6 @@ from repro.utils.tables import format_table
 _LOGGER = get_logger("repro.parallel.sweep")
 
 
-def _design_supports_lockstep(design: str) -> bool:
-    """Mirror of :func:`repro.training.strategies.supports_lockstep` on specs.
-
-    Decides *batched* vs *generic* lock-step grouping: ELM always; OS-ELM
-    only with the ridge term (the un-ridged recursive P update amplifies
-    batched-vs-serial BLAS rounding chaotically); never DQN/FPGA.  Designs
-    outside the batched set still run lock-step — through the generic
-    per-agent strategy.
-    """
-    spec = design_spec(design)
-    if spec.family == "elm":
-        return True
-    return spec.family == "os-elm" and spec.regularization.l2_delta > 0
-
-
 @dataclass(frozen=True)
 class SweepTask:
     """One cell of the sweep grid: a fully specified, picklable trial.
@@ -556,19 +541,25 @@ class SweepRunner:
         through the generic per-agent strategy, so the whole grid reports
         ``backend_used="lockstep"``.
         """
+        from repro.training.strategies import supports_lockstep
         from repro.training.trainer import Trainer
 
-        batched: Dict[Tuple[str, str, int], List[SweepTask]] = defaultdict(list)
-        generic: Dict[str, List[SweepTask]] = defaultdict(list)
+        # (task, agent) pairs; each agent is built once, grouped on the
+        # predicate the batched strategy itself checks, and then trained.
+        batched: Dict[Tuple[str, str, int], list] = defaultdict(list)
+        generic: Dict[str, list] = defaultdict(list)
         for task in tasks:
-            if _design_supports_lockstep(task.design):
-                batched[(task.design, task.env_id, task.n_hidden)].append(task)
+            agent = task.make_agent()
+            if supports_lockstep(agent):
+                batched[(task.design, task.env_id, task.n_hidden)].append(
+                    (task, agent))
             else:
-                generic[task.env_id].append(task)
-        plans = [(group_tasks, "batched") for group_tasks in batched.values()]
-        plans += [(group_tasks, "generic") for group_tasks in generic.values()]
-        for group_tasks, strategy in plans:
-            agents = [task.make_agent() for task in group_tasks]
+                generic[task.env_id].append((task, agent))
+        plans = [(group, "batched") for group in batched.values()]
+        plans += [(group, "generic") for group in generic.values()]
+        for group, strategy in plans:
+            group_tasks = [task for task, _agent in group]
+            agents = [agent for _task, agent in group]
             configs = [task.training for task in group_tasks]
             trainer = Trainer(callbacks=self._progress_callbacks())
             results = trainer.fit_lockstep(agents, configs, strategy=strategy)

@@ -6,10 +6,10 @@ are usable the moment they are trained.  This package closes the loop:
 * :class:`PolicyServer` (``server.py``) — a TCP daemon on the distributed
   backend's framing that answers ``ACT`` frames with greedy actions,
   micro-batched through the already-vectorized ``act_batch`` predict path;
-* :class:`MicroBatcher` (``batcher.py``) — requests accumulate up to
-  ``max_batch`` or ``max_wait_us``, then dispatch as one batch; greedy
-  selection is RNG-free, so served actions are byte-identical to offline
-  greedy evaluation;
+* :class:`MicroBatcher` (``batcher.py``) — natural batching: each
+  dispatch takes whatever is queued, up to ``max_batch``, with no timer;
+  greedy selection is RNG-free, so served actions are byte-identical to
+  offline greedy evaluation;
 * :class:`PolicyClient` (``client.py``) — ``act``/pipelined ``act_many``/
   ``swap``/``stats``;
 * :class:`WeightPushCallback` (``callback.py``) — a Trainer lifecycle hook

@@ -2,12 +2,14 @@
 
 Serving traffic arrives as independent single-observation ``ACT`` requests,
 but the predict path underneath (:meth:`QFunction.q_values` on a stacked
-2-D state matrix — the same code PR 1's lock-step trainer rides) is far
+2-D state matrix — the same code the lock-step trainer rides) is far
 cheaper per state when called once per *batch*.  :class:`MicroBatcher`
-bridges the two: requests queue up until either ``max_batch`` of them are
-waiting for the same design or the oldest one has waited ``max_wait_us``,
-then the whole group dispatches as one ``agent.act_batch(states,
-explore=False)`` call.
+bridges the two with natural batching: no request ever waits for a batch
+to fill.  The dispatcher wakes on the first submit and takes up to
+``max_batch`` of whatever is queued for the head-of-line design; requests
+that arrive while that batch runs form the next one.  An idle server
+therefore answers a lone request at once, and a busy one batches exactly
+as much as its load supplies.
 
 Determinism contract: greedy selection (``explore=False``) is a pure argmax
 — no RNG draw, no state mutation that feeds back into the maths — and the
@@ -66,9 +68,6 @@ class PendingAction:
         self._error = error
         self._event.set()
 
-    def done(self) -> bool:
-        return self._event.is_set()
-
     def result(self, timeout: Optional[float] = None) -> int:
         """Block until resolved; raises the dispatch error if there was one."""
         if not self._event.wait(timeout):
@@ -92,28 +91,22 @@ class MicroBatcher:
         resolves the design's *current* agent under its swap lock, so a
         hot-swap lands between batches, never inside one.
     max_batch:
-        Dispatch as soon as this many requests for one design are queued.
-        1 disables aggregation (every request dispatches alone).
-    max_wait_us:
-        Dispatch a partial batch once its oldest request has waited this
-        long (microseconds).  The knob trades tail latency for batch
-        occupancy; 0 never holds a request back.
+        The most requests one dispatch takes; a longer queue splits into
+        several batches.  1 disables aggregation (every request dispatches
+        alone).
     on_batch:
         Optional ``on_batch(design, batch_size, wall_seconds)`` metrics
         hook, called after each dispatch.
     """
 
     def __init__(self, dispatch: Callable[[str, np.ndarray], np.ndarray], *,
-                 max_batch: int = 8, max_wait_us: float = 2000.0,
+                 max_batch: int = 8,
                  on_batch: Optional[Callable[[str, int, float], None]] = None
                  ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_us < 0:
-            raise ValueError(f"max_wait_us must be >= 0, got {max_wait_us}")
         self.dispatch = dispatch
         self.max_batch = int(max_batch)
-        self.max_wait_us = float(max_wait_us)
         self.on_batch = on_batch
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -170,7 +163,6 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------ dispatcher
     def _run(self) -> None:
-        max_wait_s = self.max_wait_us * 1e-6
         while True:
             with self._wake:
                 while not self._closed and not any(self._queues.values()):
@@ -183,14 +175,6 @@ class MicroBatcher:
                     (name for name, queue in self._queues.items() if queue),
                     key=lambda name: self._queues[name][0].enqueued)
                 queue = self._queues[design]
-                deadline = queue[0].enqueued + max_wait_s
-                while len(queue) < self.max_batch and not self._closed:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._wake.wait(remaining)
-                if self._closed:
-                    return
                 batch = [queue.popleft()
                          for _ in range(min(len(queue), self.max_batch))]
             self._dispatch_batch(design, batch)

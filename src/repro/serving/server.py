@@ -13,8 +13,9 @@ broker fans *work out*, this daemon fans *requests in*:
   MicroBatcher`) and a **writer** thread (sends replies strictly in request
   order, so a client may pipeline many ``ACT`` frames without waiting);
 * one dispatcher thread inside the batcher drains the queues and calls
-  ``agent.act_batch(states, explore=False)`` — the agent is only ever
-  touched single-threaded, and greedy selection is RNG-free, so served
+  ``agent.act_batch(states, explore=False)`` on whatever is queued, up to
+  ``max_batch`` — no request waits for a batch to fill; the agent is only
+  ever touched single-threaded, and greedy selection is RNG-free, so served
   actions are byte-identical to offline greedy evaluation;
 * a ``SWAP`` frame atomically replaces a design's agent between batches —
   in-flight requests are never dropped: batches already dispatched finish
@@ -83,9 +84,9 @@ class PolicyServer:
     host / port:
         Bind address; port 0 (default) picks an ephemeral port, published
         through :attr:`address` after :meth:`start`.
-    max_batch / max_wait_us:
-        Micro-batching knobs, forwarded to the
-        :class:`~repro.serving.batcher.MicroBatcher`.
+    max_batch:
+        The most queued requests one ``act_batch`` call takes, forwarded
+        to the :class:`~repro.serving.batcher.MicroBatcher`.
     max_frame_bytes:
         Frame-size ceiling enforced on every client frame before
         allocation (default :data:`SERVING_MAX_FRAME_BYTES`).
@@ -93,7 +94,7 @@ class PolicyServer:
 
     def __init__(self, policies: Dict[str, Any], *,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_batch: int = 8, max_wait_us: float = 2000.0,
+                 max_batch: int = 8,
                  max_frame_bytes: int = SERVING_MAX_FRAME_BYTES) -> None:
         if not policies:
             raise ValueError("policies must not be empty: nothing to serve")
@@ -117,7 +118,6 @@ class PolicyServer:
         self._swaps = self.metrics.counter("serving.swaps")
         self._connections = self.metrics.gauge("serving.connections")
         self.batcher = MicroBatcher(self._dispatch, max_batch=max_batch,
-                                    max_wait_us=max_wait_us,
                                     on_batch=self._observe_batch)
         self._server: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
@@ -238,7 +238,6 @@ class PolicyServer:
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
             "designs": designs,
             "batching": {"max_batch": self.batcher.max_batch,
-                         "max_wait_us": self.batcher.max_wait_us,
                          "queued": self.batcher.queued()},
             "metrics": self.metrics.snapshot(),
             "transport": protocol.transport_counters().snapshot(),
@@ -321,7 +320,6 @@ class PolicyServer:
             "repro_version": repro.__version__,
             "designs": self.designs(),
             "max_batch": self.batcher.max_batch,
-            "max_wait_us": self.batcher.max_wait_us,
         }
 
     def _handle_act(self, payload: Any, replies: Queue) -> None:

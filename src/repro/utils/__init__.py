@@ -18,14 +18,13 @@ from repro.utils.logging import (
     set_global_level,
 )
 from repro.utils.metrics import (
-    ExponentialMovingAverage,
     MovingAverage,
     RunningStats,
     SolvedCriterion,
 )
 from repro.utils.seeding import SeedSequenceFactory, derive_rng, np_random
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
-from repro.utils.timer import TimeBreakdown, Timer, timed
+from repro.utils.timer import TimeBreakdown
 from repro.utils.validation import (
     check_array,
     check_in_range,
@@ -43,7 +42,6 @@ __all__ = [
     "get_logger",
     "set_global_format",
     "set_global_level",
-    "ExponentialMovingAverage",
     "MovingAverage",
     "RunningStats",
     "SolvedCriterion",
@@ -55,8 +53,6 @@ __all__ = [
     "save_arrays",
     "save_json",
     "TimeBreakdown",
-    "Timer",
-    "timed",
     "check_array",
     "check_in_range",
     "check_positive",

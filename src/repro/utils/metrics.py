@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, Iterable, List
 
 import numpy as np
 
@@ -51,31 +51,6 @@ class MovingAverage:
     def reset(self) -> None:
         self._values.clear()
         self._sum = 0.0
-
-
-class ExponentialMovingAverage:
-    """Exponentially weighted moving average with smoothing factor ``alpha``."""
-
-    def __init__(self, alpha: float = 0.1) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-        self._value: Optional[float] = None
-
-    def add(self, value: float) -> float:
-        value = float(value)
-        if self._value is None:
-            self._value = value
-        else:
-            self._value = self.alpha * value + (1.0 - self.alpha) * self._value
-        return self._value
-
-    @property
-    def value(self) -> float:
-        return 0.0 if self._value is None else self._value
-
-    def reset(self) -> None:
-        self._value = None
 
 
 class RunningStats:

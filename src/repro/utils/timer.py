@@ -1,4 +1,4 @@
-"""Wall-clock timing and per-operation time breakdowns.
+"""Per-operation time breakdowns.
 
 Figure 5 and Figure 6 of the paper report the *breakdown* of execution time
 into the operations ``seq_train``, ``predict_seq``, ``init_train``,
@@ -12,54 +12,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional
-
-
-class Timer:
-    """A simple start/stop wall-clock timer based on ``perf_counter``."""
-
-    def __init__(self) -> None:
-        self._start: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def start(self) -> "Timer":
-        if self._start is not None:
-            raise RuntimeError("Timer is already running")
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("Timer was not started")
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        self._start = None
-        self.elapsed = 0.0
-
-    @property
-    def running(self) -> bool:
-        return self._start is not None
-
-    def __enter__(self) -> "Timer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
-@contextmanager
-def timed() -> Iterator[Timer]:
-    """Context manager yielding a running :class:`Timer`."""
-    timer = Timer()
-    timer.start()
-    try:
-        yield timer
-    finally:
-        if timer.running:
-            timer.stop()
+from typing import Dict, Iterator, Mapping
 
 
 @dataclass

@@ -226,6 +226,39 @@ class TestSweepRunner:
         serial = SweepRunner(spec, backend="serial").run()
         assert set(serial.backends_used) == {"serial"}
 
+    def test_vectorized_groups_on_supports_lockstep(self, monkeypatch):
+        """Each task's agent is built once, grouped on the same predicate the
+        batched strategy checks, and that very agent is the one trained."""
+        from repro.parallel.sweep import SweepTask
+        from repro.training.trainer import Trainer as TrainerClass
+
+        built, groups = [], []
+        make_agent = SweepTask.make_agent
+        fit_lockstep = TrainerClass.fit_lockstep
+
+        def counting_make_agent(task):
+            agent = make_agent(task)
+            built.append(agent)
+            return agent
+
+        def recording_fit_lockstep(trainer, agents, configs, *, strategy):
+            groups.append((strategy, list(agents)))
+            return fit_lockstep(trainer, agents, configs, strategy=strategy)
+
+        monkeypatch.setattr(SweepTask, "make_agent", counting_make_agent)
+        monkeypatch.setattr(TrainerClass, "fit_lockstep", recording_fit_lockstep)
+        spec = SweepSpec(designs=("OS-ELM-L2", "OS-ELM", "DQN"), n_seeds=2,
+                         n_hidden=8, training=TrainingConfig(max_episodes=2),
+                         root_seed=3)
+        sweep = SweepRunner(spec, backend="vectorized").run()
+        assert len(sweep.entries) == len(built) == 6
+        trained = [agent for _, agents in groups for agent in agents]
+        assert sorted(map(id, trained)) == sorted(map(id, built))
+        for strategy, agents in groups:
+            assert {supports_lockstep(agent) for agent in agents} == {
+                strategy == "batched"}
+        assert [strategy for strategy, _ in groups] == ["batched", "generic"]
+
     def test_aggregation_helpers(self):
         spec = SweepSpec(designs=("OS-ELM-L2",), n_seeds=3, n_hidden=8,
                          training=TrainingConfig(max_episodes=8), root_seed=21)

@@ -14,6 +14,7 @@ import pickle
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -61,13 +62,42 @@ def _clone(agent):
     return pickle.loads(pickle.dumps(agent))
 
 
+def _wait_until(predicate, timeout=5.0, message="condition"):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(0.005)
+    raise AssertionError(f"timed out waiting for {message}")
+
+
+class _GatedAgent:
+    """Wraps an agent so its ``act_batch`` blocks until ``gate`` is set.
+
+    A server hosting it parks its dispatcher inside the first batch, so a
+    test can queue requests behind that batch and decide what happens
+    before they dispatch.  ``sizes`` records every batch it served.
+    """
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.config = agent.config
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.sizes = []
+
+    def act_batch(self, states, explore=False):
+        self.sizes.append(len(states))
+        self.entered.set()
+        self.gate.wait(timeout=10.0)
+        return self.agent.act_batch(states, explore=explore)
+
+
 # ---------------------------------------------------------------------- batcher
 class TestMicroBatcher:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="max_batch"):
             MicroBatcher(lambda d, s: s, max_batch=0)
-        with pytest.raises(ValueError, match="max_wait_us"):
-            MicroBatcher(lambda d, s: s, max_wait_us=-1)
 
     def test_fills_to_max_batch(self):
         sizes = []
@@ -76,26 +106,126 @@ class TestMicroBatcher:
             sizes.append(len(states))
             return np.zeros(len(states), dtype=np.int64)
 
-        batcher = MicroBatcher(dispatch, max_batch=4, max_wait_us=500_000)
+        batcher = MicroBatcher(dispatch, max_batch=4)
         # Queue everything before the dispatcher starts: it must drain the
-        # backlog as two full batches, without waiting out max_wait_us.
+        # backlog as two full batches.
         pending = [batcher.submit("d", np.zeros(4)) for _ in range(8)]
         with batcher:
             assert [request.result(timeout=5.0) for request in pending] == [0] * 8
         assert sizes == [4, 4]
 
-    def test_max_wait_flushes_partial_batch(self):
+    def test_dispatches_partial_batch_without_waiting(self):
         sizes = []
 
         def dispatch(design, states):
             sizes.append(len(states))
             return np.arange(len(states))
 
-        batcher = MicroBatcher(dispatch, max_batch=64, max_wait_us=10_000)
+        batcher = MicroBatcher(dispatch, max_batch=64)
         pending = [batcher.submit("d", np.zeros(4)) for _ in range(3)]
         with batcher:
             assert [request.result(timeout=5.0) for request in pending] == [0, 1, 2]
-        assert sizes == [3]
+            # A lone request on an idle batcher goes out on its own.
+            assert batcher.submit("d", np.zeros(4)).result(timeout=5.0) == 0
+        assert sizes == [3, 1]
+
+    def test_requests_queued_during_a_dispatch_form_the_next_batch(self):
+        entered, gate = threading.Event(), threading.Event()
+        sizes = []
+
+        def dispatch(design, states):
+            sizes.append(len(states))
+            entered.set()
+            gate.wait(timeout=10.0)
+            return np.zeros(len(states), dtype=np.int64)
+
+        with MicroBatcher(dispatch, max_batch=4) as batcher:
+            first = batcher.submit("d", np.zeros(4))
+            assert entered.wait(timeout=5.0)
+            # The dispatcher is busy: these six queue behind it, and go out
+            # together when it returns, split at max_batch.
+            queued = [batcher.submit("d", np.zeros(4)) for _ in range(6)]
+            assert batcher.queued() == 6
+            gate.set()
+            for request in [first, *queued]:
+                assert request.result(timeout=5.0) == 0
+        assert sizes == [1, 4, 2]
+
+    def test_max_batch_one_dispatches_each_request_alone(self):
+        sizes = []
+
+        def dispatch(design, states):
+            sizes.append(len(states))
+            return np.zeros(len(states), dtype=np.int64)
+
+        batcher = MicroBatcher(dispatch, max_batch=1)
+        pending = [batcher.submit("d", np.zeros(4)) for _ in range(3)]
+        with batcher:
+            for request in pending:
+                assert request.result(timeout=5.0) == 0
+        assert sizes == [1, 1, 1]
+
+    def test_each_request_gets_its_own_row_in_fifo_order(self):
+        seen = []
+
+        def dispatch(design, states):
+            seen.extend(int(state[0]) for state in states)
+            # Echo the first feature back as the "action".
+            return states[:, 0].astype(np.int64)
+
+        batcher = MicroBatcher(dispatch, max_batch=3)
+        pending = [batcher.submit("d", np.full(4, float(i))) for i in range(7)]
+        with batcher:
+            assert [request.result(timeout=5.0) for request in pending] == list(range(7))
+        assert seen == list(range(7))
+
+    def test_head_of_line_picks_oldest_design_after_a_dispatch(self):
+        entered, gate = threading.Event(), threading.Event()
+        order = []
+
+        def dispatch(design, states):
+            order.append((design, len(states)))
+            entered.set()
+            gate.wait(timeout=10.0)
+            return np.zeros(len(states), dtype=np.int64)
+
+        with MicroBatcher(dispatch, max_batch=8) as batcher:
+            first = batcher.submit("a", np.zeros(2))
+            assert entered.wait(timeout=5.0)
+            # "b" queues before the second "a": once the running batch
+            # returns, "b" has the oldest head and goes next.
+            later = [batcher.submit("b", np.zeros(2)),
+                     batcher.submit("a", np.zeros(2)),
+                     batcher.submit("b", np.zeros(2))]
+            gate.set()
+            for request in [first, *later]:
+                request.result(timeout=5.0)
+        assert order == [("a", 1), ("b", 2), ("a", 1)]
+
+    def test_on_batch_hook_sees_every_dispatch(self):
+        calls = []
+        batcher = MicroBatcher(lambda d, s: np.zeros(len(s), dtype=np.int64),
+                               max_batch=2,
+                               on_batch=lambda *args: calls.append(args))
+        pending = [batcher.submit("d", np.zeros(4)) for _ in range(3)]
+        with batcher:
+            for request in pending:
+                request.result(timeout=5.0)
+        assert [(design, size) for design, size, _ in calls] == [("d", 2), ("d", 1)]
+        assert all(seconds >= 0.0 for _, _, seconds in calls)
+
+    def test_wrong_action_shape_fails_the_batch(self):
+        batcher = MicroBatcher(lambda d, s: np.zeros(len(s) + 1), max_batch=4)
+        pending = [batcher.submit("d", np.zeros(4)) for _ in range(2)]
+        with batcher:
+            for request in pending:
+                with pytest.raises(RuntimeError, match="dispatch returned shape"):
+                    request.result(timeout=5.0)
+
+    def test_start_twice_rejected(self):
+        with MicroBatcher(lambda d, s: np.zeros(len(s))) as batcher:
+            with pytest.raises(RuntimeError, match="already started"):
+                batcher.start()
 
     def test_head_of_line_order_across_designs(self):
         order = []
@@ -104,7 +234,7 @@ class TestMicroBatcher:
             order.append(design)
             return np.zeros(len(states), dtype=np.int64)
 
-        batcher = MicroBatcher(dispatch, max_batch=1, max_wait_us=0)
+        batcher = MicroBatcher(dispatch, max_batch=1)
         first = batcher.submit("a", np.zeros(2))
         second = batcher.submit("b", np.zeros(2))
         with batcher:
@@ -116,7 +246,7 @@ class TestMicroBatcher:
         def dispatch(design, states):
             raise RuntimeError("model exploded")
 
-        batcher = MicroBatcher(dispatch, max_batch=4, max_wait_us=1000)
+        batcher = MicroBatcher(dispatch, max_batch=4)
         pending = [batcher.submit("d", np.zeros(4)) for _ in range(2)]
         with batcher:
             for request in pending:
@@ -182,6 +312,16 @@ class TestServerProtocol:
             assert raw.welcome_info["max_batch"] == 8
             raw.close()
 
+    def test_stats_and_welcome_report_the_configured_max_batch(self, agents):
+        with PolicyServer({"OS-ELM": _clone(agents["OS-ELM"])},
+                          max_batch=3) as server:
+            raw = _RawClient(server)
+            assert raw.welcome_info["max_batch"] == 3
+            raw.close()
+            with PolicyClient(*server.address) as client:
+                assert client.stats()["batching"] == {"max_batch": 3,
+                                                      "queued": 0}
+
     def test_unknown_design_errors_but_connection_survives(self, agents):
         agent = agents["OS-ELM"]
         state = _probe_states(agent, 1)[0]
@@ -234,34 +374,57 @@ class TestServerProtocol:
 
     def test_client_disconnect_mid_batch_spares_other_clients(self, agents):
         agent = agents["OS-ELM"]
-        state = _probe_states(agent, 2, seed=3)
-        with PolicyServer({"OS-ELM": _clone(agent)},
-                          max_batch=4, max_wait_us=200_000) as server:
+        state = _probe_states(agent, 3, seed=3)
+        gated = _GatedAgent(_clone(agent))
+        with PolicyServer({"OS-ELM": gated}, max_batch=4) as server:
+            blocker = _RawClient(server, "blocker")
+            blocker.send(protocol.ACT, ("OS-ELM", state[0]))
+            assert gated.entered.wait(timeout=5.0)  # dispatcher is parked
             doomed = _RawClient(server, "doomed")
-            doomed.send(protocol.ACT, ("OS-ELM", state[0]))
+            doomed.send(protocol.ACT, ("OS-ELM", state[1]))
+            _wait_until(lambda: server.batcher.queued() == 1,
+                        message="the doomed request to queue")
             doomed.close()  # dies with its request still queued
-            with PolicyClient(*server.address) as survivor:
-                # Lands in the same (partial) batch as the dead client's
-                # request; the batch must dispatch and this reply arrive.
-                assert survivor.act(state[1]) == agent.act(state[1],
-                                                           explore=False)
+            survivor = _RawClient(server, "survivor")
+            survivor.send(protocol.ACT, ("OS-ELM", state[2]))
+            _wait_until(lambda: server.batcher.queued() == 2,
+                        message="the survivor request to queue")
+            gated.gate.set()
+            assert blocker.recv() == (protocol.ACTION,
+                                      agent.act(state[0], explore=False))
+            # The survivor shares the next batch with the dead client's
+            # request; the batch must dispatch and this reply arrive.
+            assert survivor.recv() == (protocol.ACTION,
+                                       agent.act(state[2], explore=False))
+            assert gated.sizes == [1, 2]
+            blocker.close()
+            survivor.close()
 
     def test_swap_during_inflight_act_drops_nothing(self, agents):
         old = agents["OS-ELM"]
         new = make_design("OS-ELM", n_hidden=8, seed=321)
-        state = _probe_states(old, 1, seed=4)[0]
-        with PolicyServer({"OS-ELM": _clone(old)},
-                          max_batch=8, max_wait_us=500_000) as server:
+        state = _probe_states(old, 2, seed=4)
+        gated = _GatedAgent(_clone(old))
+        with PolicyServer({"OS-ELM": gated}, max_batch=8) as server:
+            running = _RawClient(server, "running")
+            running.send(protocol.ACT, ("OS-ELM", state[0]))
+            assert gated.entered.wait(timeout=5.0)  # dispatcher is parked
             inflight = _RawClient(server, "inflight")
-            inflight.send(protocol.ACT, ("OS-ELM", state))
+            inflight.send(protocol.ACT, ("OS-ELM", state[1]))
+            _wait_until(lambda: server.batcher.queued() == 1,
+                        message="the in-flight request to queue")
             with PolicyClient(*server.address) as pusher:
                 info = pusher.swap(_clone(new))
                 assert info == {"design": "OS-ELM", "generation": 1}
-            # The queued request must still be answered — and the swap lands
-            # before its batch's max_wait deadline, so on the new weights.
+            gated.gate.set()
+            # The batch already dispatched finishes on the old weights ...
+            assert running.recv() == (protocol.ACTION,
+                                      old.act(state[0], explore=False))
+            # ... and the queued request is still answered, on the new ones.
             kind, action = inflight.recv()
             assert kind == protocol.ACTION
-            assert action == new.act(state, explore=False)
+            assert action == new.act(state[1], explore=False)
+            running.close()
             inflight.close()
 
     def test_swap_rejects_non_agent_blob(self, agents):
@@ -287,7 +450,7 @@ class TestServerProtocol:
     def test_stats_reports_latency_percentiles(self, agents):
         agent = agents["OS-ELM"]
         with PolicyServer({"OS-ELM": _clone(agent)},
-                          max_batch=4, max_wait_us=1000) as server:
+                          max_batch=4) as server:
             with PolicyClient(*server.address) as client:
                 client.act_many(_probe_states(agent, 12))
                 stats = client.stats()
@@ -340,8 +503,7 @@ class TestByteIdentity:
         agent = agents[design]
         states = _probe_states(agent, 24, seed=1)
         offline = _offline_greedy(agent, states)
-        with PolicyServer({design: _clone(agent)},
-                          max_batch=8, max_wait_us=2000) as server:
+        with PolicyServer({design: _clone(agent)}, max_batch=8) as server:
             results = {}
 
             def drive(name):
@@ -363,7 +525,7 @@ class TestByteIdentity:
         fresh = make_design(design, n_hidden=8, seed=555)
         states = _probe_states(fresh, 16, seed=2)
         with PolicyServer({design: _clone(agents[design])},
-                          max_batch=8, max_wait_us=2000) as server:
+                          max_batch=8) as server:
             with PolicyClient(*server.address) as client:
                 info = client.swap(_clone(fresh))
                 assert info["generation"] == 1

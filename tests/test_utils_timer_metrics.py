@@ -5,42 +5,11 @@ import time
 import pytest
 
 from repro.utils.metrics import (
-    ExponentialMovingAverage,
     MovingAverage,
     RunningStats,
     SolvedCriterion,
 )
-from repro.utils.timer import OPERATION_LABELS, TimeBreakdown, Timer, timed
-
-
-class TestTimer:
-    def test_measures_elapsed_time(self):
-        timer = Timer()
-        timer.start()
-        time.sleep(0.01)
-        elapsed = timer.stop()
-        assert elapsed >= 0.009
-
-    def test_double_start_raises(self):
-        timer = Timer().start()
-        with pytest.raises(RuntimeError):
-            timer.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_context_manager(self):
-        with timed() as timer:
-            time.sleep(0.005)
-        assert timer.elapsed >= 0.004
-        assert not timer.running
-
-    def test_reset(self):
-        timer = Timer().start()
-        timer.stop()
-        timer.reset()
-        assert timer.elapsed == 0.0
+from repro.utils.timer import OPERATION_LABELS, TimeBreakdown
 
 
 class TestTimeBreakdown:
@@ -96,6 +65,14 @@ class TestTimeBreakdown:
         assert breakdown.seconds["op"] >= 0.004
         assert breakdown.counts["op"] == 1
 
+    def test_measure_records_a_block_that_raises(self):
+        breakdown = TimeBreakdown()
+        with pytest.raises(KeyError):
+            with breakdown.measure("op"):
+                raise KeyError("boom")
+        assert breakdown.counts["op"] == 1
+        assert breakdown.seconds["op"] >= 0.0
+
     def test_paper_operation_labels_present(self):
         assert "seq_train" in OPERATION_LABELS
         assert "train_DQN" in OPERATION_LABELS
@@ -108,6 +85,13 @@ class TestMovingAverage:
         for value in [1.0, 2.0, 3.0, 4.0]:
             avg.add(value)
         assert avg.value == pytest.approx(3.0)   # (2 + 3 + 4) / 3
+
+    def test_count_stays_at_window_after_overflow(self):
+        avg = MovingAverage(window=2)
+        for value in [1.0, 5.0, 7.0]:
+            avg.add(value)
+        assert avg.count == 2
+        assert avg.value == pytest.approx(6.0)
 
     def test_empty_average_zero(self):
         assert MovingAverage(5).value == 0.0
@@ -129,23 +113,6 @@ class TestMovingAverage:
         avg.reset()
         assert avg.value == 0.0
         assert avg.count == 0
-
-
-class TestExponentialMovingAverage:
-    def test_first_value_is_exact(self):
-        ema = ExponentialMovingAverage(0.5)
-        assert ema.add(10.0) == pytest.approx(10.0)
-
-    def test_smoothing(self):
-        ema = ExponentialMovingAverage(0.5)
-        ema.add(0.0)
-        assert ema.add(10.0) == pytest.approx(5.0)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(0.0)
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(1.5)
 
 
 class TestRunningStats:
