@@ -187,10 +187,8 @@ class _ELMFamilyAgent(QLearningAgent):
         """``max_a Q_theta2(state, a)`` using the target beta snapshot."""
         if self._target_beta is None:
             return 0.0
-        rows = np.stack([self.q_online.encode(state, a)
-                         for a in range(self.config.n_actions)])
-        hidden = self.model.hidden(rows)
-        return float(np.max(hidden @ self._target_beta))
+        rows = self.q_online.encode_all_actions(self.q_online.check_states(state))[0]
+        return float(np.max(self.model._hidden_rows(rows) @ self._target_beta))
 
     # ------------------------------------------------------------------ acting
     def act(self, state: np.ndarray, *, explore: bool = True) -> int:

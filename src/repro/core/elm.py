@@ -89,8 +89,7 @@ class ELM:
 
     def hidden(self, x: np.ndarray) -> np.ndarray:
         """Hidden-layer matrix ``H = G(x @ alpha + b)`` for a batch of inputs."""
-        x = ensure_2d(x, name="x", n_features=self.n_inputs)
-        return self.activation.forward(x @ self.alpha + self.bias)
+        return self._hidden_rows(ensure_2d(x, name="x", n_features=self.n_inputs))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Network output ``H @ beta`` (Equation 1); requires prior training.
@@ -99,11 +98,21 @@ class ELM:
         and mirrors the input's dimensionality: 1-D in, ``(n_outputs,)`` out;
         2-D in, ``(B, n_outputs)`` out.
         """
-        if self.beta is None:
-            raise NotFittedError("ELM.predict called before fit()")
+        if not self.is_fitted:
+            raise NotFittedError(f"{type(self).__name__}.predict called before fit()")
         single = np.asarray(x).ndim == 1
-        out = self.hidden(x) @ self.beta
+        out = self._predict_rows(ensure_2d(x, name="x", n_features=self.n_inputs))
         return out[0] if single else out
+
+    # Row hooks: the public methods above validate their arguments once and
+    # call these with finite ``(B, n_inputs)`` float rows, which they trust.
+    # The Q-function calls them directly with rows it encoded itself.
+    def _hidden_rows(self, rows: np.ndarray) -> np.ndarray:
+        return self.activation.forward(rows @ self.alpha + self.bias)
+
+    def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``(B, n_outputs)`` outputs of a fitted network for trusted rows."""
+        return self._hidden_rows(rows) @ self.beta
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.predict(x)
@@ -123,7 +132,7 @@ class ELM:
             raise ValueError(
                 f"x and t must have the same number of rows, got {x.shape[0]} and {t.shape[0]}"
             )
-        h = self.hidden(x)
+        h = self._hidden_rows(x)
         if self.regularization.l2_delta > 0:
             p = regularized_gram_inverse(h, self.regularization.l2_delta)
             self.beta = ridge_solve(h, t, self.regularization.l2_delta, p=p)

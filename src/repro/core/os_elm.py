@@ -68,11 +68,7 @@ class OSELM(ELM):
             raise ValueError(
                 f"x0 and t0 must have the same number of rows, got {x0.shape[0]} and {t0.shape[0]}"
             )
-        h0 = self.hidden(x0)
-        p0 = regularized_gram_inverse(h0, self.regularization.l2_delta)
-        beta0 = ridge_solve(h0, t0, self.regularization.l2_delta, p=p0)
-        self._recursive = RecursiveInverse(p0, beta0)
-        self.beta = self._recursive.beta
+        self._init_rows(x0, t0)
         return self
 
     # ``fit`` on an OS-ELM is the initial training — keeps the ELM interface usable.
@@ -86,13 +82,15 @@ class OSELM(ELM):
         fixes it at one row, in which case the update involves only
         matrix-vector products and a scalar reciprocal.
         """
-        if self._recursive is None:
-            raise NotFittedError("OSELM.partial_fit called before init_train()")
+        if not self.is_initialized:
+            raise NotFittedError(f"{type(self).__name__}.partial_fit called before init_train()")
         x = ensure_2d(x, name="x", n_features=self.n_inputs)
         t = ensure_2d(t, name="t", n_features=self.n_outputs)
-        h = self.hidden(x)
-        self._recursive.update(h, t)
-        self.beta = self._recursive.beta
+        if x.shape[0] != t.shape[0]:
+            raise ValueError(
+                f"x and t must have the same number of rows, got {x.shape[0]} and {t.shape[0]}"
+            )
+        self._update_rows(x, t)
         return self
 
     def seq_train_step(self, x_row: np.ndarray, target: float) -> "OSELM":
@@ -100,6 +98,18 @@ class OSELM(ELM):
         x_row = np.asarray(x_row, dtype=float).reshape(1, -1)
         t_row = np.asarray(target, dtype=float).reshape(1, -1)
         return self.partial_fit(x_row, t_row)
+
+    # Row hooks (see ELM): trusted, already validated ``x``/``t`` rows.
+    def _init_rows(self, x0: np.ndarray, t0: np.ndarray) -> None:
+        h0 = self._hidden_rows(x0)
+        p0 = regularized_gram_inverse(h0, self.regularization.l2_delta)
+        beta0 = ridge_solve(h0, t0, self.regularization.l2_delta, p=p0)
+        self._recursive = RecursiveInverse(p0, beta0)
+        self.beta = self._recursive.beta
+
+    def _update_rows(self, x: np.ndarray, t: np.ndarray) -> None:
+        self._recursive.update(self._hidden_rows(x), t)
+        self.beta = self._recursive.beta
 
     # ------------------------------------------------------------------ snapshots
     def clone_state(self) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:

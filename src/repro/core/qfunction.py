@@ -7,11 +7,13 @@ right): the input vector is the concatenation of the state and the action
 index, so its size is ``n_states + 1`` (five for CartPole — four state
 variables plus one action value), and the output size is 1.
 
-:class:`QFunction` wraps an :class:`~repro.core.elm.ELM` or
-:class:`~repro.core.os_elm.OSELM` regressor (or any object exposing the same
-``predict`` interface, e.g. the fixed-point FPGA core) and provides the
-action-space sweeps (``q_values``, ``greedy_action``, ``max_q``) needed by
-Q-learning.
+:class:`QFunction` wraps an ELM-family regressor —
+:class:`~repro.core.elm.ELM`, :class:`~repro.core.os_elm.OSELM` or the
+fixed-point :class:`~repro.fpga.accelerator.FPGAAcceleratedOSELM` — and
+provides the action-space sweeps (``q_values``, ``greedy_action``,
+``max_q``) needed by Q-learning.  Its methods check the caller's states (and
+targets) once, encode them into network input rows and hand those rows
+straight to the model's row hooks, which trust them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.core.elm import ELM
-from repro.utils.exceptions import NotFittedError
+from repro.utils.exceptions import NotFittedError, ShapeError
+from repro.utils.validation import check_finite
 
 
 def encode_state_action(state: np.ndarray, action: int,
@@ -59,8 +62,9 @@ class QFunction:
     Parameters
     ----------
     model:
-        A fitted (or fittable) regressor exposing ``predict`` over inputs of
-        size ``state_action_input_size(n_states, n_actions, one_hot)``.
+        A fitted (or fittable) ELM-family regressor (:class:`ELM` or a
+        subclass) over inputs of size
+        ``state_action_input_size(n_states, n_actions, one_hot)``.
     n_states, n_actions:
         Environment dimensions.
     one_hot_actions:
@@ -77,13 +81,13 @@ class QFunction:
         if n_states <= 0 or n_actions <= 0:
             raise ValueError("n_states and n_actions must be positive")
         expected = state_action_input_size(n_states, n_actions, one_hot=one_hot_actions)
-        if getattr(model, "n_inputs", expected) != expected:
+        if model.n_inputs != expected:
             raise ValueError(
                 f"model expects {model.n_inputs} inputs but the simplified output model "
                 f"requires {expected} (n_states={n_states}, n_actions={n_actions}, "
                 f"one_hot={one_hot_actions})"
             )
-        if getattr(model, "n_outputs", 1) != 1:
+        if model.n_outputs != 1:
             raise ValueError("the simplified output model has a scalar output; n_outputs must be 1")
         self.model = model
         self.n_states = int(n_states)
@@ -144,11 +148,21 @@ class QFunction:
             inputs[:, :, self.n_states] = np.arange(self.n_actions, dtype=float)
         return inputs
 
+    def check_states(self, states: np.ndarray) -> np.ndarray:
+        """A caller's state ``(n_states,)`` or batch ``(B, n_states)`` as a float
+        array, rejected with ``ShapeError`` for the wrong width and
+        ``ValueError`` for NaN/Inf: the one check each call makes."""
+        states = np.asarray(states, dtype=float)
+        if states.ndim not in (1, 2) or states.shape[-1] != self.n_states:
+            raise ShapeError(
+                f"states must have {self.n_states} features, got shape {states.shape}"
+            )
+        return check_finite(states, name="state")
+
     # ------------------------------------------------------------------ evaluation
     @property
     def is_trained(self) -> bool:
-        is_fitted = getattr(self.model, "is_fitted", None)
-        return bool(is_fitted) if is_fitted is not None else True
+        return self.model.is_fitted
 
     def value(self, state: np.ndarray, action: int) -> float:
         """Q(state, action) as a scalar."""
@@ -161,7 +175,7 @@ class QFunction:
         ``(B, n_states)`` batch with ``B`` actions returns a ``(B,)`` array.
         The two forms round-trip: ``predict(s, a) == predict(s[None], [a])[0]``.
         """
-        states = np.asarray(states, dtype=float)
+        states = self.check_states(states)
         single = states.ndim == 1
         actions = np.atleast_1d(actions)
         batch = 1 if single else states.shape[0]
@@ -170,8 +184,7 @@ class QFunction:
         if not self.is_trained:
             out = np.full(batch, self.default_value)
             return float(out[0]) if single else out
-        inputs = self.encode_batch(states, actions)
-        out = np.asarray(self.model.predict(inputs)).reshape(-1)
+        out = self.model._predict_rows(self.encode_batch(states, actions)).reshape(-1)
         return float(out[0]) if single else out
 
     def q_values(self, state: np.ndarray) -> np.ndarray:
@@ -181,14 +194,14 @@ class QFunction:
         ``(B, n_states)`` -> ``(B, n_actions)``; the batched form evaluates
         all ``B * n_actions`` pairs in a single network forward pass.
         """
-        state = np.asarray(state, dtype=float)
+        state = self.check_states(state)
         single = state.ndim == 1
         batch = 1 if single else state.shape[0]
         if not self.is_trained:
             out = np.full((batch, self.n_actions), self.default_value)
             return out[0] if single else out
         rows = self.encode_all_actions(state).reshape(batch * self.n_actions, -1)
-        out = np.asarray(self.model.predict(rows)).reshape(batch, self.n_actions)
+        out = self.model._predict_rows(rows).reshape(batch, self.n_actions)
         return out[0] if single else out
 
     def greedy_action(self, state: np.ndarray):
@@ -216,13 +229,14 @@ class QFunction:
         self.model.fit(inputs, targets)
 
     def update(self, state: np.ndarray, action: int, target: float) -> None:
-        """Sequential (batch-size-1) training step, if the model supports it."""
-        seq_step = getattr(self.model, "seq_train_step", None)
-        if seq_step is None:
+        """Sequential (batch-size-1) training step on an initialized OS-ELM model."""
+        if not getattr(self.model, "is_initialized", False):
             raise NotFittedError(
-                f"{type(self.model).__name__} does not support sequential updates"
+                f"{type(self.model).__name__} does not support sequential updates "
+                f"or has not had its initial training"
             )
-        seq_step(self.encode(state, action), target)
+        t_row = check_finite(np.asarray(target, dtype=float).reshape(1, 1), name="target")
+        self.model._update_rows(self.encode_batch(self.check_states(state), [action]), t_row)
 
     def __repr__(self) -> str:
         return (f"QFunction(n_states={self.n_states}, n_actions={self.n_actions}, "

@@ -24,9 +24,7 @@ from repro.fpga.core_sim import FixedPointOSELMCore
 from repro.fpga.device import FPGADevice, XC7Z020
 from repro.fpga.resources import OSELMCoreResourceModel
 from repro.fpga.timing import CortexA9LatencyModel, FPGACoreLatencyModel
-from repro.utils.exceptions import NotFittedError
 from repro.utils.timer import TimeBreakdown
-from repro.utils.validation import ensure_2d
 
 
 class FPGAAcceleratedOSELM(OSELM):
@@ -95,30 +93,24 @@ class FPGAAcceleratedOSELM(OSELM):
     def is_initialized(self) -> bool:
         return self.core.ready
 
-    # ------------------------------------------------------------------ training
-    def init_train(self, x0: np.ndarray, t0: np.ndarray) -> "FPGAAcceleratedOSELM":
+    # ------------------------------------------------------------------ row hooks
+    # The public OS-ELM methods validate and then land here, so prediction
+    # and sequential training run on the fixed-point core whichever entry
+    # point (model, Q-function or agent) they came through.
+    def _init_rows(self, x0: np.ndarray, t0: np.ndarray) -> None:
         """Initial training in floating point on the CPU, then quantized into BRAM."""
-        super().init_train(x0, t0)
-        assert self._recursive is not None
+        super()._init_rows(x0, t0)
         self.core.load_initial_state(self._recursive.p, self._recursive.beta)
-        chunk = ensure_2d(x0, name="x0").shape[0]
-        latency = self.cpu_latency.init_train(self.n_inputs, self.n_hidden, chunk,
+        latency = self.cpu_latency.init_train(self.n_inputs, self.n_hidden, x0.shape[0],
                                               self.n_outputs)
         self.modelled_time.add("init_train", latency.seconds)
-        return self
 
-    def partial_fit(self, x: np.ndarray, t: np.ndarray) -> "FPGAAcceleratedOSELM":
-        """Sequential training on the fixed-point core (one row at a time)."""
-        if not self.core.ready:
-            raise NotFittedError("FPGAAcceleratedOSELM.partial_fit called before init_train()")
-        x = ensure_2d(x, name="x", n_features=self.n_inputs)
-        t = ensure_2d(t, name="t", n_features=self.n_outputs)
-        if x.shape[0] != t.shape[0]:
-            raise ValueError("x and t must have the same number of rows")
+    def _update_rows(self, x: np.ndarray, t: np.ndarray) -> None:
+        """Sequential training on the fixed-point core, one row per core invocation."""
+        latency = self.pl_latency.seq_train(self.n_hidden, self.n_outputs).seconds
         for row in range(x.shape[0]):
             self.core.seq_train(x[row], t[row])
-            self.modelled_time.add("seq_train", self.pl_latency.seq_train(self.n_hidden,
-                                                                          self.n_outputs).seconds)
+            self.modelled_time.add("seq_train", latency)
         # Mirror the quantized state into the float attributes so diagnostics
         # (beta norm, Lipschitz bound, target-network snapshots) see the same
         # weights the hardware would produce.
@@ -126,26 +118,16 @@ class FPGAAcceleratedOSELM(OSELM):
         if self._recursive is not None:
             self._recursive.beta = self.beta.copy()
             self._recursive.p = self.core.p.to_float()
-        return self
 
-    # ------------------------------------------------------------------ inference
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Prediction on the fixed-point core, one row per core invocation.
-
-        Mirrors :meth:`repro.core.elm.ELM.predict`'s shape contract: 1-D in,
-        ``(n_outputs,)`` out; 2-D in, ``(B, n_outputs)`` out.
-        """
-        if not self.core.ready:
-            raise NotFittedError("FPGAAcceleratedOSELM.predict called before init_train()")
-        single = np.asarray(x).ndim == 1
-        x = ensure_2d(x, name="x", n_features=self.n_inputs)
-        outputs = np.empty((x.shape[0], self.n_outputs))
-        predict_latency = self.pl_latency.predict(self.n_inputs, self.n_hidden,
-                                                  self.n_outputs).seconds
-        for row in range(x.shape[0]):
-            outputs[row] = self.core.predict(x[row])[0]
-            self.modelled_time.add("predict_seq", predict_latency)
-        return outputs[0] if single else outputs
+    def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Prediction on the fixed-point core, one row per core invocation."""
+        outputs = np.empty((rows.shape[0], self.n_outputs))
+        latency = self.pl_latency.predict(self.n_inputs, self.n_hidden,
+                                          self.n_outputs).seconds
+        for row in range(rows.shape[0]):
+            outputs[row] = self.core.predict(rows[row])[0]
+            self.modelled_time.add("predict_seq", latency)
+        return outputs
 
     # ------------------------------------------------------------------ diagnostics
     def quantization_report(self) -> dict:

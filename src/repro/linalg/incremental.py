@@ -19,7 +19,45 @@ import numpy as np
 import scipy.linalg
 
 from repro.telemetry.tracing import span
+from repro.utils.exceptions import ShapeError
 from repro.utils.validation import ensure_2d
+
+
+# Each update below is one private function over trusted float arrays (the
+# math) wrapped by one public function that validates its arguments first.
+# RecursiveInverse.update, the entry point of every sequential step, checks
+# shapes and calls the math directly.
+
+def _sherman_morrison(p: np.ndarray, h_row: np.ndarray) -> np.ndarray:
+    with span("linalg.sherman_morrison"):
+        ph = p @ h_row                      # (N,)
+        denom = 1.0 + float(h_row @ ph)     # scalar: 1 + h P h^T
+        if denom <= 0:
+            raise np.linalg.LinAlgError(
+                f"Sherman-Morrison denominator is non-positive ({denom}); P is not positive definite"
+            )
+        return p - np.outer(ph, ph) / denom
+
+
+def _woodbury(p: np.ndarray, h_chunk: np.ndarray) -> np.ndarray:
+    k = h_chunk.shape[0]
+    if k == 1:
+        return _sherman_morrison(p, h_chunk[0])
+    with span("linalg.woodbury"):
+        ph_t = p @ h_chunk.T                          # (N, k)
+        inner = np.eye(k) + h_chunk @ ph_t            # (k, k)
+        try:
+            cho = scipy.linalg.cho_factor(inner)
+            solved = scipy.linalg.cho_solve(cho, ph_t.T)   # (k, N)
+        except scipy.linalg.LinAlgError:
+            solved = np.linalg.solve(inner, ph_t.T)
+        return p - ph_t @ solved
+
+
+def _beta_update(beta: np.ndarray, p_new: np.ndarray, h_chunk: np.ndarray,
+                 t_chunk: np.ndarray) -> np.ndarray:
+    residual = t_chunk - h_chunk @ beta
+    return beta + p_new @ (h_chunk.T @ residual)
 
 
 def sherman_morrison_update(p: np.ndarray, h_row: np.ndarray) -> np.ndarray:
@@ -35,14 +73,7 @@ def sherman_morrison_update(p: np.ndarray, h_row: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"h_row length {h_row.shape[0]} does not match P dimension {p.shape[0]}"
         )
-    with span("linalg.sherman_morrison"):
-        ph = p @ h_row                      # (N,)
-        denom = 1.0 + float(h_row @ ph)     # scalar: 1 + h P h^T
-        if denom <= 0:
-            raise np.linalg.LinAlgError(
-                f"Sherman-Morrison denominator is non-positive ({denom}); P is not positive definite"
-            )
-        return p - np.outer(ph, ph) / denom
+    return _sherman_morrison(p, h_row)
 
 
 def woodbury_update(p: np.ndarray, h_chunk: np.ndarray) -> np.ndarray:
@@ -50,7 +81,8 @@ def woodbury_update(p: np.ndarray, h_chunk: np.ndarray) -> np.ndarray:
 
     Computes ``P' = P - P H^T (I + H P H^T)^{-1} H P`` for a chunk ``H`` of
     shape ``(k, N)``.  The inner ``k x k`` system is solved with a Cholesky
-    factorization (it is symmetric positive definite when P is).
+    factorization (it is symmetric positive definite when P is); a one-row
+    chunk takes the Sherman–Morrison path.
     """
     p = ensure_2d(p, name="P")
     h_chunk = ensure_2d(h_chunk, name="H")
@@ -58,29 +90,14 @@ def woodbury_update(p: np.ndarray, h_chunk: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"H has {h_chunk.shape[1]} columns but P is {p.shape[0]}x{p.shape[1]}"
         )
-    k = h_chunk.shape[0]
-    if k == 1:
-        return sherman_morrison_update(p, h_chunk[0])
-    with span("linalg.woodbury"):
-        ph_t = p @ h_chunk.T                          # (N, k)
-        inner = np.eye(k) + h_chunk @ ph_t            # (k, k)
-        try:
-            cho = scipy.linalg.cho_factor(inner)
-            solved = scipy.linalg.cho_solve(cho, ph_t.T)   # (k, N)
-        except scipy.linalg.LinAlgError:
-            solved = np.linalg.solve(inner, ph_t.T)
-        return p - ph_t @ solved
+    return _woodbury(p, h_chunk)
 
 
 def beta_update(beta: np.ndarray, p_new: np.ndarray, h_chunk: np.ndarray,
                 t_chunk: np.ndarray) -> np.ndarray:
     """Output-weight update ``beta' = beta + P' H^T (T - H beta)`` (Equation 5/6)."""
-    beta = ensure_2d(beta, name="beta")
-    p_new = ensure_2d(p_new, name="P")
-    h_chunk = ensure_2d(h_chunk, name="H")
-    t_chunk = ensure_2d(t_chunk, name="T")
-    residual = t_chunk - h_chunk @ beta
-    return beta + p_new @ (h_chunk.T @ residual)
+    return _beta_update(ensure_2d(beta, name="beta"), ensure_2d(p_new, name="P"),
+                        ensure_2d(h_chunk, name="H"), ensure_2d(t_chunk, name="T"))
 
 
 class RecursiveInverse:
@@ -115,18 +132,25 @@ class RecursiveInverse:
         return self.beta.shape[1]
 
     def update(self, h_chunk: np.ndarray, t_chunk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Consume one chunk ``(H_i, T_i)`` and return the updated ``(P, beta)``."""
-        h_chunk = ensure_2d(h_chunk, name="H")
-        t_chunk = ensure_2d(t_chunk, name="T")
-        if h_chunk.shape[0] != t_chunk.shape[0]:
-            raise ValueError("H and T must have the same number of rows")
-        if t_chunk.shape[1] != self.n_outputs:
-            raise ValueError(
-                f"T has {t_chunk.shape[1]} outputs but beta expects {self.n_outputs}"
+        """Consume one chunk ``(H_i, T_i)`` and return the updated ``(P, beta)``.
+
+        ``H`` is a ``(k, n_hidden)`` and ``T`` a ``(k, n_outputs)`` float
+        array; only their shapes are checked.  A non-finite result — from a
+        non-finite chunk, or a ``P``/``beta`` corrupted since the last update —
+        raises ``ValueError`` and leaves the state as it was.
+        """
+        if h_chunk.ndim != 2 or h_chunk.shape[1] != self.n_hidden:
+            raise ShapeError(f"H must have shape (k, {self.n_hidden}), got {h_chunk.shape}")
+        if t_chunk.shape != (h_chunk.shape[0], self.n_outputs):
+            raise ShapeError(
+                f"T must have shape ({h_chunk.shape[0]}, {self.n_outputs}) to match H, "
+                f"got {t_chunk.shape}"
             )
-        p_new = woodbury_update(self.p, h_chunk)
-        self.beta = beta_update(self.beta, p_new, h_chunk, t_chunk)
-        self.p = p_new
+        p_new = _woodbury(self.p, h_chunk)
+        beta_new = _beta_update(self.beta, p_new, h_chunk, t_chunk)
+        if not (np.isfinite(p_new).all() and np.isfinite(beta_new).all()):
+            raise ValueError("the sequential update produced NaN or Inf in P or beta")
+        self.p, self.beta = p_new, beta_new
         self.updates += 1
         return self.p, self.beta
 

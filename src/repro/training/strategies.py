@@ -400,7 +400,8 @@ class BatchedELMStrategy(LockstepStrategy):
         # fancy indexing would cost O(H^2) per update).  The input row is
         # the chosen-action slice of the hidden tensor the action sweep
         # already evaluated; the operation sequence per trial is exactly
-        # the serial sherman_morrison_update / beta_update pair.
+        # the serial RecursiveInverse.update, i.e. the _sherman_morrison /
+        # _beta_update pair in repro.linalg.incremental.
         t0 = time.perf_counter()
         h = self.hidden_cur[idx, actions[idx]]                           # (U, H)
         for pos, i in enumerate(batched_updates):

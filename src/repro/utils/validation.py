@@ -1,4 +1,21 @@
-"""Argument-validation helpers shared by the public API surface."""
+"""Argument-validation helpers shared by the public API surface.
+
+The rule: public entry points validate, internal row hooks trust.
+
+* A public entry point checks its arguments (shape, dtype, NaN/Inf) exactly
+  once: ``ELM.fit`` / ``predict`` / ``hidden`` and ``OSELM.init_train`` /
+  ``partial_fit`` / ``seq_train_step`` through :func:`ensure_2d`; the
+  public ``repro.linalg`` updates likewise; ``QFunction`` and the agents
+  through ``QFunction.check_states`` and :func:`check_finite` on the
+  caller's state and target.
+* It then hands the model's row hooks (``_hidden_rows``, ``_predict_rows``,
+  ``_init_rows``, ``_update_rows``) finite, pre-shaped ``(B, n_inputs)``
+  float rows.  The hooks and the linear algebra under them trust those rows
+  and re-check nothing.
+* ``RecursiveInverse.update`` checks shapes only, and rejects a non-finite
+  result.  So a corrupted ``P`` or ``beta`` still raises ``ValueError`` no
+  later than the next sequential update.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +30,14 @@ def check_array(value: object, *, name: str = "array", dtype: Union[type, np.dty
                 allow_nan: bool = False) -> np.ndarray:
     """Coerce ``value`` to an ndarray of ``dtype`` and reject NaN/Inf unless allowed."""
     arr = np.asarray(value, dtype=dtype)
-    if not allow_nan and arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+    if not allow_nan and arr.dtype.kind == "f":
+        check_finite(arr, name=name)
+    return arr
+
+
+def check_finite(arr: np.ndarray, *, name: str = "array") -> np.ndarray:
+    """Reject NaN/Inf in a float ndarray the caller already holds (no coercion)."""
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf values")
     return arr
 

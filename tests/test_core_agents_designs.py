@@ -8,6 +8,7 @@ from repro.core.agents import AgentConfig, ELMQAgent, OSELMQAgent
 from repro.core.designs import DESIGN_NAMES, SOFTWARE_DESIGNS, design_spec, make_design
 from repro.core.regularization import RegularizationConfig
 from repro.fpga.accelerator import FPGAAcceleratedOSELM
+from repro.utils.exceptions import NotFittedError, ShapeError
 
 
 class TestAgentConfig:
@@ -210,6 +211,124 @@ class TestDesignFactory:
         agent = make_design("FPGA", n_hidden=16, seed=0)
         assert agent.config.regularization.l2_delta == 0.5
         assert agent.config.regularization.spectral_normalize_alpha
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _with_bad(value, index=1):
+    state = np.array([0.01, -0.02, 0.03, 0.0])
+    state[index] = value
+    return state
+
+
+class TestAgentBoundary:
+    """Agents reject non-finite states at the boundary, before any update."""
+
+    def _trained(self, rng, design="OS-ELM-L2-Lipschitz"):
+        agent = make_design(design, n_hidden=16, seed=0, update_probability=1.0)
+        _fill_buffer(agent, rng)
+        assert agent.initial_training_done
+        return agent
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("design", ["OS-ELM-L2-Lipschitz", "FPGA"])
+    def test_act_rejects_non_finite_state(self, rng, design, bad):
+        agent = self._trained(rng, design)
+        with pytest.raises(ValueError):
+            agent.act(_with_bad(bad))
+        with pytest.raises(ValueError):
+            agent.act(_with_bad(bad), explore=False)
+        with pytest.raises(ValueError):
+            agent.act_batch(np.stack([_with_bad(0.0), _with_bad(bad)]))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("design", ["OS-ELM-L2-Lipschitz", "FPGA"])
+    def test_gated_observe_rejects_non_finite_states(self, rng, design, bad):
+        agent = self._trained(rng, design)
+        beta = agent.model.beta.copy()
+        good = _with_bad(0.0)
+        with pytest.raises(ValueError):
+            agent.observe(good, 0, 0.5, _with_bad(bad), False)
+        with pytest.raises(ValueError):
+            agent.observe(_with_bad(bad), 0, 0.5, good, False)
+        np.testing.assert_array_equal(agent.model.beta, beta)
+
+    def test_wrong_state_width_raises_shape_error(self, rng):
+        agent = self._trained(rng)
+        with pytest.raises(ShapeError):
+            agent.act(np.zeros(5))
+        with pytest.raises(ShapeError):
+            agent.observe(np.zeros(4), 0, 0.5, np.zeros(3), False)
+
+    def test_non_positive_denominator_is_counted_as_skipped(self, rng):
+        agent = self._trained(rng)
+        agent.model._recursive.p = -10.0 * np.eye(16)
+        beta = agent.model.beta.copy()
+        agent.observe(_with_bad(0.0), 0, 0.5, _with_bad(0.0), False)
+        assert agent.skipped_updates == 1
+        np.testing.assert_array_equal(agent.model.beta, beta)
+
+
+class TestFPGAModelBoundary:
+    def _model(self, rng):
+        model = FPGAAcceleratedOSELM(5, 16, 1, regularization=RegularizationConfig.l2(0.5),
+                                     seed=0)
+        x = rng.uniform(-1, 1, size=(32, 5))
+        return model.init_train(x, rng.uniform(-1, 1, size=(32, 1))), x
+
+    def test_before_init_train_raises_not_fitted(self, rng):
+        model = FPGAAcceleratedOSELM(5, 16, 1, seed=0)
+        with pytest.raises(NotFittedError):
+            model.predict(np.zeros(5))
+        with pytest.raises(NotFittedError):
+            model.partial_fit(np.zeros((1, 5)), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_predict_and_partial_fit_reject_non_finite(self, rng, bad):
+        model, x = self._model(rng)
+        row = x[0].copy()
+        row[2] = bad
+        for call in (lambda: model.predict(row),
+                     lambda: model.predict(np.stack([x[1], row])),
+                     lambda: model.partial_fit(row.reshape(1, -1), np.zeros((1, 1))),
+                     lambda: model.partial_fit(x[:1], np.full((1, 1), bad))):
+            with pytest.raises(ValueError):
+                call()
+        assert model.modelled_time.counts.get("predict_seq", 0) == 0
+        assert model.modelled_time.counts.get("seq_train", 0) == 0
+
+    def test_wrong_width_raises_shape_error(self, rng):
+        model, x = self._model(rng)
+        with pytest.raises(ShapeError):
+            model.predict(np.zeros(4))
+        with pytest.raises(ShapeError):
+            model.partial_fit(np.zeros((1, 6)), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_q_function_update_rejects_non_finite_target_before_the_core(self, rng, bad):
+        """The fixed-point core writes P before it quantizes the residual, so
+        a bad target must be stopped before the core sees it."""
+        agent = make_design("FPGA", n_hidden=16, seed=0)
+        _fill_buffer(agent, rng)
+        core = agent.model.core
+        p_words = core.p.to_float().copy()
+        with pytest.raises(ValueError):
+            agent.q_online.update(_with_bad(0.0), 0, bad)
+        np.testing.assert_array_equal(core.p.to_float(), p_words)
+        assert core.seq_train_invocations == agent.breakdown.counts.get("seq_train", 0)
+
+    def test_public_calls_run_on_the_fixed_point_core(self, rng):
+        model, x = self._model(rng)
+        out = model.predict(x[:3])
+        assert out.shape == (3, 1)
+        assert model.predict(x[0]).shape == (1,)
+        model.partial_fit(x[3:5], np.zeros((2, 1)))
+        assert model.core.predict_invocations == 4
+        assert model.core.seq_train_invocations == 2
+        assert model.modelled_time.counts["predict_seq"] == 4
+        assert model.modelled_time.counts["seq_train"] == 2
+        np.testing.assert_array_equal(model.beta, model.core.beta.to_float())
 
 
 class TestDQNAgent:

@@ -217,3 +217,82 @@ class TestOSELM:
             model.seq_train_step(x_new[i], float(y_new[i, 0]))
         error_new = float(np.mean((model.predict(x_new[:50]) - y_new[:50]) ** 2))
         assert error_new < 0.05
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _poisoned(array, value):
+    bad = np.array(array, dtype=float)
+    bad.flat[0] = value
+    return bad
+
+
+class TestBoundaryContract:
+    """Public entry points validate once; the row hooks behind them trust."""
+
+    def _oselm(self, rng, n_hidden=8):
+        x, y = _make_data(rng, n=40)
+        return OSELM(4, n_hidden, 1, regularization=RegularizationConfig.l2(0.5),
+                     seed=2).init_train(x, y), x, y
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_elm_entry_points_reject_non_finite(self, rng, bad):
+        x, y = _make_data(rng, n=30)
+        model = ELM(4, 8, 1, seed=0).fit(x, y)
+        with pytest.raises(ValueError):
+            model.predict(_poisoned(x[:3], bad))
+        with pytest.raises(ValueError):
+            model.predict(_poisoned(x[0], bad))
+        with pytest.raises(ValueError):
+            model.hidden(_poisoned(x[:3], bad))
+        with pytest.raises(ValueError):
+            model.fit(_poisoned(x, bad), y)
+        with pytest.raises(ValueError):
+            model.fit(x, _poisoned(y, bad))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_oselm_entry_points_reject_non_finite(self, rng, bad):
+        model, x, y = self._oselm(rng)
+        beta, p = model.beta.copy(), model.p_matrix.copy()
+        with pytest.raises(ValueError):
+            OSELM(4, 8, 1, seed=2).init_train(_poisoned(x, bad), y)
+        with pytest.raises(ValueError):
+            OSELM(4, 8, 1, seed=2).init_train(x, _poisoned(y, bad))
+        with pytest.raises(ValueError):
+            model.partial_fit(_poisoned(x[:2], bad), y[:2])
+        with pytest.raises(ValueError):
+            model.partial_fit(x[:2], _poisoned(y[:2], bad))
+        with pytest.raises(ValueError):
+            model.seq_train_step(_poisoned(x[0], bad), 0.5)
+        with pytest.raises(ValueError):
+            model.seq_train_step(x[0], bad)
+        # A rejected call leaves the recursive state untouched.
+        np.testing.assert_array_equal(model.beta, beta)
+        np.testing.assert_array_equal(model.p_matrix, p)
+        assert model.n_sequential_updates == 0
+
+    def test_wrong_width_raises_shape_error(self, rng):
+        model, x, y = self._oselm(rng)
+        for call in (lambda: model.predict(np.zeros((2, 5))),
+                     lambda: model.hidden(np.zeros(3)),
+                     lambda: model.fit(np.zeros((10, 5)), np.zeros((10, 1))),
+                     lambda: model.partial_fit(np.zeros((1, 5)), np.zeros((1, 1))),
+                     lambda: model.partial_fit(np.zeros((1, 4)), np.zeros((1, 2))),
+                     lambda: model.seq_train_step(np.zeros(6), 0.0)):
+            with pytest.raises(ShapeError):
+                call()
+
+    @pytest.mark.parametrize("where", ["p", "beta"])
+    def test_corrupted_state_raises_on_next_update(self, rng, where):
+        model, x, y = self._oselm(rng)
+        getattr(model._recursive, where)[0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            model.seq_train_step(x[0], float(y[0, 0]))
+        assert model.n_sequential_updates == 0
+
+    def test_non_positive_denominator_is_a_linalg_error(self, rng):
+        model, x, y = self._oselm(rng)
+        model._recursive.p = -10.0 * np.eye(8)
+        with pytest.raises(np.linalg.LinAlgError):
+            model.seq_train_step(x[0], float(y[0, 0]))

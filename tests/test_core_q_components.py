@@ -16,7 +16,7 @@ from repro.core.policies import EpsilonGreedyPolicy, RandomUpdateGate
 from repro.core.qfunction import QFunction, encode_state_action, state_action_input_size
 from repro.core.regularization import RegularizationConfig, lipschitz_bound
 from repro.core.replay import InitialTrainingBuffer, Transition
-from repro.utils.exceptions import NotFittedError
+from repro.utils.exceptions import NotFittedError, ShapeError
 
 
 class TestClipping:
@@ -163,6 +163,11 @@ class TestEncodingAndQFunction:
         with pytest.raises(NotFittedError):
             qf.update(np.zeros(4), 0, 0.5)
 
+    def test_update_before_initial_training_raises(self):
+        qf = QFunction(OSELM(5, 8, 1, seed=0), 4, 2)
+        with pytest.raises(NotFittedError):
+            qf.update(np.zeros(4), 0, 0.5)
+
 
 class TestBatchedPrediction:
     """Regression tests for the 1-D/2-D shape contract of the batched paths."""
@@ -243,6 +248,58 @@ class TestBatchedPrediction:
         qf = self._fitted_qfunction(rng)
         with pytest.raises(ValueError):
             qf.encode_batch(np.zeros((3, 4)), [0, 1])
+
+
+class TestQFunctionBoundary:
+    """The Q-function checks the caller's state and target once, then trusts."""
+
+    @staticmethod
+    def _fitted():
+        data = np.random.default_rng(7)
+        qf = QFunction(OSELM(5, 16, 1, seed=3), n_states=4, n_actions=2)
+        qf.fit_batch(data.uniform(-1, 1, size=(16, 4)), data.integers(0, 2, size=16),
+                     data.uniform(-1, 1, size=16))
+        return qf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_raise_value_error(self, bad):
+        qf = self._fitted()
+        state = np.array([0.1, bad, -0.2, 0.0])
+        batch = np.zeros((3, 4))
+        batch[2, 3] = bad
+        beta, p = qf.model.beta.copy(), qf.model.p_matrix.copy()
+        for call in (lambda: qf.q_values(state),
+                     lambda: qf.q_values(batch),
+                     lambda: qf.predict(state, 1),
+                     lambda: qf.update(state, 1, 0.5),
+                     lambda: qf.update(np.zeros(4), 1, bad)):
+            with pytest.raises(ValueError):
+                call()
+        np.testing.assert_array_equal(qf.model.beta, beta)
+        np.testing.assert_array_equal(qf.model.p_matrix, p)
+
+    def test_untrained_q_values_still_reject_non_finite_states(self):
+        qf = QFunction(OSELM(5, 8, 1, seed=0), 4, 2)
+        with pytest.raises(ValueError):
+            qf.q_values(np.array([np.nan, 0.0, 0.0, 0.0]))
+
+    def test_wrong_width_raises_shape_error(self):
+        qf = self._fitted()
+        for call in (lambda: qf.q_values(np.zeros(5)),
+                     lambda: qf.q_values(np.zeros((2, 3))),
+                     lambda: qf.predict(np.zeros(3), 0),
+                     lambda: qf.update(np.zeros(5), 0, 0.5)):
+            with pytest.raises(ShapeError):
+                call()
+
+    @pytest.mark.parametrize("one_hot", [False, True])
+    def test_all_action_rows_equal_per_action_encoding(self, rng, one_hot):
+        n_inputs = 4 + (3 if one_hot else 1)
+        qf = QFunction(OSELM(n_inputs, 8, 1, seed=0), 4, 3, one_hot_actions=one_hot)
+        state = rng.uniform(-1, 1, size=4)
+        per_action = np.stack([qf.encode(state, a) for a in range(3)])
+        np.testing.assert_array_equal(qf.encode_all_actions(state)[0], per_action)
+        np.testing.assert_array_equal(qf.encode_batch(state, [2])[0], qf.encode(state, 2))
 
 
 class TestInitialTrainingBuffer:

@@ -126,6 +126,12 @@ class TestFPGAPathIntegration:
         assert modelled.counts.get("seq_train", 0) > 0
         assert modelled.counts.get("predict_seq", 0) > 0
         assert modelled.seconds.get("init_train", 0.0) > 0.0
+        # The agent's greedy sweeps and updates reach the fixed-point core
+        # (through the model's row hooks), never the float network behind it.
+        core = agent.model.core
+        assert modelled.counts["predict_seq"] == core.predict_invocations
+        assert modelled.counts["seq_train"] == core.seq_train_invocations
+        assert core.seq_train_invocations == agent.breakdown.counts["seq_train"]
 
     def test_fpga_and_software_agree_functionally(self):
         """With identical seeds the FPGA (fixed-point) agent's Q-values stay close to

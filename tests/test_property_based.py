@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.clipping import q_learning_target, shaped_cartpole_reward
+from repro.core.elm import ELM
 from repro.core.os_elm import OSELM
+from repro.core.qfunction import QFunction
 from repro.core.regularization import RegularizationConfig
 from repro.distributed import protocol
+from repro.fpga.accelerator import FPGAAcceleratedOSELM
 from repro.fixedpoint.qformat import Q20, QFormat
 from repro.linalg.incremental import sherman_morrison_update
 from repro.linalg.spectral import spectral_norm, spectral_normalize
@@ -135,6 +138,50 @@ class TestRecursiveUpdateProperties:
         h = model.hidden(x)
         expected = np.linalg.solve(h.T @ h + 0.7 * np.eye(n_hidden), h.T @ y)
         np.testing.assert_allclose(model.beta, expected, atol=1e-6)
+
+
+_MODELS = {"ELM": ELM, "OS-ELM": OSELM, "FPGA": FPGAAcceleratedOSELM}
+
+states_4 = hnp.arrays(np.float64, 4, elements=st.floats(min_value=-3.0, max_value=3.0,
+                                                        allow_nan=False, allow_infinity=False))
+
+
+def _fitted_qfunction(kind, seed):
+    """A trained Q-function over a fresh model of ``kind`` (5 inputs, 16 hidden)."""
+    rng = np.random.default_rng(seed)
+    model = _MODELS[kind](5, 16, 1, regularization=RegularizationConfig.l2(0.5), seed=seed)
+    qf = QFunction(model, n_states=4, n_actions=2)
+    qf.fit_batch(rng.uniform(-1, 1, size=(24, 4)), rng.integers(0, 2, size=24),
+                 rng.uniform(-1, 1, size=24))
+    return qf
+
+
+class TestTrustedPathEqualsPublicPath:
+    """The Q-function's trusted row path and the models' validating public
+    methods compute the same bits."""
+
+    @_SETTINGS
+    @given(kind=st.sampled_from(sorted(_MODELS)), seed=st.integers(0, 200),
+           states=st.lists(states_4, min_size=1, max_size=4))
+    def test_q_values_equal_model_predict(self, kind, seed, states):
+        qf = _fitted_qfunction(kind, seed)
+        for state in states:
+            expected = qf.model.predict(qf.encode_all_actions(state)[0]).reshape(-1)
+            np.testing.assert_array_equal(qf.q_values(state), expected)
+        batch = np.stack(states)
+        expected = qf.model.predict(qf.encode_all_actions(batch).reshape(-1, 5))
+        np.testing.assert_array_equal(qf.q_values(batch), expected.reshape(len(states), 2))
+
+    @_SETTINGS
+    @given(kind=st.sampled_from(["OS-ELM", "FPGA"]), seed=st.integers(0, 200),
+           state=states_4, action=st.integers(0, 1),
+           target=st.floats(min_value=-1.0, max_value=1.0))
+    def test_update_equals_partial_fit(self, kind, seed, state, action, target):
+        trusted, public = _fitted_qfunction(kind, seed), _fitted_qfunction(kind, seed)
+        trusted.update(state, action, target)
+        public.model.partial_fit(public.encode(state, action)[None, :], [[target]])
+        np.testing.assert_array_equal(trusted.model.beta, public.model.beta)
+        np.testing.assert_array_equal(trusted.model.p_matrix, public.model.p_matrix)
 
 
 class TestMetricProperties:

@@ -9,6 +9,7 @@ DQN and the fixed-point FPGA configuration.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.training import (
     Trainer,
     TrainingConfig,
 )
+from repro.utils import validation
 
 PINS = json.loads((Path(__file__).parent / "data" / "pinned_curves.json")
                   .read_text(encoding="utf-8"))
@@ -129,3 +131,33 @@ class TestAgentProtocolConformance:
         agent = make_design(design, n_hidden=8, seed=0)
         assert isinstance(agent, AgentProtocol)
         assert isinstance(agent, BatchableAgentProtocol)
+
+
+class TestSerialHotPathValidation:
+    """The serial inner loop trusts the rows it builds: input validation
+    (``ensure_2d``/``check_array``) runs at the API boundary, not per step."""
+
+    def test_validation_calls_per_env_step_stay_near_zero(self, monkeypatch):
+        calls = []
+
+        def counted(function):
+            def wrapper(*args, **kwargs):
+                calls.append(function.__name__)
+                return function(*args, **kwargs)
+            return wrapper
+
+        # The same module scan the benchmark's traced run counts with: every
+        # repro module that imported the helpers, not the helpers' own module.
+        for name, module in sorted(sys.modules.items()):
+            if not name.startswith("repro.") or name == "repro.utils.validation":
+                continue
+            for function in (validation.ensure_2d, validation.check_array):
+                if getattr(module, function.__name__, None) is function:
+                    monkeypatch.setattr(module, function.__name__, counted(function))
+        agent = make_design("OS-ELM-L2-Lipschitz", n_hidden=64, seed=3)
+        config = TrainingConfig(env_id="CartPole-v0", max_episodes=30,
+                                stop_when_solved=False, seed=3)
+        result = Trainer().fit(agent, config=config, n_hidden=64)
+        steps = sum(record.steps for record in result.curve.records)
+        assert agent.initial_training_done and steps > 64
+        assert len(calls) / steps < 0.05, f"{len(calls)} validation calls in {steps} steps"
