@@ -11,7 +11,7 @@ Subcommands
     ``--checkpoint-every N`` (serial backend) additionally persists
     mid-trial training state so a killed run resumes *inside* a trial;
     ``--progress-every N`` streams per-trial progress to stderr;
-    ``--lease-batch K`` batches distributed task leases;
+    ``--lease-batch K`` sets the distributed lease size;
     ``--journal PATH`` (distributed backend) write-ahead logs broker
     queue transitions so a killed broker restarted with the same flag
     resumes the sweep instead of rerunning it.
@@ -23,7 +23,7 @@ Subcommands
 ``repro worker --connect HOST:PORT [--store DIR]``
     Join a distributed sweep as a worker: pull tasks from the broker that
     ``repro run --backend distributed --bind HOST:PORT`` published, train
-    them through the serial code path, and stream results back.  A lost
+    each lease lock-step, and stream results back.  A lost
     broker connection reconnects with capped exponential backoff
     (``--reconnect-attempts``/``--reconnect-base-delay``/
     ``--reconnect-max-delay``/``--reconnect-deadline``; ``--no-reconnect``
@@ -460,10 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "a killed broker with the same path to resume "
                              "the sweep (completed trials stay done, "
                              "in-flight leases are requeued)")
-    runner.add_argument("--lease-batch", type=int, default=1, metavar="K",
-                        help="distributed backend: tasks leased per worker "
-                             "request (amortizes connection latency; "
-                             "default 1)")
+    runner.add_argument("--lease-batch", type=int, default=None, metavar="K",
+                        help="distributed backend: tasks per worker lease, "
+                             "trained lock-step (default: each local "
+                             "worker's share of the grid, else 1)")
     runner.add_argument("--progress-every", type=int, default=0, metavar="N",
                         help="stream per-trial training progress to stderr "
                              "every N episodes (serial/vectorized backends; "

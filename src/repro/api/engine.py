@@ -106,7 +106,7 @@ def run(spec_or_name: Union[str, ExperimentSpec], *, backend: str = "auto",
         store: Optional[ArtifactStore] = None, resume: bool = True,
         cache_only: bool = False, max_workers: Optional[int] = None,
         bind: Optional[str] = None, checkpoint_every: int = 0,
-        lease_batch: int = 1, progress_every: int = 0,
+        lease_batch: Optional[int] = None, progress_every: int = 0,
         save_policy: bool = False, autoscale=None,
         journal: Optional[str] = None) -> RunReport:
     """Execute an experiment spec (or registered name) and return its report.
@@ -150,8 +150,8 @@ def run(spec_or_name: Union[str, ExperimentSpec], *, backend: str = "auto",
         N episodes so an interrupted run resumes *inside* a trial
         (bit-for-bit).  0 disables.
     lease_batch:
-        Distributed backend: tasks leased per worker request (k-task
-        batching; default 1 is the classic protocol).
+        Distributed backend: tasks per worker lease, trained lock-step;
+        ``None`` derives it (see :func:`repro.distributed.run_distributed_sweep`).
     progress_every:
         Serial/vectorized backends: stream per-trial progress to stderr
         every N episodes.  0 disables.

@@ -6,15 +6,16 @@ The distributed backend turns one sweep grid into a TCP work queue:
   with lease/heartbeat fault tolerance, exactly-once result collection and
   per-trial :class:`~repro.api.store.ArtifactStore` checkpointing;
 * :func:`run_worker` — the ``python -m repro worker --connect HOST:PORT``
-  loop pulling tasks through the serial trainer code path;
+  loop training each lease through
+  :func:`~repro.parallel.sweep.execute_tasks`;
 * :func:`run_distributed_sweep` — the coordinator behind
   ``SweepRunner(backend="distributed")`` / ``repro run --backend
   distributed --workers N``, auto-spawning a local fleet when no external
   address is involved.
 
-Every trial is executed by exactly one ``Trainer.fit`` call somewhere in
-the fleet, so distributed results replay serial results bit-for-bit on
-fixed seeds — the backend-equivalence CI job enforces this.
+Each lease trains lock-step, which replays ``Trainer.fit`` bit-for-bit,
+so distributed results replay serial results on fixed seeds — the
+backend-equivalence CI job enforces this.
 """
 
 from repro.distributed.broker import SweepBroker
@@ -36,7 +37,6 @@ from repro.distributed.worker import (
     DISTRIBUTED_BACKEND,
     WorkerOptions,
     default_worker_id,
-    execute_task,
     run_worker,
 )
 
@@ -51,7 +51,6 @@ __all__ = [
     "WorkerOptions",
     "count_deliveries",
     "default_worker_id",
-    "execute_task",
     "parse_address",
     "run_distributed_sweep",
     "run_preflight",

@@ -1,26 +1,25 @@
 """The worker side of the distributed sweep backend.
 
 ``run_worker`` is what ``python -m repro worker --connect HOST:PORT``
-executes: connect to a :class:`~repro.distributed.broker.SweepBroker`, pull
-:class:`~repro.parallel.sweep.SweepTask`s one at a time, run each through
-the *exact* serial trainer code path
-(:func:`repro.parallel.sweep._run_sweep_task` -> ``Trainer.fit``), and
-stream the :class:`~repro.training.records.TrainingResult` back.  Because the
-computation per task is identical to the serial backend, a distributed
-sweep replays a serial sweep bit-for-bit on fixed seeds — the worker adds
-transport, never arithmetic.
+executes: connect to a :class:`~repro.distributed.broker.SweepBroker`, lease
+:class:`~repro.parallel.sweep.SweepTask`s, train each lease lock-step
+through :func:`repro.parallel.sweep.execute_tasks` (the executor of the
+vectorized and process backends too), and stream each
+:class:`~repro.training.records.TrainingResult` back.  Lock-step replays
+the serial trainer bit-for-bit, so a distributed sweep replays a serial
+sweep on fixed seeds — the worker adds transport, never arithmetic.
 
-While a trial is training, a daemon thread sends ``HEARTBEAT`` frames so
-the broker keeps the lease alive through arbitrarily long trials; if this
-process dies instead, the dropped connection (or, for a hang, the lease
-timeout) makes the broker requeue the task for another worker.
+While a lease trains, a daemon thread sends ``HEARTBEAT`` frames so the
+broker keeps all of its tasks leased through arbitrarily long trials; if
+this process dies instead, the dropped connection (or, for a hang, the
+lease timeout) makes the broker requeue them for another worker.
 
 Graceful retirement (1.7+): the worker installs SIGTERM/SIGINT handlers
 (main thread only) that request a *drain* instead of killing the process —
 the in-flight lease batch finishes, every result is delivered and acked,
 the broker is told ``DRAIN`` (when it negotiated the capability), and only
 then does the loop exit.  A second signal skips the grace and dies
-immediately (the broker's lease requeue covers the abandoned task).  The
+immediately (the broker's lease requeue covers the abandoned tasks).  The
 broker can also retire the worker from its side: a ``DRAIN`` reply to
 ``GET`` — negotiated through the ``WELCOME`` capability dict, so pre-1.7
 brokers never send one and pre-1.7 workers never see one — makes the loop
@@ -32,19 +31,20 @@ Reconnect (1.8+): with ``WorkerOptions(reconnect=RetryPolicy(...))`` a
 lost broker connection no longer ends the worker — it backs off on the
 policy's deterministic schedule, reconnects, sends ``HELLO`` again under the
 *same* worker id (so broker accounting reconciles the gap as a
-reconnection, not a new worker), redelivers any result it computed during
-the outage (the broker's dedup absorbs the copy if the original landed),
-and resumes pulling tasks.  A result lost mid-``RESULT`` is therefore
-never lost twice: either the broker journaled/acked it, or the requeued
-lease is retrained — both converge on the same bits.  Without a policy
-(the default, and what the coordinator's auto-spawned fleets use) the
-pre-1.8 behaviour is unchanged: broker gone means the worker's job is
-done.
+reconnection, not a new worker), redelivers every trained result the cut
+stranded — the whole rest of a lease, not only the one in flight (the
+broker's dedup absorbs a copy whose original landed) — and resumes pulling
+tasks.  A result lost mid-``RESULT`` is therefore never lost twice: either
+the broker journaled/acked it, or the requeued lease is retrained — both
+converge on the same bits.  Without a policy (the default, and what the
+coordinator's auto-spawned fleets use) the pre-1.8 behaviour is unchanged:
+broker gone means the worker's job is done.
 
 Workers may attach their own :class:`~repro.api.store.ArtifactStore`
 (``repro worker --store DIR``).  A store-equipped worker answers tasks it
-has already trained from cache and checkpoints fresh results locally, so a
-worker fleet sharing a filesystem converges even across broker restarts.
+has already trained from cache, trains only the misses and checkpoints
+fresh results locally, so a worker fleet sharing a filesystem converges
+even across broker restarts.
 """
 
 from __future__ import annotations
@@ -56,11 +56,11 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.distributed import protocol
-from repro.parallel.sweep import SweepTask, _run_sweep_task
+from repro.parallel.sweep import SweepTask, execute_tasks
 from repro.training.records import TrainingResult
 from repro.utils.logging import get_logger
 from repro.utils.retry import RetryPolicy
@@ -146,22 +146,6 @@ def _install_drain_handlers(drain: threading.Event,
     return previous
 
 
-def execute_task(task: SweepTask, store=None) -> Tuple[TrainingResult, bool]:
-    """Run one task through the serial trainer; ``(result, was_cached)``.
-
-    With a store attached the trial is answered from cache when present and
-    checkpointed into the store when freshly trained.
-    """
-    if store is not None:
-        cached = store.load_trial(task)
-        if cached is not None:
-            return cached[0], True
-    result = _run_sweep_task(task)
-    if store is not None:
-        store.save_trial(task, result, backend_used=DISTRIBUTED_BACKEND)
-    return result, False
-
-
 class _WorkerState:
     """What survives across one worker's broker connections."""
 
@@ -170,10 +154,10 @@ class _WorkerState:
     def __init__(self) -> None:
         self.completed = 0
         #: Results computed but not yet acked when a connection died:
-        #: ``(task index, result, backend)``.  Flushed first thing after
-        #: every reconnect; the broker's dedup absorbs any copy whose
-        #: original RESULT actually landed before the cut.
-        self.undelivered: List[Tuple[int, TrainingResult, str]] = []
+        #: ``(task index, result)``.  Flushed first thing after every
+        #: reconnect; the broker's dedup absorbs any copy whose original
+        #: RESULT actually landed before the cut.
+        self.undelivered: List[Tuple[int, TrainingResult]] = []
         self.reconnects = 0
 
 
@@ -282,9 +266,9 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
         except (ConnectionError, OSError):
             pass
 
-    def deliver(index: int, result: TrainingResult, backend: str) -> bool:
+    def deliver(index: int, result: TrainingResult) -> bool:
         """RESULT -> ACK for one trial; returns the broker's ``fresh`` flag."""
-        send(protocol.RESULT, (index, result, backend))
+        send(protocol.RESULT, (index, result, DISTRIBUTED_BACKEND))
         kind, fresh = protocol.recv_message(sock)
         if kind != protocol.ACK:
             raise protocol.ProtocolError(f"expected ACK, got {kind!r}")
@@ -304,8 +288,6 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
         # payload be upgraded to a capability dict (an old broker would
         # misread the dict, so the flag gates the whole exchange).
         drain_negotiated = bool(info.get("drain"))
-        get_payload = ({"capacity": LEASE_CAPACITY, "drain": True}
-                       if drain_negotiated else LEASE_CAPACITY)
         _LOGGER.info("worker registered", worker=worker_id,
                      tasks=info.get("tasks"), drain=drain_negotiated)
         # Flush results stranded by a previous outage before asking for new
@@ -314,9 +296,9 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
         # copy) or as a duplicate (someone retrained it first); both bits
         # are identical, so either answer is fine.
         while state.undelivered:
-            index, result, backend = state.undelivered[0]
+            index, result = state.undelivered[0]
             try:
-                deliver(index, result, backend)
+                deliver(index, result)
             except protocol.ProtocolError:
                 raise
             except (ConnectionError, OSError):
@@ -331,8 +313,12 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
                              worker=worker_id, completed=state.completed)
                 announce_drain(drain_negotiated)
                 return "drain"
+            # The whole lease is delivered before max_tasks is checked again.
+            capacity = (LEASE_CAPACITY if options.max_tasks is None else
+                        min(LEASE_CAPACITY, options.max_tasks - state.completed))
             try:
-                send(protocol.GET, get_payload)
+                send(protocol.GET, {"capacity": capacity, "drain": True}
+                     if drain_negotiated else capacity)
                 kind, payload = protocol.recv_message(sock)
             except protocol.ProtocolError:
                 raise
@@ -355,30 +341,25 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
             if kind == protocol.TASK:
                 batch = [payload]
             elif kind == protocol.TASKS:
-                # lease_batch > 1 broker: up to k independent leases per
-                # request; executed sequentially, one RESULT/ACK pair each,
-                # so per-task requeue/dedup semantics are unchanged.
                 batch = list(payload)
             else:
                 raise protocol.ProtocolError(f"expected TASK/TASKS/WAIT/SHUTDOWN, "
                                              f"got {kind!r}")
-            for index, task in batch:
-                result, was_cached = _execute_with_heartbeat(
-                    task, store, send, options.heartbeat_interval)
+            # One RESULT/ACK pair per trial keeps per-task requeue and dedup.
+            outcomes = _train_lease(batch, store, send, options.heartbeat_interval)
+            for done, (index, result, was_cached) in enumerate(outcomes):
                 try:
-                    fresh = deliver(index, result, DISTRIBUTED_BACKEND)
+                    fresh = deliver(index, result)
                 except protocol.ProtocolError:
                     raise
                 except (ConnectionError, OSError):
-                    # Result may or may not have landed; the broker requeues
-                    # the lease if it didn't, and dedups the delivery if it
-                    # did.  Stash it for redelivery after a reconnect; the
-                    # rest of the batch is abandoned (the broker requeued
-                    # those leases the moment this connection dropped).
+                    # This result may or may not have landed and the broker
+                    # requeued the rest; all are trained, so stash them for
+                    # redelivery (dedup absorbs any copy that did land).
                     _LOGGER.warning("broker lost mid-result", worker=worker_id,
-                                    task=index)
-                    state.undelivered.append((index, result,
-                                              DISTRIBUTED_BACKEND))
+                                    task=index, stranded=len(outcomes) - done)
+                    state.undelivered.extend(
+                        (index, result) for index, result, _ in outcomes[done:])
                     return "lost"
                 if was_cached:
                     telemetry.count("distributed.worker.cache_hits")
@@ -392,9 +373,21 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
         sock.close()
 
 
-def _execute_with_heartbeat(task: SweepTask, store, send,
-                            interval: float) -> Tuple[TrainingResult, bool]:
-    """Train one task while a daemon thread keeps the broker lease alive."""
+def _train_lease(batch: Sequence[Tuple[int, SweepTask]], store, send,
+                 interval: float) -> List[Tuple[int, TrainingResult, bool]]:
+    """Train one lease; ``(task index, result, was_cached)`` in lease order.
+
+    Store-cached trials are answered from the store; the misses train in
+    one :func:`~repro.parallel.sweep.execute_tasks` call while a daemon
+    thread heartbeats every lease of the batch alive, and each fresh result
+    is checkpointed into the store.
+    """
+    outcomes = {}
+    for index, task in batch:
+        cached = store.load_trial(task) if store is not None else None
+        if cached is not None:
+            outcomes[index] = (cached[0], True)
+    misses = [(index, task) for index, task in batch if index not in outcomes]
     stop = threading.Event()
 
     def beat() -> None:
@@ -407,12 +400,18 @@ def _execute_with_heartbeat(task: SweepTask, store, send,
     thread = threading.Thread(target=beat, name="worker-heartbeat", daemon=True)
     thread.start()
     try:
-        with telemetry.span("worker.task"):
-            return execute_task(task, store)
+        with telemetry.span("worker.lease"):
+            for position, result, _agent in execute_tasks(
+                    [task for _index, task in misses]):
+                index, task = misses[position]
+                if store is not None:
+                    store.save_trial(task, result, backend_used=DISTRIBUTED_BACKEND)
+                outcomes[index] = (result, False)
     finally:
         stop.set()
         thread.join(timeout=1.0)
+    return [(index, *outcomes[index]) for index, _task in batch]
 
 
 __all__ = ["DISTRIBUTED_BACKEND", "LEASE_CAPACITY", "WorkerOptions",
-           "default_worker_id", "execute_task", "run_worker"]
+           "default_worker_id", "run_worker"]

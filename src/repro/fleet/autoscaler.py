@@ -21,8 +21,8 @@ telemetry disabled so the CLI summary line and the CI assertions never
 depend on the telemetry switch.
 
 Determinism note: the autoscaler changes *when and where* tasks run,
-never *what* runs — workers execute the unchanged serial trainer path —
-so a sweep's results are byte-identical under any scaling schedule.
+never *what* runs — a trial replays serial bit-for-bit in any lease — so
+a sweep's results are byte-identical under any scaling schedule.
 """
 
 from __future__ import annotations

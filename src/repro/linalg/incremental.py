@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
 
 from repro.telemetry.tracing import span
 from repro.utils.exceptions import ShapeError
@@ -46,10 +45,12 @@ def _woodbury(p: np.ndarray, h_chunk: np.ndarray) -> np.ndarray:
     with span("linalg.woodbury"):
         ph_t = p @ h_chunk.T                          # (N, k)
         inner = np.eye(k) + h_chunk @ ph_t            # (k, k)
+        import scipy.linalg
+
         try:
             cho = scipy.linalg.cho_factor(inner)
             solved = scipy.linalg.cho_solve(cho, ph_t.T)   # (k, N)
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             solved = np.linalg.solve(inner, ph_t.T)
         return p - ph_t @ solved
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from repro.utils.validation import check_positive, ensure_2d
 
@@ -32,6 +31,8 @@ def pinv(matrix: np.ndarray, *, rcond: float = 1e-12, method: str = "svd") -> np
         ``"svd"`` (default, robust for rank-deficient input) or ``"qr"``
         (valid for full-column-rank input).
     """
+    import scipy.linalg
+
     matrix = ensure_2d(matrix, name="matrix")
     if method == "svd":
         u, s, vt = scipy.linalg.svd(matrix, full_matrices=False)
@@ -66,10 +67,12 @@ def regularized_gram_inverse(h: np.ndarray, delta: float = 0.0,
     gram = h.T @ h
     if delta > 0:
         gram = gram + delta * np.eye(n_hidden)
+    import scipy.linalg
+
     try:
         cho = scipy.linalg.cho_factor(gram, check_finite=not assume_finite)
         return scipy.linalg.cho_solve(cho, np.eye(n_hidden), check_finite=not assume_finite)
-    except (scipy.linalg.LinAlgError, ValueError):
+    except (np.linalg.LinAlgError, ValueError):
         return pinv(gram)
 
 
@@ -94,6 +97,8 @@ def ridge_solve(h: np.ndarray, t: np.ndarray, delta: float = 0.0,
 
 def condition_number(matrix: np.ndarray) -> float:
     """2-norm condition number (ratio of extreme singular values)."""
+    import scipy.linalg
+
     matrix = ensure_2d(matrix, name="matrix")
     s = scipy.linalg.svdvals(matrix)
     if s.size == 0 or s[-1] == 0:
@@ -103,6 +108,8 @@ def condition_number(matrix: np.ndarray) -> float:
 
 def effective_rank(matrix: np.ndarray, rcond: float = 1e-12) -> int:
     """Numerical rank: number of singular values above ``rcond * s_max``."""
+    import scipy.linalg
+
     matrix = ensure_2d(matrix, name="matrix")
     s = scipy.linalg.svdvals(matrix)
     if s.size == 0:
@@ -123,6 +130,8 @@ def ridge_path(h: np.ndarray, t: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     check_positive(deltas.size, name="len(deltas)")
     betas = np.empty((deltas.size, h.shape[1], t.shape[1]))
     # A single SVD serves every delta: beta(delta) = V diag(s/(s^2+delta)) U^T T.
+    import scipy.linalg
+
     u, s, vt = scipy.linalg.svd(h, full_matrices=False)
     ut_t = u.T @ t
     for i, delta in enumerate(deltas):

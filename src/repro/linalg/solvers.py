@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from repro.utils.validation import ensure_2d
 
@@ -18,10 +17,12 @@ def solve_posdef(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
+    import scipy.linalg
+
     try:
         cho = scipy.linalg.cho_factor(a)
         return scipy.linalg.cho_solve(cho, b)
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         return scipy.linalg.solve(a, b)
 
 
@@ -49,6 +50,8 @@ def solve_small_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise np.linalg.LinAlgError("singular 2x2 system")
         inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
         return inv @ b
+    import scipy.linalg
+
     return scipy.linalg.solve(a, b)
 
 
@@ -66,10 +69,12 @@ def is_positive_definite(a: np.ndarray) -> bool:
     a = ensure_2d(a, name="A")
     if a.shape[0] != a.shape[1] or not is_symmetric(a, tol=1e-8):
         return False
+    import scipy.linalg
+
     try:
         scipy.linalg.cholesky(a)
         return True
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         return False
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from repro.utils.validation import ensure_2d
 
@@ -30,6 +29,8 @@ def spectral_norm(matrix: np.ndarray, *, method: str = "svd",
     if matrix.size == 0:
         return 0.0
     if method == "svd":
+        import scipy.linalg
+
         return float(scipy.linalg.svdvals(matrix)[0])
     if method == "power":
         sigma, _, _ = power_iteration(matrix, n_iterations=n_iterations, tol=tol, rng=rng)
@@ -96,6 +97,8 @@ def spectral_normalize(matrix: np.ndarray, *, target: float = 1.0, method: str =
 def dominant_singular_vectors(matrix: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
     """Exact dominant singular triple via full SVD (used by Equation 12's analysis)."""
     matrix = ensure_2d(matrix, name="matrix")
+    import scipy.linalg
+
     u, s, vt = scipy.linalg.svd(matrix, full_matrices=False)
     if s.size == 0:
         return 0.0, np.zeros(matrix.shape[0]), np.zeros(matrix.shape[1])

@@ -12,10 +12,10 @@ and determinism guarantees):
 * **Sweep orchestration** — :class:`SweepRunner` fans a
   (design x env x seed) :class:`SweepSpec` grid across the vectorized,
   process-pool, serial or distributed (:mod:`repro.distributed`) backend
-  and aggregates the streamed results into a :class:`SweepResult`.  The
-  vectorized backend trains each batch through
-  :meth:`repro.training.Trainer.fit_lockstep` (the single-core throughput
-  path).
+  and aggregates the streamed results into a :class:`SweepResult`.  Every
+  backend but serial trains through one executor,
+  :func:`~repro.parallel.sweep.execute_tasks`: one
+  :meth:`repro.training.Trainer.fit_lockstep` per group of compatible trials.
 """
 
 from repro.parallel.async_env import AsyncVectorEnv, pipelined_rollout

@@ -4,37 +4,37 @@
 :class:`SweepSpec` into one :class:`SweepTask` per (design, env_id, trial)
 cell, derives every task's seed from the sweep's root seed with
 :func:`~repro.utils.seeding.spawn_seeds` (reproducible, pairwise
-non-overlapping), executes the grid on one of three interchangeable
+non-overlapping), executes the grid on one of four interchangeable
 backends, and aggregates the streamed
 :class:`~repro.training.records.TrainingResult`s into a :class:`SweepResult`.
 
 Backends
 --------
+Every backend but ``"serial"`` trains through :func:`execute_tasks`, which
+runs one :meth:`repro.training.Trainer.fit_lockstep` per group of
+compatible tasks; lock-step replays serial ``Trainer.fit`` bit-for-bit, so
+the backends differ only in which tasks share a call.
+
 ``"vectorized"``
-    Lock-step through :meth:`repro.training.Trainer.fit_lockstep`.
-    Compatible trials (same lock-step-capable design, env and hidden size)
-    train through the batched strategy — stacked agent math plus the
-    vectorized environment, the winner whenever trials outnumber cores.
-    Every other design (DQN, FPGA, the unregularized OS-ELM variants — see
-    :func:`~repro.training.strategies.supports_lockstep`) trains lock-step
-    too, through the generic per-agent strategy (vectorized env stepping,
-    per-agent math), so the whole grid advances in lock-step batches.
+    The whole grid in one ``execute_tasks`` call in this process: the
+    batched strategy (stacked agent math plus the vectorized environment)
+    for lock-step-capable designs, the generic per-agent strategy for DQN,
+    FPGA and the unregularized OS-ELM variants (see
+    :func:`~repro.training.strategies.supports_lockstep`).  The winner
+    whenever trials outnumber cores.
 ``"process"``
-    One serial :meth:`~repro.training.Trainer.fit` call per worker process
-    via :func:`~repro.parallel.pool.parallel_map`.  Scales with physical
-    cores and handles every design; per-task results are bit-identical to
-    serial.
+    One :func:`~repro.parallel.pool.parallel_map` job per worker process,
+    each running ``execute_tasks`` over a round-robin chunk of the grid.
 ``"serial"``
-    The plain loop, for debugging and baselines.  The only backend that
-    supports *mid-trial* checkpoint/resume (``checkpoint_every`` with a
-    ``store``).
+    The plain ``Trainer.fit`` loop: the reference the other backends
+    replay, and the only backend with *mid-trial* checkpoint/resume
+    (``checkpoint_every`` with a ``store``).
 ``"distributed"``
     A TCP worker fleet behind :func:`repro.distributed.run_distributed_sweep`:
-    tasks are served from a broker in this process to local auto-spawned
-    workers (and/or external ``repro worker --connect`` processes), with
-    heartbeat/lease requeue on worker death and optional per-trial
-    artifact-store checkpointing.  Per-task results are bit-identical to
-    serial.
+    a broker in this process leases tasks to local auto-spawned workers
+    (and/or external ``repro worker --connect`` processes), each training
+    its lease through ``execute_tasks``, with heartbeat/lease requeue on
+    worker death and optional per-trial artifact-store checkpointing.
 ``"auto"``
     ``vectorized`` (its fallback already covers non-batchable designs).
 """
@@ -44,14 +44,17 @@ from __future__ import annotations
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.designs import design_spec, make_design
-from repro.parallel.pool import parallel_map
+from repro.parallel.pool import default_max_workers, parallel_map
 from repro.training.config import TrainingConfig
 from repro.training.records import TrainingResult
+from repro.training.strategies import supports_lockstep
+from repro.training.trainer import Trainer
 from repro.utils.logging import get_logger
 from repro.utils.seeding import spawn_seeds
 from repro.utils.tables import format_table
@@ -153,44 +156,51 @@ class SweepSpec:
         return tasks
 
 
-def _train_sweep_task(task: SweepTask, callbacks: Sequence = ()):
-    """Train one task serially; returns ``(result, trained_agent)``.
+def execute_tasks(tasks: Sequence[SweepTask], callbacks: Sequence = ()
+                  ) -> Iterator[Tuple[int, TrainingResult, object]]:
+    """Train ``tasks`` in lock-step groups; yields ``(position, result, agent)``.
 
-    The agent comes back alongside the result so callers that persist
-    deployable policies (``save_policies``) get the final weights without a
-    second training pass.
+    The one task executor of the vectorized and process backends and the
+    distributed worker.  Each agent is built once and grouped on
+    :func:`~repro.training.strategies.supports_lockstep`: batchable trials
+    by (design, env, hidden size), every other design by env, through the
+    generic per-agent strategy.  Each group trains in one fresh
+    :meth:`~repro.training.Trainer.fit_lockstep`, which replays serial
+    ``Trainer.fit`` bit-for-bit, so how tasks are split between calls never
+    changes a result.  Results come group by group; ``position`` indexes
+    ``tasks``.  The trained agent comes along for callers that save policies.
     """
-    from repro.training.trainer import Trainer
-
-    agent = task.make_agent()
-    result = Trainer(callbacks=callbacks).fit(agent, config=task.training,
-                                              n_hidden=task.n_hidden)
-    return result, agent
-
-
-def _run_sweep_task(task: SweepTask, callbacks: Sequence = ()) -> TrainingResult:
-    """Module-level worker so the process backend can pickle it.
-
-    One serial :meth:`~repro.training.Trainer.fit` per task; ``callbacks``
-    (serial backend only — the process backend pickles the bare task) carry
-    progress streaming and mid-trial checkpointing.
-    """
-    result, _ = _train_sweep_task(task, callbacks)
-    return result
+    groups: Dict[tuple, list] = defaultdict(list)
+    for position, task in enumerate(tasks):
+        agent = task.make_agent()
+        cell = (task.design, task.n_hidden) if supports_lockstep(agent) else None
+        # One vector env drives a group, so its trials share frame skip.
+        groups[(task.env_id, task.training.action_repeat, cell)].append(
+            (position, agent))
+    for (_env_id, _repeat, cell), group in groups.items():
+        agents = [agent for _position, agent in group]
+        configs = [tasks[position].training for position, _agent in group]
+        results = Trainer(callbacks=callbacks).fit_lockstep(
+            agents, configs, strategy="generic" if cell is None else "batched")
+        for (position, agent), result in zip(group, results):
+            yield position, result, agent
 
 
-def _run_sweep_task_saving_policy(task: SweepTask, store_root: str) -> TrainingResult:
-    """Process-backend worker that also persists the trained agent.
+def _execute_chunk(chunk: Sequence[SweepTask],
+                   store_root: Optional[str] = None) -> List[TrainingResult]:
+    """Process-backend pool job: ``execute_tasks`` over one chunk, in chunk order.
 
-    Module-level (wrapped in ``functools.partial(store_root=...)``) so the
-    pool can pickle it; each child opens its own store handle on the shared
-    root — :meth:`ArtifactStore.save_policy` writes are atomic.
+    With ``store_root`` the child also saves each trained policy through its
+    own store handle on the shared root (``save_policy`` writes are atomic).
     """
     from repro.api.store import ArtifactStore
 
-    result, agent = _train_sweep_task(task)
-    ArtifactStore(store_root).save_policy(task, agent)
-    return result
+    results: List[Optional[TrainingResult]] = [None] * len(chunk)
+    for position, result, agent in execute_tasks(chunk):
+        if store_root is not None:
+            ArtifactStore(store_root).save_policy(chunk[position], agent)
+        results[position] = result
+    return results
 
 
 @dataclass
@@ -203,9 +213,7 @@ class SweepResult:
     #: Execution path actually taken per entry, aligned with ``entries``:
     #: ``"lockstep"`` (vectorized backend — batched or generic strategy),
     #: ``"process"``, ``"serial"`` or ``"distributed"``.  Makes the sweep
-    #: auditable per trial rather than per aggregate.  (``"serial-fallback"``
-    #: disappeared in 1.4: the generic lock-step strategy now carries the
-    #: designs the batched strategy cannot replay, DQN and FPGA included.)
+    #: auditable per trial rather than per aggregate.
     backends_used: List[str] = field(default_factory=list)
     #: Autoscaled distributed sweeps only: the
     #: :class:`~repro.fleet.FleetReport` of scale/drain events (``None``
@@ -326,8 +334,9 @@ class SweepRunner:
         or ``"distributed"``.
     max_workers:
         Pool size for the process backend, or the number of auto-spawned
-        local workers for the distributed backend; lock-step group size is
-        the number of compatible trials, independent of this.
+        local workers for the distributed backend.  A lock-step group is
+        the compatible trials within one executor call: the whole grid on
+        the vectorized backend, one pool job's chunk, or one worker lease.
     store:
         An :class:`~repro.api.store.ArtifactStore`.  Distributed backend:
         the broker checkpoints every finished trial into it as it arrives.
@@ -347,9 +356,9 @@ class SweepRunner:
         discards any stale snapshot so the trial genuinely retrains;
         checkpoints are still *written* when ``checkpoint_every`` is set.
     lease_batch:
-        Distributed backend: tasks leased per worker ``GET`` (connection-
-        latency amortization on paper-scale grids).  Default 1 preserves
-        the classic one-task-per-request protocol.
+        Distributed backend: tasks per worker lease, trained lock-step
+        through :func:`execute_tasks`.  ``None`` (default) lets
+        :func:`~repro.distributed.run_distributed_sweep` derive it.
     progress_every:
         Serial/vectorized backends: stream per-trial progress to stderr
         every N episodes through a
@@ -385,7 +394,7 @@ class SweepRunner:
                  bind: Optional[str] = None,
                  checkpoint_every: int = 0,
                  resume_trial_state: bool = True,
-                 lease_batch: int = 1,
+                 lease_batch: Optional[int] = None,
                  progress_every: int = 0,
                  save_policies: bool = False,
                  autoscale=None,
@@ -394,7 +403,7 @@ class SweepRunner:
             raise ValueError(f"unknown backend {backend!r}; choose from {self.BACKENDS}")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if lease_batch < 1:
+        if lease_batch is not None and lease_batch < 1:
             raise ValueError("lease_batch must be >= 1")
         if progress_every < 0:
             raise ValueError("progress_every must be >= 0")
@@ -455,25 +464,26 @@ class SweepRunner:
         start = time.perf_counter()
         _LOGGER.info("sweep started", backend=self.backend, tasks=len(tasks))
         if self.backend == "process":
-            def stream(index: int, result: TrainingResult) -> None:
-                if callback is not None:
-                    callback(tasks[index], result)
+            # One pool job per worker over a round-robin chunk of the grid.
+            n = min(self.max_workers or default_max_workers(len(tasks)), len(tasks))
+            job = partial(_execute_chunk, store_root=(
+                str(self.store.root) if self.save_policies else None))
 
-            if self.save_policies:
-                from functools import partial
+            def stream(chunk: int, results: List[TrainingResult]) -> None:
+                for task, result in zip(tasks[chunk::n], results):
+                    if callback is not None:
+                        callback(task, result)
 
-                worker = partial(_run_sweep_task_saving_policy,
-                                 store_root=str(self.store.root))
-            else:
-                worker = _run_sweep_task
-            results = parallel_map(worker, tasks, backend="process",
-                                   max_workers=self.max_workers, callback=stream)
-            for task, result in zip(tasks, results):
-                sweep.add(task, result, backend_used="process")
+            chunks = parallel_map(job, [tasks[i::n] for i in range(n)],
+                                  backend="process", max_workers=n, callback=stream)
+            for position, task in enumerate(tasks):
+                sweep.add(task, chunks[position % n][position // n],
+                          backend_used="process")
         elif self.backend == "serial":
             for task in tasks:
-                result, agent = _train_sweep_task(
-                    task, callbacks=self._serial_callbacks(task))
+                agent = task.make_agent()
+                result = Trainer(callbacks=self._serial_callbacks(task)).fit(
+                    agent, config=task.training, n_hidden=task.n_hidden)
                 if self.save_policies:
                     self.store.save_policy(task, agent)
                 if callback is not None:
@@ -495,7 +505,14 @@ class SweepRunner:
             for task, (result, backend_used) in zip(tasks, pairs):
                 sweep.add(task, result, backend_used=backend_used)
         else:
-            self._run_vectorized(tasks, sweep, callback)
+            for position, result, agent in execute_tasks(
+                    tasks, callbacks=self._progress_callbacks()):
+                task = tasks[position]
+                if self.save_policies:
+                    self.store.save_policy(task, agent)
+                if callback is not None:
+                    callback(task, result)
+                sweep.add(task, result, backend_used="lockstep")
         sweep.wall_time_seconds = time.perf_counter() - start
         _LOGGER.info("sweep finished", backend=self.backend,
                      seconds=round(sweep.wall_time_seconds, 2))
@@ -528,44 +545,3 @@ class SweepRunner:
             callbacks.append(CheckpointCallback(self.store, task,
                                                 every=self.checkpoint_every))
         return callbacks
-
-    # ------------------------------------------------------------------ vectorized
-    def _run_vectorized(self, tasks: Sequence[SweepTask], sweep: SweepResult,
-                        callback: Optional[Callable[[SweepTask, TrainingResult], None]]
-                        ) -> None:
-        """Everything lock-steps: batched strategy groups + generic groups.
-
-        Trials the batched strategy can replay faithfully group by
-        (design, env, hidden size); every other design — DQN, FPGA, the
-        unregularized OS-ELM variants — groups by environment and advances
-        through the generic per-agent strategy, so the whole grid reports
-        ``backend_used="lockstep"``.
-        """
-        from repro.training.strategies import supports_lockstep
-        from repro.training.trainer import Trainer
-
-        # (task, agent) pairs; each agent is built once, grouped on the
-        # predicate the batched strategy itself checks, and then trained.
-        batched: Dict[Tuple[str, str, int], list] = defaultdict(list)
-        generic: Dict[str, list] = defaultdict(list)
-        for task in tasks:
-            agent = task.make_agent()
-            if supports_lockstep(agent):
-                batched[(task.design, task.env_id, task.n_hidden)].append(
-                    (task, agent))
-            else:
-                generic[task.env_id].append((task, agent))
-        plans = [(group, "batched") for group in batched.values()]
-        plans += [(group, "generic") for group in generic.values()]
-        for group, strategy in plans:
-            group_tasks = [task for task, _agent in group]
-            agents = [agent for _task, agent in group]
-            configs = [task.training for task in group_tasks]
-            trainer = Trainer(callbacks=self._progress_callbacks())
-            results = trainer.fit_lockstep(agents, configs, strategy=strategy)
-            for task, agent, result in zip(group_tasks, agents, results):
-                if self.save_policies:
-                    self.store.save_policy(task, agent)
-                if callback is not None:
-                    callback(task, result)
-                sweep.add(task, result, backend_used="lockstep")

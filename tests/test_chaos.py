@@ -254,6 +254,51 @@ def _welcome(info):
     return handler
 
 
+class TestLostLease:
+    def test_every_trained_result_of_a_cut_lease_is_redelivered(
+            self, scripted_peer):
+        """The broker leases 3 tasks and hangs up after the first RESULT;
+        the reconnected worker redelivers the whole trained lease before
+        it asks for new work."""
+        tasks = _tiny_tasks(3)
+        seen = []
+
+        def recv(connection):
+            kind, payload = protocol.recv_message(connection)
+            while kind == protocol.HEARTBEAT:
+                kind, payload = protocol.recv_message(connection)
+            return kind, payload
+
+        def broker(connection):
+            recv(connection)                                 # HELLO
+            protocol.send_message(connection, protocol.WELCOME,
+                                  {"tasks": 3, "drain": True})
+            if not seen:
+                assert recv(connection)[0] == protocol.GET
+                protocol.send_message(connection, protocol.TASKS,
+                                      list(enumerate(tasks)))
+                kind, (index, _result, _backend) = recv(connection)
+                seen.append(("cut", index))
+                return                                       # hang up
+            while True:
+                kind, payload = recv(connection)
+                if kind == protocol.GET:
+                    seen.append(("get", None))
+                    protocol.send_message(connection, protocol.SHUTDOWN)
+                    return
+                seen.append((kind, payload[0]))
+                protocol.send_message(connection, protocol.ACK, True)
+
+        peer = scripted_peer(broker)
+        completed = run_worker(*peer.address, WorkerOptions(
+            worker_id="stranded", handle_signals=False,
+            reconnect=RetryPolicy(max_attempts=3, base_delay=0.0)))
+        assert seen == [("cut", 0), (protocol.RESULT, 0), (protocol.RESULT, 1),
+                        (protocol.RESULT, 2), ("get", None)]
+        assert completed == 3
+        assert peer.connections == 2
+
+
 class TestWorkerHandshake:
     """How ``run_worker`` reacts to a broker that fails the handshake."""
 

@@ -408,10 +408,31 @@ class TestLeaseBatching:
             assert broker.join(timeout=1.0)
             worker.close()
 
+    def test_heartbeat_spans_a_lock_step_lease(self):
+        """A 3-task lease trains as one lock-step group for longer than the
+        lease timeout; the worker's heartbeats keep all three leased."""
+        from repro.distributed.worker import WorkerOptions, run_worker
+
+        spec = SweepSpec(designs=("OS-ELM-L2",), n_seeds=3, n_hidden=64,
+                         training=TrainingConfig(max_episodes=300,
+                                                 stop_when_solved=False),
+                         root_seed=99)
+        with SweepBroker(spec.tasks(), lease_batch=3,
+                         heartbeat_timeout=0.4) as broker:
+            completed = run_worker(*broker.address, WorkerOptions(
+                heartbeat_interval=0.05, handle_signals=False))
+            assert completed == 3
+            assert broker.join(timeout=1.0)
+            results = [result for result, _ in broker.results()]
+            # One group: every trial carries the group's wall time.
+            assert len({result.wall_time_seconds for result in results}) == 1
+            assert results[0].wall_time_seconds > broker.heartbeat_timeout
+            assert broker.requeued_tasks == 0
+
     def test_end_to_end_lease_batched_sweep_matches_serial(self):
         """Real worker fleet pulling k=2 task batches converges to the
-        bit-identical serial outcome (the worker executes each task through
-        the unchanged serial trainer)."""
+        bit-identical serial outcome (the worker trains each lease
+        lock-step, which replays the serial trainer)."""
         import numpy as np
 
         from repro.parallel.sweep import SweepRunner

@@ -19,18 +19,23 @@ from repro.api.cli import main as cli_main
 from repro.distributed import (
     SweepBroker,
     WorkerOptions,
-    execute_task,
     run_distributed_sweep,
     spawn_local_workers,
 )
-from repro.parallel.sweep import SweepRunner, SweepSpec, _run_sweep_task
-from repro.training import TrainingConfig
+from repro.distributed.worker import _train_lease
+from repro.parallel.sweep import SweepRunner, SweepSpec
+from repro.training import Trainer, TrainingConfig
 
 
 def _tiny_sweep(n_seeds=3, max_episodes=20):
     return SweepSpec(designs=("OS-ELM-L2-Lipschitz",), n_seeds=n_seeds,
                      n_hidden=16, training=TrainingConfig(max_episodes=max_episodes),
                      root_seed=321)
+
+
+def _serial_fit(task):
+    return Trainer().fit(task.make_agent(), config=task.training,
+                         n_hidden=task.n_hidden)
 
 
 def _assert_same_trials(reference, sweep):
@@ -65,7 +70,7 @@ class TestDistributedBackend:
         """Terminating a worker mid-run must cost wall time, not results."""
         spec = _tiny_sweep(n_seeds=4, max_episodes=40)
         tasks = spec.tasks()
-        serial = [_run_sweep_task(task) for task in tasks]
+        serial = [_serial_fit(task) for task in tasks]
 
         broker = SweepBroker(tasks, heartbeat_timeout=5.0)
         broker.start()
@@ -164,14 +169,25 @@ class TestEngineAndStore:
         # OS-ELM-L2, the generic per-agent strategy for unregularized OS-ELM.
         assert {r.backend_used for r in report.trials} == {"lockstep"}
 
-    def test_store_equipped_worker_answers_from_cache(self, tmp_path):
+    def test_store_equipped_worker_trains_only_the_misses(self, tmp_path):
         store = ArtifactStore(tmp_path / "worker-store")
-        task = _tiny_sweep(n_seeds=1, max_episodes=4).tasks()[0]
-        fresh, was_cached = execute_task(task, store)
-        assert was_cached is False
-        again, was_cached = execute_task(task, store)
-        assert was_cached is True
-        np.testing.assert_array_equal(fresh.curve.steps, again.curve.steps)
+        tasks = _tiny_sweep(n_seeds=2, max_episodes=4).tasks()
+
+        def no_heartbeat(*frame):
+            raise AssertionError("a 60 s heartbeat fired during a tiny lease")
+
+        [(index, fresh, was_cached)] = _train_lease([(0, tasks[0])], store,
+                                                    no_heartbeat, 60.0)
+        assert (index, was_cached) == (0, False)
+        outcomes = _train_lease([(0, tasks[0]), (1, tasks[1])], store,
+                                no_heartbeat, 60.0)
+        assert [(index, cached) for index, _, cached in outcomes] == [
+            (0, True), (1, False)]
+        np.testing.assert_array_equal(fresh.curve.steps,
+                                      outcomes[0][1].curve.steps)
+        np.testing.assert_array_equal(_serial_fit(tasks[1]).curve.steps,
+                                      outcomes[1][1].curve.steps)
+        assert store.load_trial(tasks[1]) is not None   # checkpointed fresh
 
 
 class TestCLI:
@@ -227,3 +243,16 @@ class TestWorkerOptions:
             completed = run_worker(host, port, WorkerOptions())
             assert completed == 1
             assert broker.join(timeout=1.0)
+
+    def test_max_tasks_caps_the_lease_it_asks_for(self):
+        """Under a batching broker the worker must not train and deliver a
+        whole lease past ``max_tasks``."""
+        tasks = _tiny_sweep(n_seeds=3, max_episodes=3).tasks()
+        from repro.distributed import run_worker
+
+        with SweepBroker(tasks, lease_batch=3) as broker:
+            host, port = broker.address
+            completed = run_worker(host, port, WorkerOptions(
+                max_tasks=1, handle_signals=False))
+            assert completed == 1
+            assert broker.completed_count == 1

@@ -1,5 +1,9 @@
 """Tests for the repro.linalg numerical kernels."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -277,3 +281,16 @@ class TestSolvers:
         s = symmetrize(a)
         assert is_symmetric(s)
         np.testing.assert_allclose(s, (a + a.T) / 2)
+
+
+def test_importing_repro_leaves_scipy_linalg_unloaded():
+    """scipy.linalg loads on the first factorization, not at import: the
+    serving daemon, the broker and every spawned worker skip its start-up."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

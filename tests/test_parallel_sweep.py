@@ -155,13 +155,23 @@ class TestSweepRunner:
                                           ser_result.curve.steps)
 
     def test_process_backend_matches_serial(self):
-        spec = SweepSpec(designs=("OS-ELM-L2",), n_seeds=2, n_hidden=8,
-                         training=TrainingConfig(max_episodes=5), root_seed=3)
-        proc = SweepRunner(spec, backend="process", max_workers=2).run()
+        """Round-robin chunks mix batched and generic designs per pool job;
+        entries still come back in task order and replay serial."""
+        spec = SweepSpec(designs=("OS-ELM-L2", "OS-ELM", "DQN"), n_seeds=2,
+                         n_hidden=8, training=TrainingConfig(max_episodes=5),
+                         root_seed=3)
+        seen = []
+        proc = SweepRunner(spec, backend="process", max_workers=4).run(
+            callback=lambda task, result: seen.append(task.key()))
         ser = SweepRunner(spec, backend="serial").run()
-        for proc_result, ser_result in zip(proc.results_for(), ser.results_for()):
+        assert [task.key() for task, _ in proc.entries] == [
+            task.key() for task in spec.tasks()]
+        assert sorted(seen) == sorted(task.key() for task in spec.tasks())
+        assert proc.backend_counts() == {"process": 6}
+        for (_, proc_result), (_, ser_result) in zip(proc.entries, ser.entries):
             np.testing.assert_array_equal(proc_result.curve.steps,
                                           ser_result.curve.steps)
+            assert proc_result.breakdown.counts == ser_result.breakdown.counts
 
     def test_streaming_callback_sees_every_task(self):
         spec = SweepSpec(designs=("ELM", "DQN"), n_seeds=2, n_hidden=8,

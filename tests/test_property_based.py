@@ -18,6 +18,8 @@ from repro.fpga.accelerator import FPGAAcceleratedOSELM
 from repro.fixedpoint.qformat import Q20, QFormat
 from repro.linalg.incremental import sherman_morrison_update
 from repro.linalg.spectral import spectral_norm, spectral_normalize
+from repro.parallel.sweep import SweepSpec, execute_tasks
+from repro.training import Trainer, TrainingConfig
 from repro.utils.metrics import MovingAverage, RunningStats
 
 # Keep hypothesis fast and deterministic for CI-style runs.
@@ -182,6 +184,53 @@ class TestTrustedPathEqualsPublicPath:
         public.model.partial_fit(public.encode(state, action)[None, :], [[target]])
         np.testing.assert_array_equal(trusted.model.beta, public.model.beta)
         np.testing.assert_array_equal(trusted.model.p_matrix, public.model.p_matrix)
+
+
+#: Batched (OS-ELM-L2-Lipschitz, ELM) and generic (OS-ELM) designs.
+_EXECUTOR_GRID = SweepSpec(designs=("OS-ELM-L2-Lipschitz", "OS-ELM", "ELM"),
+                           n_seeds=2, n_hidden=8,
+                           training=TrainingConfig(max_episodes=4),
+                           root_seed=17).tasks()
+
+
+def _trial_bits(result):
+    """Everything a trial's outcome is compared on, floats by their bits."""
+    curve = [(r.episode, r.steps, float(r.shaped_return).hex(),
+              float(r.moving_average).hex(), repr(r.lipschitz_bound),
+              repr(r.beta_norm)) for r in result.curve.records]
+    return curve, dict(result.breakdown.counts), result.weight_resets
+
+
+_SERIAL_BITS = {}
+
+
+def _serial_bits(position):
+    if position not in _SERIAL_BITS:
+        task = _EXECUTOR_GRID[position]
+        _SERIAL_BITS[position] = _trial_bits(Trainer().fit(
+            task.make_agent(), config=task.training, n_hidden=task.n_hidden))
+    return _SERIAL_BITS[position]
+
+
+class TestExecutorContract:
+    """However a grid is split between ``execute_tasks`` calls (pool jobs,
+    worker leases), every trial replays serial ``Trainer.fit``."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(order=st.permutations(range(len(_EXECUTOR_GRID))),
+           chunk_of=st.lists(st.integers(0, 3), min_size=len(_EXECUTOR_GRID),
+                             max_size=len(_EXECUTOR_GRID)))
+    def test_any_chunking_equals_serial_fit(self, order, chunk_of):
+        chunks = {}
+        for position in order:
+            chunks.setdefault(chunk_of[position], []).append(position)
+        seen = []
+        for positions in chunks.values():
+            chunk = [_EXECUTOR_GRID[position] for position in positions]
+            for index, result, _agent in execute_tasks(chunk):
+                seen.append(positions[index])
+                assert _trial_bits(result) == _serial_bits(positions[index])
+        assert sorted(seen) == list(range(len(_EXECUTOR_GRID)))
 
 
 class TestMetricProperties:
