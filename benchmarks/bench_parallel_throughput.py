@@ -233,7 +233,7 @@ def bench(args: argparse.Namespace) -> int:
     training = TrainingConfig(max_episodes=args.episodes,
                               solved_threshold=10_000.0,   # fixed workload: never early-stop
                               stop_when_solved=False)
-    spec = SweepSpec(designs=(args.design,), n_seeds=args.seeds,
+    spec = SweepSpec(designs=tuple(args.design.split(",")), n_seeds=args.seeds,
                      n_hidden=args.hidden, training=training,
                      root_seed=args.root_seed)
     tasks = spec.tasks()
@@ -346,7 +346,8 @@ def main(argv=None) -> int:
                         help="small budget, finishes in seconds (CI smoke check)")
     parser.add_argument("--seeds", type=int, default=4, help="trials in the sweep")
     parser.add_argument("--design", default="OS-ELM-L2-Lipschitz",
-                        help="design name for every trial")
+                        help="design name for every trial, or a comma-separated "
+                             "list for a mixed grid (e.g. OS-ELM-L2-Lipschitz,OS-ELM,DQN)")
     parser.add_argument("--hidden", type=int, default=32, help="hidden-layer size")
     parser.add_argument("--episodes", type=int, default=None,
                         help="episodes per trial (default 100 smoke / 300 full)")

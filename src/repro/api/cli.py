@@ -460,10 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "a killed broker with the same path to resume "
                              "the sweep (completed trials stay done, "
                              "in-flight leases are requeued)")
-    runner.add_argument("--lease-batch", type=int, default=None, metavar="K",
+    runner.add_argument("--lease-batch", type=int, default=1, metavar="K",
                         help="distributed backend: tasks per worker lease, "
-                             "trained lock-step (default: each local "
-                             "worker's share of the grid, else 1)")
+                             "trained lock-step (default 1)")
     runner.add_argument("--progress-every", type=int, default=0, metavar="N",
                         help="stream per-trial training progress to stderr "
                              "every N episodes (serial/vectorized backends; "

@@ -106,7 +106,7 @@ def run(spec_or_name: Union[str, ExperimentSpec], *, backend: str = "auto",
         store: Optional[ArtifactStore] = None, resume: bool = True,
         cache_only: bool = False, max_workers: Optional[int] = None,
         bind: Optional[str] = None, checkpoint_every: int = 0,
-        lease_batch: Optional[int] = None, progress_every: int = 0,
+        lease_batch: int = 1, progress_every: int = 0,
         save_policy: bool = False, autoscale=None,
         journal: Optional[str] = None) -> RunReport:
     """Execute an experiment spec (or registered name) and return its report.
@@ -150,8 +150,8 @@ def run(spec_or_name: Union[str, ExperimentSpec], *, backend: str = "auto",
         N episodes so an interrupted run resumes *inside* a trial
         (bit-for-bit).  0 disables.
     lease_batch:
-        Distributed backend: tasks per worker lease, trained lock-step;
-        ``None`` derives it (see :func:`repro.distributed.run_distributed_sweep`).
+        Distributed backend: tasks per worker lease, trained lock-step
+        (default 1; see :func:`repro.distributed.run_distributed_sweep`).
     progress_every:
         Serial/vectorized backends: stream per-trial progress to stderr
         every N episodes.  0 disables.
@@ -238,10 +238,10 @@ def run(spec_or_name: Union[str, ExperimentSpec], *, backend: str = "auto",
                          else max_workers))
         _LOGGER.info("run started", spec=spec.name, backend=backend,
                      trials=len(tasks), cached=len(tasks) - len(misses))
-        # Trials are checkpointed the moment they finish, not when the sweep
-        # returns, so an interrupted paper-scale run resumes mid-grid.  The
-        # distributed backend checkpoints through its broker; every other
-        # backend streams completions through the runner callback.  The
+        # Trials are checkpointed as they finish (serial: one at a time;
+        # elsewhere: one lock-step group), so an interrupted paper-scale run
+        # resumes mid-grid.  The distributed backend checkpoints through its
+        # broker, every other backend through the runner callback.  The
         # serial backend additionally gets the store for *mid-trial* state
         # checkpointing (checkpoint_every), resuming inside a trial.
         runner_store = (store if backend in ("distributed", "serial")

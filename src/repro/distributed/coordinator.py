@@ -19,7 +19,6 @@ coordinator raises instead of waiting forever.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -79,7 +78,7 @@ def run_distributed_sweep(
         callback: Optional[Callable[[SweepTask, TrainingResult], None]] = None,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         timeout: Optional[float] = None,
-        lease_batch: Optional[int] = None,
+        lease_batch: int = 1,
         autoscale=None,
         on_fleet_report: Optional[Callable[[object], None]] = None,
         journal=None,
@@ -105,11 +104,8 @@ def run_distributed_sweep(
     timeout:
         Overall wall-clock bound; ``TimeoutError`` when exceeded.
     lease_batch:
-        Tasks per worker lease, trained lock-step by the worker.  ``None``
-        (default): each worker's share, ``ceil(len(tasks) / n_workers)``,
-        for a fixed local fleet (no ``bind``, no ``autoscale``); else 1,
-        as an external fleet cannot be divided and the autoscaler scales
-        on backlog.
+        Tasks per worker lease, trained lock-step.  Default 1 keeps trials
+        of uneven length (DQN next to OS-ELM) balanced across the fleet.
     autoscale:
         ``True`` or an :class:`~repro.fleet.AutoscaleConfig` to replace the
         fixed ``n_workers`` fleet with a
@@ -145,9 +141,6 @@ def run_distributed_sweep(
         if n_workers <= 0 and not autoscale:
             raise ValueError("n_workers must be positive when no bind address "
                              "is given (nobody could ever serve the queue)")
-    if lease_batch is None:
-        lease_batch = (math.ceil(len(tasks) / n_workers)
-                       if bind is None and not autoscale else 1)
 
     broker = SweepBroker(tasks, host=host, port=port, store=store,
                          heartbeat_timeout=heartbeat_timeout, callback=callback,

@@ -3,16 +3,16 @@
 ``run_worker`` is what ``python -m repro worker --connect HOST:PORT``
 executes: connect to a :class:`~repro.distributed.broker.SweepBroker`, lease
 :class:`~repro.parallel.sweep.SweepTask`s, train each lease lock-step
-through :func:`repro.parallel.sweep.execute_tasks` (the executor of the
-vectorized and process backends too), and stream each
-:class:`~repro.training.records.TrainingResult` back.  Lock-step replays
-the serial trainer bit-for-bit, so a distributed sweep replays a serial
-sweep on fixed seeds — the worker adds transport, never arithmetic.
+through :func:`repro.parallel.sweep.execute_tasks`, and stream each
+:class:`~repro.training.records.TrainingResult` back as soon as its
+lock-step group has trained.  Lock-step replays the serial trainer
+bit-for-bit — the worker adds transport, never arithmetic.
 
-While a lease trains, a daemon thread sends ``HEARTBEAT`` frames so the
-broker keeps all of its tasks leased through arbitrarily long trials; if
-this process dies instead, the dropped connection (or, for a hang, the
-lease timeout) makes the broker requeue them for another worker.
+While a lease trains and delivers, a daemon thread sends ``HEARTBEAT``
+frames so the broker keeps its undelivered tasks leased through
+arbitrarily long trials; if this process dies instead, the dropped
+connection (or, for a hang, the lease timeout) makes the broker requeue
+them: only the group in training is lost work.
 
 Graceful retirement (1.7+): the worker installs SIGTERM/SIGINT handlers
 (main thread only) that request a *drain* instead of killing the process —
@@ -31,14 +31,14 @@ Reconnect (1.8+): with ``WorkerOptions(reconnect=RetryPolicy(...))`` a
 lost broker connection no longer ends the worker — it backs off on the
 policy's deterministic schedule, reconnects, sends ``HELLO`` again under the
 *same* worker id (so broker accounting reconciles the gap as a
-reconnection, not a new worker), redelivers every trained result the cut
-stranded — the whole rest of a lease, not only the one in flight (the
-broker's dedup absorbs a copy whose original landed) — and resumes pulling
-tasks.  A result lost mid-``RESULT`` is therefore never lost twice: either
-the broker journaled/acked it, or the requeued lease is retrained — both
-converge on the same bits.  Without a policy (the default, and what the
-coordinator's auto-spawned fleets use) the pre-1.8 behaviour is unchanged:
-broker gone means the worker's job is done.
+reconnection, not a new worker), redelivers the trained results the cut
+stranded (the rest of the group in flight; dedup absorbs a copy whose
+original landed) and resumes pulling tasks.  A result lost mid-``RESULT``
+is therefore never lost twice: either the broker journaled/acked it, or
+the requeued lease is retrained — both converge on the same bits.
+Without a policy (the default, and what the coordinator's auto-spawned
+fleets use) the pre-1.8 behaviour is unchanged: broker gone means the
+worker's job is done.
 
 Workers may attach their own :class:`~repro.api.store.ArtifactStore`
 (``repro worker --store DIR``).  A store-equipped worker answers tasks it
@@ -55,8 +55,9 @@ import socket
 import threading
 import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.distributed import protocol
@@ -154,10 +155,10 @@ class _WorkerState:
     def __init__(self) -> None:
         self.completed = 0
         #: Results computed but not yet acked when a connection died:
-        #: ``(task index, result)``.  Flushed first thing after every
+        #: ``(task index, result, was_cached)``.  Flushed first thing after every
         #: reconnect; the broker's dedup absorbs any copy whose original
         #: RESULT actually landed before the cut.
-        self.undelivered: List[Tuple[int, TrainingResult]] = []
+        self.undelivered: List[Tuple[int, TrainingResult, bool]] = []
         self.reconnects = 0
 
 
@@ -266,17 +267,32 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
         except (ConnectionError, OSError):
             pass
 
-    def deliver(index: int, result: TrainingResult) -> bool:
-        """RESULT -> ACK for one trial; returns the broker's ``fresh`` flag."""
-        send(protocol.RESULT, (index, result, DISTRIBUTED_BACKEND))
-        kind, fresh = protocol.recv_message(sock)
-        if kind != protocol.ACK:
-            raise protocol.ProtocolError(f"expected ACK, got {kind!r}")
-        state.completed += 1
-        telemetry.count("distributed.worker.tasks_completed")
-        if not fresh:
-            telemetry.count("distributed.worker.duplicate_acks")
-        return bool(fresh)
+    def deliver(outcomes: List[Tuple[int, TrainingResult, bool]]) -> int:
+        """RESULT -> ACK each ``(index, result, was_cached)``; how many landed.
+
+        A lost broker stashes the rest, all trained, for redelivery."""
+        for done, (index, result, was_cached) in enumerate(outcomes):
+            try:
+                send(protocol.RESULT, (index, result, DISTRIBUTED_BACKEND))
+                kind, fresh = protocol.recv_message(sock)
+                if kind != protocol.ACK:
+                    raise protocol.ProtocolError(f"expected ACK, got {kind!r}")
+            except protocol.ProtocolError:
+                raise
+            except (ConnectionError, OSError):
+                _LOGGER.warning("broker lost mid-result", worker=worker_id,
+                                task=index, stranded=len(outcomes) - done)
+                state.undelivered.extend(outcomes[done:])
+                return done
+            state.completed += 1
+            telemetry.count("distributed.worker.tasks_completed")
+            if not fresh:
+                telemetry.count("distributed.worker.duplicate_acks")
+            if was_cached:
+                telemetry.count("distributed.worker.cache_hits")
+            _LOGGER.info("task done", worker=worker_id, task=index,
+                         cached=was_cached, accepted=fresh)
+        return len(outcomes)
 
     try:
         # The broker answers every frame promptly (training happens on our
@@ -295,18 +311,11 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
         # dropped, so each redelivery is acked fresh (it beat the requeued
         # copy) or as a duplicate (someone retrained it first); both bits
         # are identical, so either answer is fine.
-        while state.undelivered:
-            index, result = state.undelivered[0]
-            try:
-                deliver(index, result)
-            except protocol.ProtocolError:
-                raise
-            except (ConnectionError, OSError):
-                return "lost"
-            state.undelivered.pop(0)
-            telemetry.count("distributed.worker.redelivered_results")
-            _LOGGER.info("stranded result redelivered", worker=worker_id,
-                         task=index)
+        stranded, state.undelivered = state.undelivered, []
+        delivered = deliver(stranded)
+        telemetry.count("distributed.worker.redelivered_results", delivered)
+        if delivered < len(stranded):
+            return "lost"
         while options.max_tasks is None or state.completed < options.max_tasks:
             if drain.is_set():
                 _LOGGER.info("drain requested; exiting cleanly",
@@ -345,26 +354,13 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
             else:
                 raise protocol.ProtocolError(f"expected TASK/TASKS/WAIT/SHUTDOWN, "
                                              f"got {kind!r}")
-            # One RESULT/ACK pair per trial keeps per-task requeue and dedup.
-            outcomes = _train_lease(batch, store, send, options.heartbeat_interval)
-            for done, (index, result, was_cached) in enumerate(outcomes):
-                try:
-                    fresh = deliver(index, result)
-                except protocol.ProtocolError:
-                    raise
-                except (ConnectionError, OSError):
-                    # This result may or may not have landed and the broker
-                    # requeued the rest; all are trained, so stash them for
-                    # redelivery (dedup absorbs any copy that did land).
-                    _LOGGER.warning("broker lost mid-result", worker=worker_id,
-                                    task=index, stranded=len(outcomes) - done)
-                    state.undelivered.extend(
-                        (index, result) for index, result, _ in outcomes[done:])
-                    return "lost"
-                if was_cached:
-                    telemetry.count("distributed.worker.cache_hits")
-                _LOGGER.info("task done", worker=worker_id, task=index,
-                             cached=was_cached, accepted=fresh)
+            # One RESULT/ACK pair per trial keeps per-task requeue and dedup;
+            # each lock-step group is delivered as soon as it has trained.
+            with telemetry.span("worker.lease"), \
+                    _heartbeat(send, options.heartbeat_interval):
+                for outcomes in _train_lease(batch, store):
+                    if deliver(outcomes) < len(outcomes):
+                        return "lost"
             # A signal that landed mid-batch drains at the *batch* boundary:
             # every lease the worker held has now been delivered and acked,
             # so the drain requeues nothing (the loop top exits next pass).
@@ -373,21 +369,9 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
         sock.close()
 
 
-def _train_lease(batch: Sequence[Tuple[int, SweepTask]], store, send,
-                 interval: float) -> List[Tuple[int, TrainingResult, bool]]:
-    """Train one lease; ``(task index, result, was_cached)`` in lease order.
-
-    Store-cached trials are answered from the store; the misses train in
-    one :func:`~repro.parallel.sweep.execute_tasks` call while a daemon
-    thread heartbeats every lease of the batch alive, and each fresh result
-    is checkpointed into the store.
-    """
-    outcomes = {}
-    for index, task in batch:
-        cached = store.load_trial(task) if store is not None else None
-        if cached is not None:
-            outcomes[index] = (cached[0], True)
-    misses = [(index, task) for index, task in batch if index not in outcomes]
+@contextmanager
+def _heartbeat(send, interval: float) -> Iterator[None]:
+    """Keep every lease of the worker alive with a daemon ``HEARTBEAT`` thread."""
     stop = threading.Event()
 
     def beat() -> None:
@@ -400,17 +384,34 @@ def _train_lease(batch: Sequence[Tuple[int, SweepTask]], store, send,
     thread = threading.Thread(target=beat, name="worker-heartbeat", daemon=True)
     thread.start()
     try:
-        with telemetry.span("worker.lease"):
-            for position, result, _agent in execute_tasks(
-                    [task for _index, task in misses]):
-                index, task = misses[position]
-                if store is not None:
-                    store.save_trial(task, result, backend_used=DISTRIBUTED_BACKEND)
-                outcomes[index] = (result, False)
+        yield
     finally:
         stop.set()
         thread.join(timeout=1.0)
-    return [(index, *outcomes[index]) for index, _task in batch]
+
+
+def _train_lease(batch: Sequence[Tuple[int, SweepTask]], store
+                 ) -> Iterator[List[Tuple[int, TrainingResult, bool]]]:
+    """Train one lease; yields ``(task index, result, was_cached)`` lists:
+    the store-cached trials, then each lock-step group as it trains (its
+    fresh results checkpointed into the store)."""
+    cached, misses = [], []
+    for index, task in batch:
+        hit = store.load_trial(task) if store is not None else None
+        if hit is not None:
+            cached.append((index, hit[0], True))
+        else:
+            misses.append((index, task))
+    if cached:
+        yield cached
+    for group in execute_tasks([task for _index, task in misses]):
+        outcomes = []
+        for position, result, _agent in group:
+            index, task = misses[position]
+            if store is not None:
+                store.save_trial(task, result, backend_used=DISTRIBUTED_BACKEND)
+            outcomes.append((index, result, False))
+        yield outcomes
 
 
 __all__ = ["DISTRIBUTED_BACKEND", "LEASE_CAPACITY", "WorkerOptions",

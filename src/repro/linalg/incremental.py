@@ -46,7 +46,6 @@ def _woodbury(p: np.ndarray, h_chunk: np.ndarray) -> np.ndarray:
         ph_t = p @ h_chunk.T                          # (N, k)
         inner = np.eye(k) + h_chunk @ ph_t            # (k, k)
         import scipy.linalg
-
         try:
             cho = scipy.linalg.cho_factor(inner)
             solved = scipy.linalg.cho_solve(cho, ph_t.T)   # (k, N)

@@ -32,7 +32,6 @@ def pinv(matrix: np.ndarray, *, rcond: float = 1e-12, method: str = "svd") -> np
         (valid for full-column-rank input).
     """
     import scipy.linalg
-
     matrix = ensure_2d(matrix, name="matrix")
     if method == "svd":
         u, s, vt = scipy.linalg.svd(matrix, full_matrices=False)
@@ -68,7 +67,6 @@ def regularized_gram_inverse(h: np.ndarray, delta: float = 0.0,
     if delta > 0:
         gram = gram + delta * np.eye(n_hidden)
     import scipy.linalg
-
     try:
         cho = scipy.linalg.cho_factor(gram, check_finite=not assume_finite)
         return scipy.linalg.cho_solve(cho, np.eye(n_hidden), check_finite=not assume_finite)
@@ -98,7 +96,6 @@ def ridge_solve(h: np.ndarray, t: np.ndarray, delta: float = 0.0,
 def condition_number(matrix: np.ndarray) -> float:
     """2-norm condition number (ratio of extreme singular values)."""
     import scipy.linalg
-
     matrix = ensure_2d(matrix, name="matrix")
     s = scipy.linalg.svdvals(matrix)
     if s.size == 0 or s[-1] == 0:
@@ -109,7 +106,6 @@ def condition_number(matrix: np.ndarray) -> float:
 def effective_rank(matrix: np.ndarray, rcond: float = 1e-12) -> int:
     """Numerical rank: number of singular values above ``rcond * s_max``."""
     import scipy.linalg
-
     matrix = ensure_2d(matrix, name="matrix")
     s = scipy.linalg.svdvals(matrix)
     if s.size == 0:
@@ -131,7 +127,6 @@ def ridge_path(h: np.ndarray, t: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     betas = np.empty((deltas.size, h.shape[1], t.shape[1]))
     # A single SVD serves every delta: beta(delta) = V diag(s/(s^2+delta)) U^T T.
     import scipy.linalg
-
     u, s, vt = scipy.linalg.svd(h, full_matrices=False)
     ut_t = u.T @ t
     for i, delta in enumerate(deltas):

@@ -18,7 +18,6 @@ def solve_posdef(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"A must be square, got shape {a.shape}")
     import scipy.linalg
-
     try:
         cho = scipy.linalg.cho_factor(a)
         return scipy.linalg.cho_solve(cho, b)
@@ -51,7 +50,6 @@ def solve_small_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
         return inv @ b
     import scipy.linalg
-
     return scipy.linalg.solve(a, b)
 
 
@@ -70,7 +68,6 @@ def is_positive_definite(a: np.ndarray) -> bool:
     if a.shape[0] != a.shape[1] or not is_symmetric(a, tol=1e-8):
         return False
     import scipy.linalg
-
     try:
         scipy.linalg.cholesky(a)
         return True

@@ -30,7 +30,6 @@ def spectral_norm(matrix: np.ndarray, *, method: str = "svd",
         return 0.0
     if method == "svd":
         import scipy.linalg
-
         return float(scipy.linalg.svdvals(matrix)[0])
     if method == "power":
         sigma, _, _ = power_iteration(matrix, n_iterations=n_iterations, tol=tol, rng=rng)
@@ -98,7 +97,6 @@ def dominant_singular_vectors(matrix: np.ndarray) -> Tuple[float, np.ndarray, np
     """Exact dominant singular triple via full SVD (used by Equation 12's analysis)."""
     matrix = ensure_2d(matrix, name="matrix")
     import scipy.linalg
-
     u, s, vt = scipy.linalg.svd(matrix, full_matrices=False)
     if s.size == 0:
         return 0.0, np.zeros(matrix.shape[0]), np.zeros(matrix.shape[1])

@@ -40,8 +40,8 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
     items:
         Work items; results come back in this order.
     backend:
-        ``"process"`` fans out over a :class:`ProcessPoolExecutor`;
-        ``"serial"`` loops in the calling process.
+        ``"process"`` fans out over a :class:`ProcessPoolExecutor`, even
+        for a single item; ``"serial"`` loops in the calling process.
     max_workers:
         Pool size for the process backend (default: one worker per item,
         capped by the CPU count).
@@ -54,7 +54,7 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
     items = list(items)
     if not items:
         return []
-    if backend == "serial" or len(items) == 1:
+    if backend == "serial":
         results = []
         for index, item in enumerate(items):
             result = fn(item)

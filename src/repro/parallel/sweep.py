@@ -13,7 +13,9 @@ Backends
 Every backend but ``"serial"`` trains through :func:`execute_tasks`, which
 runs one :meth:`repro.training.Trainer.fit_lockstep` per group of
 compatible tasks; lock-step replays serial ``Trainer.fit`` bit-for-bit, so
-the backends differ only in which tasks share a call.
+the backends differ only in which tasks share a call.  Results stream back
+one finished lock-step group (or slice of one) at a time, so a store-backed
+run that is killed loses at most the groups still training.
 
 ``"vectorized"``
     The whole grid in one ``execute_tasks`` call in this process: the
@@ -23,8 +25,10 @@ the backends differ only in which tasks share a call.
     :func:`~repro.training.strategies.supports_lockstep`).  The winner
     whenever trials outnumber cores.
 ``"process"``
-    One :func:`~repro.parallel.pool.parallel_map` job per worker process,
-    each running ``execute_tasks`` over a round-robin chunk of the grid.
+    A :func:`~repro.parallel.pool.parallel_map` pool of ``max_workers``
+    processes; each lock-step group is split into at most that many
+    round-robin slices, one pool job each, which runs ``execute_tasks``
+    and saves its policies in the child.
 ``"serial"``
     The plain ``Trainer.fit`` loop: the reference the other backends
     replay, and the only backend with *mid-trial* checkpoint/resume
@@ -156,39 +160,48 @@ class SweepSpec:
         return tasks
 
 
-def execute_tasks(tasks: Sequence[SweepTask], callbacks: Sequence = ()
-                  ) -> Iterator[Tuple[int, TrainingResult, object]]:
-    """Train ``tasks`` in lock-step groups; yields ``(position, result, agent)``.
+def _lockstep_groups(tasks: Sequence[SweepTask]
+                     ) -> List[Tuple[str, List[Tuple[int, object]]]]:
+    """Build each agent once; ``(strategy, [(position, agent)])`` per group.
 
-    The one task executor of the vectorized and process backends and the
-    distributed worker.  Each agent is built once and grouped on
-    :func:`~repro.training.strategies.supports_lockstep`: batchable trials
-    by (design, env, hidden size), every other design by env, through the
-    generic per-agent strategy.  Each group trains in one fresh
-    :meth:`~repro.training.Trainer.fit_lockstep`, which replays serial
-    ``Trainer.fit`` bit-for-bit, so how tasks are split between calls never
-    changes a result.  Results come group by group; ``position`` indexes
-    ``tasks``.  The trained agent comes along for callers that save policies.
+    Batchable trials (:func:`~repro.training.strategies.supports_lockstep`)
+    group by (design, env, hidden size), the rest by env under the generic
+    strategy.  One vector env drives a group, so it shares frame skip too.
     """
     groups: Dict[tuple, list] = defaultdict(list)
     for position, task in enumerate(tasks):
         agent = task.make_agent()
         cell = (task.design, task.n_hidden) if supports_lockstep(agent) else None
-        # One vector env drives a group, so its trials share frame skip.
         groups[(task.env_id, task.training.action_repeat, cell)].append(
             (position, agent))
-    for (_env_id, _repeat, cell), group in groups.items():
+    return [("generic" if cell is None else "batched", group)
+            for (_env_id, _repeat, cell), group in groups.items()]
+
+
+def execute_tasks(tasks: Sequence[SweepTask], callbacks: Sequence = ()
+                  ) -> Iterator[List[Tuple[int, TrainingResult, object]]]:
+    """Train ``tasks`` in lock-step groups; yields each group's results.
+
+    The one task executor of the vectorized and process backends and the
+    distributed worker.  Each group (:func:`_lockstep_groups`) trains in one
+    fresh :meth:`~repro.training.Trainer.fit_lockstep`, which replays serial
+    ``Trainer.fit`` bit-for-bit, so how tasks are split between calls never
+    changes a result.  Each yield is one finished group — the unit callers
+    stream, checkpoint or redeliver — as ``(position, result, agent)`` with
+    ``position`` indexing ``tasks``; the agent is for saving policies.
+    """
+    for strategy, group in _lockstep_groups(tasks):
         agents = [agent for _position, agent in group]
         configs = [tasks[position].training for position, _agent in group]
         results = Trainer(callbacks=callbacks).fit_lockstep(
-            agents, configs, strategy="generic" if cell is None else "batched")
-        for (position, agent), result in zip(group, results):
-            yield position, result, agent
+            agents, configs, strategy=strategy)
+        yield [(position, result, agent)
+               for (position, agent), result in zip(group, results)]
 
 
 def _execute_chunk(chunk: Sequence[SweepTask],
                    store_root: Optional[str] = None) -> List[TrainingResult]:
-    """Process-backend pool job: ``execute_tasks`` over one chunk, in chunk order.
+    """Process-backend pool job: ``execute_tasks`` over one group slice, in order.
 
     With ``store_root`` the child also saves each trained policy through its
     own store handle on the shared root (``save_policy`` writes are atomic).
@@ -196,10 +209,11 @@ def _execute_chunk(chunk: Sequence[SweepTask],
     from repro.api.store import ArtifactStore
 
     results: List[Optional[TrainingResult]] = [None] * len(chunk)
-    for position, result, agent in execute_tasks(chunk):
-        if store_root is not None:
-            ArtifactStore(store_root).save_policy(chunk[position], agent)
-        results[position] = result
+    for group in execute_tasks(chunk):
+        for position, result, agent in group:
+            if store_root is not None:
+                ArtifactStore(store_root).save_policy(chunk[position], agent)
+            results[position] = result
     return results
 
 
@@ -336,7 +350,7 @@ class SweepRunner:
         Pool size for the process backend, or the number of auto-spawned
         local workers for the distributed backend.  A lock-step group is
         the compatible trials within one executor call: the whole grid on
-        the vectorized backend, one pool job's chunk, or one worker lease.
+        the vectorized backend, one pool job's slice, or one worker lease.
     store:
         An :class:`~repro.api.store.ArtifactStore`.  Distributed backend:
         the broker checkpoints every finished trial into it as it arrives.
@@ -357,8 +371,8 @@ class SweepRunner:
         checkpoints are still *written* when ``checkpoint_every`` is set.
     lease_batch:
         Distributed backend: tasks per worker lease, trained lock-step
-        through :func:`execute_tasks`.  ``None`` (default) lets
-        :func:`~repro.distributed.run_distributed_sweep` derive it.
+        through :func:`execute_tasks` (default 1; see
+        :func:`~repro.distributed.run_distributed_sweep`).
     progress_every:
         Serial/vectorized backends: stream per-trial progress to stderr
         every N episodes through a
@@ -394,7 +408,7 @@ class SweepRunner:
                  bind: Optional[str] = None,
                  checkpoint_every: int = 0,
                  resume_trial_state: bool = True,
-                 lease_batch: Optional[int] = None,
+                 lease_batch: int = 1,
                  progress_every: int = 0,
                  save_policies: bool = False,
                  autoscale=None,
@@ -403,7 +417,7 @@ class SweepRunner:
             raise ValueError(f"unknown backend {backend!r}; choose from {self.BACKENDS}")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if lease_batch is not None and lease_batch < 1:
+        if lease_batch < 1:
             raise ValueError("lease_batch must be >= 1")
         if progress_every < 0:
             raise ValueError("progress_every must be >= 0")
@@ -464,21 +478,26 @@ class SweepRunner:
         start = time.perf_counter()
         _LOGGER.info("sweep started", backend=self.backend, tasks=len(tasks))
         if self.backend == "process":
-            # One pool job per worker over a round-robin chunk of the grid.
+            # One pool job per slice of a lock-step group, so a trial streams
+            # back (and is checkpointed) as soon as its slice has trained.
             n = min(self.max_workers or default_max_workers(len(tasks)), len(tasks))
-            job = partial(_execute_chunk, store_root=(
-                str(self.store.root) if self.save_policies else None))
+            jobs = [[position for position, _agent in group[i::n]]
+                    for _strategy, group in _lockstep_groups(tasks)
+                    for i in range(min(n, len(group)))]
+            results: List[Optional[TrainingResult]] = [None] * len(tasks)
 
-            def stream(chunk: int, results: List[TrainingResult]) -> None:
-                for task, result in zip(tasks[chunk::n], results):
+            def stream(job: int, chunk: List[TrainingResult]) -> None:
+                for position, result in zip(jobs[job], chunk):
+                    results[position] = result
                     if callback is not None:
-                        callback(task, result)
+                        callback(tasks[position], result)
 
-            chunks = parallel_map(job, [tasks[i::n] for i in range(n)],
-                                  backend="process", max_workers=n, callback=stream)
-            for position, task in enumerate(tasks):
-                sweep.add(task, chunks[position % n][position // n],
-                          backend_used="process")
+            parallel_map(partial(_execute_chunk, store_root=(
+                             str(self.store.root) if self.save_policies else None)),
+                         [[tasks[position] for position in job] for job in jobs],
+                         backend="process", max_workers=n, callback=stream)
+            for task, result in zip(tasks, results):
+                sweep.add(task, result, backend_used="process")
         elif self.backend == "serial":
             for task in tasks:
                 agent = task.make_agent()
@@ -505,14 +524,14 @@ class SweepRunner:
             for task, (result, backend_used) in zip(tasks, pairs):
                 sweep.add(task, result, backend_used=backend_used)
         else:
-            for position, result, agent in execute_tasks(
-                    tasks, callbacks=self._progress_callbacks()):
-                task = tasks[position]
-                if self.save_policies:
-                    self.store.save_policy(task, agent)
-                if callback is not None:
-                    callback(task, result)
-                sweep.add(task, result, backend_used="lockstep")
+            for group in execute_tasks(tasks, callbacks=self._progress_callbacks()):
+                for position, result, agent in group:
+                    task = tasks[position]
+                    if self.save_policies:
+                        self.store.save_policy(task, agent)
+                    if callback is not None:
+                        callback(task, result)
+                    sweep.add(task, result, backend_used="lockstep")
         sweep.wall_time_seconds = time.perf_counter() - start
         _LOGGER.info("sweep finished", backend=self.backend,
                      seconds=round(sweep.wall_time_seconds, 2))

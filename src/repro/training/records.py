@@ -82,7 +82,7 @@ class TrainingResult:
     solved: bool
     episodes: int                              #: episodes actually run
     episodes_to_solve: Optional[int]           #: None when the run failed / was cut off
-    wall_time_seconds: float                   #: total wall-clock time of the run
+    wall_time_seconds: float                   #: the run's (lock-step: its group's) wall time
     curve: TrainingCurve
     breakdown: TimeBreakdown                   #: per-operation measured time + counts
     weight_resets: int = 0

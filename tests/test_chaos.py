@@ -257,9 +257,9 @@ def _welcome(info):
 class TestLostLease:
     def test_every_trained_result_of_a_cut_lease_is_redelivered(
             self, scripted_peer):
-        """The broker leases 3 tasks and hangs up after the first RESULT;
-        the reconnected worker redelivers the whole trained lease before
-        it asks for new work."""
+        """The broker leases 3 tasks (one lock-step group) and hangs up
+        after the first RESULT; the reconnected worker redelivers the whole
+        trained group before it asks for new work."""
         tasks = _tiny_tasks(3)
         seen = []
 
@@ -297,6 +297,47 @@ class TestLostLease:
                         (protocol.RESULT, 2), ("get", None)]
         assert completed == 3
         assert peer.connections == 2
+
+
+    def test_a_cut_lease_strands_only_the_group_in_flight(self,
+                                                          scripted_peer):
+        """Each lock-step group is delivered as it trains: a cut during the
+        first group's delivery strands that group only, and the untrained
+        generic task is left to the broker's requeue."""
+        l2_0, l2_1, plain_0, _ = SweepSpec(
+            designs=("OS-ELM-L2", "OS-ELM"), n_seeds=2, n_hidden=8,
+            training=TrainingConfig(max_episodes=3), root_seed=99).tasks()
+        seen = []
+
+        def broker(connection):
+            kind, _ = protocol.recv_message(connection)      # HELLO
+            protocol.send_message(connection, protocol.WELCOME,
+                                  {"tasks": 3, "drain": True})
+            while True:
+                kind, payload = protocol.recv_message(connection)
+                if kind == protocol.HEARTBEAT:
+                    continue
+                if kind == protocol.GET and not seen:
+                    protocol.send_message(connection, protocol.TASKS,
+                                          [(0, l2_0), (1, plain_0), (2, l2_1)])
+                elif kind == protocol.GET:
+                    seen.append(("get", None))
+                    protocol.send_message(connection, protocol.SHUTDOWN)
+                    return
+                elif len(seen) == 0:
+                    seen.append(("cut", payload[0]))
+                    return                                   # hang up
+                else:
+                    seen.append((kind, payload[0]))
+                    protocol.send_message(connection, protocol.ACK, True)
+
+        peer = scripted_peer(broker)
+        completed = run_worker(*peer.address, WorkerOptions(
+            worker_id="streaming", handle_signals=False,
+            reconnect=RetryPolicy(max_attempts=3, base_delay=0.0)))
+        assert seen == [("cut", 0), (protocol.RESULT, 0), (protocol.RESULT, 2),
+                        ("get", None)]
+        assert completed == 2
 
 
 class TestWorkerHandshake:

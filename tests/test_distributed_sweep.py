@@ -173,16 +173,13 @@ class TestEngineAndStore:
         store = ArtifactStore(tmp_path / "worker-store")
         tasks = _tiny_sweep(n_seeds=2, max_episodes=4).tasks()
 
-        def no_heartbeat(*frame):
-            raise AssertionError("a 60 s heartbeat fired during a tiny lease")
-
-        [(index, fresh, was_cached)] = _train_lease([(0, tasks[0])], store,
-                                                    no_heartbeat, 60.0)
+        [[(index, fresh, was_cached)]] = _train_lease([(0, tasks[0])], store)
         assert (index, was_cached) == (0, False)
-        outcomes = _train_lease([(0, tasks[0]), (1, tasks[1])], store,
-                                no_heartbeat, 60.0)
-        assert [(index, cached) for index, _, cached in outcomes] == [
-            (0, True), (1, False)]
+        # The cached trial comes first, alone; the miss follows as its group.
+        groups = list(_train_lease([(0, tasks[0]), (1, tasks[1])], store))
+        assert [[(index, cached) for index, _, cached in group]
+                for group in groups] == [[(0, True)], [(1, False)]]
+        outcomes = [outcome for group in groups for outcome in group]
         np.testing.assert_array_equal(fresh.curve.steps,
                                       outcomes[0][1].curve.steps)
         np.testing.assert_array_equal(_serial_fit(tasks[1]).curve.steps,

@@ -1,5 +1,7 @@
 """Tests for lock-step training and sweep orchestration."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,10 @@ from repro.parallel import (
     parallel_map,
 )
 from repro.training import Trainer, TrainingConfig, supports_lockstep
+
+
+def _pid(_item):
+    return os.getpid()
 
 
 def _train_serial(design, n_hidden, seeds, configs):
@@ -155,8 +161,9 @@ class TestSweepRunner:
                                           ser_result.curve.steps)
 
     def test_process_backend_matches_serial(self):
-        """Round-robin chunks mix batched and generic designs per pool job;
-        entries still come back in task order and replay serial."""
+        """A grid of batched and generic designs, split into group slices
+        across pool jobs; entries still come back in task order and replay
+        serial."""
         spec = SweepSpec(designs=("OS-ELM-L2", "OS-ELM", "DQN"), n_seeds=2,
                          n_hidden=8, training=TrainingConfig(max_episodes=5),
                          root_seed=3)
@@ -172,6 +179,22 @@ class TestSweepRunner:
             np.testing.assert_array_equal(proc_result.curve.steps,
                                           ser_result.curve.steps)
             assert proc_result.breakdown.counts == ser_result.breakdown.counts
+
+    def test_process_backend_streams_one_group_slice_per_job(self):
+        """With one worker every lock-step group is one pool job, so the
+        callback sees a group's trials together even from an interleaved
+        grid (and they are checkpointed when that group has trained)."""
+        l2_0, l2_1, plain_0, plain_1 = SweepSpec(
+            designs=("OS-ELM-L2", "OS-ELM"), n_seeds=2, n_hidden=8,
+            training=TrainingConfig(max_episodes=3), root_seed=3).tasks()
+        seen = []
+        proc = SweepRunner([l2_0, plain_0, l2_1, plain_1], backend="process",
+                           max_workers=1).run(
+            callback=lambda task, result: seen.append(task))
+        assert seen in ([l2_0, l2_1, plain_0, plain_1],
+                        [plain_0, plain_1, l2_0, l2_1])
+        assert [task for task, _ in proc.entries] == [l2_0, plain_0, l2_1,
+                                                       plain_1]
 
     def test_streaming_callback_sees_every_task(self):
         spec = SweepSpec(designs=("ELM", "DQN"), n_seeds=2, n_hidden=8,
@@ -319,6 +342,9 @@ class TestParallelMap:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             parallel_map(abs, [1], backend="thread")
+
+    def test_single_item_still_runs_in_a_child_process(self):
+        assert parallel_map(_pid, [0], backend="process") != [os.getpid()]
 
     def test_callback_streams_completions(self):
         seen = []

@@ -227,9 +227,10 @@ class TestExecutorContract:
         seen = []
         for positions in chunks.values():
             chunk = [_EXECUTOR_GRID[position] for position in positions]
-            for index, result, _agent in execute_tasks(chunk):
-                seen.append(positions[index])
-                assert _trial_bits(result) == _serial_bits(positions[index])
+            for group in execute_tasks(chunk):
+                for index, result, _agent in group:
+                    seen.append(positions[index])
+                    assert _trial_bits(result) == _serial_bits(positions[index])
         assert sorted(seen) == list(range(len(_EXECUTOR_GRID)))
 
 
