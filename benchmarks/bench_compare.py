@@ -21,7 +21,7 @@ Each comparison pins two things:
   blow past the committed value by more than ``1 / min_ratio``.  CI
   machines are noisy and share cores, so this is deliberately generous:
   it catches a 10x regression (an accidentally serialized vectorized
-  path, a busy-wait in the broker, a micro-batcher that stopped
+  path, a busy-wait in the broker, a serving loop that stopped
   batching), not a 10% one.  Absolute rates are machine-dependent and
   are *not* asserted.
 

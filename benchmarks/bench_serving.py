@@ -6,12 +6,12 @@ on a trained OS-ELM policy:
 1. **request/reply latency** — each client blocks on ``act()`` per
    observation, so every request pays the full round trip; reported as
    p50/p90/p99 across all clients, for every ``max_batch`` in {1, 8, 32} x
-   client concurrency.  The batcher never waits for a batch to fill, so a
-   batch holds only the requests that queued during the previous dispatch,
-   while at ``max_batch=1`` every request dispatches alone;
+   client concurrency.  The server's one loop thread never waits for a
+   batch to fill, so a batch holds only the requests one tick read, while
+   at ``max_batch=1`` every request dispatches alone;
 2. **pipelined throughput** — one client streams all its observations with
-   ``act_many`` before reading any reply, which is what lets the batcher
-   actually fill batches; reported as requests/sec per ``max_batch``;
+   ``act_many`` before reading any reply, so each tick reads many requests
+   and batches actually fill; reported as requests/sec per ``max_batch``;
 3. **byte-identity** — every served action is compared against the same
    observation evaluated offline with ``agent.act(state, explore=False)``;
    any mismatch fails the benchmark (exit 1), so the numbers can never come
@@ -119,7 +119,7 @@ def bench_latency(agent, design: str, offline: np.ndarray, states: np.ndarray,
 
 def bench_pipelined(agent, design: str, offline: np.ndarray,
                     states: np.ndarray, *, max_batch: int, rounds: int) -> dict:
-    """``act_many`` streaming throughput: the batcher actually fills up."""
+    """``act_many`` streaming throughput: batches actually fill up."""
     mismatches = 0
     with PolicyServer({design: _served_clone(agent)},
                       max_batch=max_batch) as server:

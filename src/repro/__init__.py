@@ -77,7 +77,6 @@ from repro.parallel import (
 from repro.distributed import SweepBroker, run_distributed_sweep, run_worker
 from repro import telemetry
 from repro.serving import (
-    MicroBatcher,
     PolicyClient,
     PolicyServer,
     WeightPushCallback,
@@ -138,7 +137,6 @@ __all__ = [
     "pipelined_rollout",
     "run_distributed_sweep",
     "run_worker",
-    "MicroBatcher",
     "PolicyClient",
     "PolicyServer",
     "WeightPushCallback",

@@ -548,9 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve only these designs of the spec "
                              "(default: all of them)")
     server.add_argument("--max-batch", type=int, default=8, metavar="N",
-                        help="micro-batch size: one dispatch takes at most "
-                             "N of the requests queued for a design; none "
-                             "waits for a batch to fill (default 8)")
+                        help="batch size: one act_batch call takes at most "
+                             "N of the requests one loop tick read for a "
+                             "design; none waits for a batch to fill "
+                             "(default 8)")
     server.add_argument("--max-seconds", type=float, default=0.0, metavar="S",
                         help="exit after S seconds (0 = serve until "
                              "interrupted; useful for CI)")

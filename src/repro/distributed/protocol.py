@@ -106,8 +106,9 @@ client sends            server replies              meaning
 ``(HELLO, client_id)``  ``(WELCOME, info)``         registration; ``info``
                                                     carries designs/limits
 ``(ACT, (design, state))``  ``(ACTION, action)``    one greedy action for one
-                                                    observation (requests are
-                                                    micro-batched server-side)
+                                                    observation (the server
+                                                    batches the requests one
+                                                    loop tick reads)
 ``(SWAP, (design, blob))``  ``(SWAPPED, info)``     hot-swap the design's
                                                     policy to the pickled
                                                     agent in ``blob``
@@ -140,10 +141,11 @@ transient failures on its schedule; definitive ones raise at once.
 Security note: frames are pickles, so the broker must only be bound to
 interfaces you trust (the default is loopback).  This mirrors the stdlib
 ``multiprocessing`` connection model the in-process backends already rely
-on.  :func:`recv_message` additionally refuses frames larger than
-``max_frame_bytes`` (default :data:`MAX_FRAME_BYTES`, overridable per call
-or via ``$REPRO_MAX_FRAME_BYTES``) *before* allocating, so a corrupt or
-hostile length header cannot trigger a giant allocation.
+on.  :func:`recv_message` and :func:`read_frames` additionally refuse
+frames larger than ``max_frame_bytes`` (for :func:`recv_message` the
+default is :data:`MAX_FRAME_BYTES`, overridable per call or via
+``$REPRO_MAX_FRAME_BYTES``) *before* allocating, so a corrupt or hostile
+length header cannot trigger a giant allocation.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ import pickle
 import socket
 import struct
 import threading
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.utils.retry import RetryPolicy
 
@@ -277,11 +279,16 @@ def transport_counters() -> TransportCounters:
     return _COUNTERS
 
 
+def encode_frame(kind: str, payload: Any = None) -> bytes:
+    """One framed ``(kind, payload)`` message, counted as sent."""
+    body = pickle.dumps((kind, payload), protocol=pickle.HIGHEST_PROTOCOL)
+    _COUNTERS.record_send(_HEADER.size + len(body))
+    return _HEADER.pack(len(body)) + body
+
+
 def send_message(sock: socket.socket, kind: str, payload: Any = None) -> None:
     """Write one framed ``(kind, payload)`` message to the socket."""
-    body = pickle.dumps((kind, payload), protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_HEADER.pack(len(body)) + body)
-    _COUNTERS.record_send(_HEADER.size + len(body))
+    sock.sendall(encode_frame(kind, payload))
 
 
 def recv_message(sock: socket.socket, *,
@@ -302,12 +309,34 @@ def recv_message(sock: socket.socket, *,
              else max_frame_bytes)
     if limit <= 0:
         raise ValueError(f"max_frame_bytes must be positive, got {limit}")
-    header = _recv_exact(sock, _HEADER.size)
-    (length,) = _HEADER.unpack(header)
-    if length > limit:
-        raise ProtocolError(
-            f"frame of {length} bytes exceeds the {limit}-byte limit")
-    body = _recv_exact(sock, length)
+    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
+    _check_length(length, limit)
+    return _decode_frame(_recv_exact(sock, length))
+
+
+def read_frames(buffer: bytearray, *,
+                max_frame_bytes: int) -> Iterator[Tuple[str, Any]]:
+    """Cut every complete frame off the front of ``buffer``, in order.
+
+    The non-blocking twin of :func:`recv_message` for readers that buffer
+    whatever bytes have arrived: each length header is checked against the
+    limit as soon as it is complete, before its body is waited for, and
+    each body goes through the same :func:`_decode_frame`.  A partial frame
+    stays in ``buffer`` for the next call.
+    """
+    while len(buffer) >= _HEADER.size:
+        (length,) = _HEADER.unpack_from(buffer)
+        _check_length(length, max_frame_bytes)
+        end = _HEADER.size + length
+        if len(buffer) < end:
+            return
+        body = buffer[_HEADER.size:end]
+        del buffer[:end]
+        yield _decode_frame(body)
+
+
+def _decode_frame(body: bytes) -> Tuple[str, Any]:
+    """The ``(kind, payload)`` message in one frame body, counted as received."""
     try:
         message = pickle.loads(body)
     except Exception as error:
@@ -315,8 +344,14 @@ def recv_message(sock: socket.socket, *,
     if not (isinstance(message, tuple) and len(message) == 2
             and isinstance(message[0], str)):
         raise ProtocolError(f"malformed message: {type(message).__name__}")
-    _COUNTERS.record_receive(_HEADER.size + length)
+    _COUNTERS.record_receive(_HEADER.size + len(body))
     return message
+
+
+def _check_length(length: int, limit: int) -> None:
+    if length > limit:
+        raise ProtocolError(
+            f"frame of {length} bytes exceeds the {limit}-byte limit")
 
 
 def _recv_exact(sock: socket.socket, n_bytes: int) -> bytes:
@@ -421,6 +456,7 @@ __all__ = [
     "HandshakeError", "MAX_FRAME_BYTES", "MAX_FRAME_ENV_VAR",
     "OBSERVER_PREFIX", "ProtocolError", "RESULT", "SHUTDOWN", "STATS",
     "SWAP", "SWAPPED", "TASK", "TASKS", "TransportCounters", "WAIT",
-    "WELCOME", "default_max_frame_bytes", "dial", "parse_address",
-    "recv_message", "send_message", "transport_counters",
+    "WELCOME", "default_max_frame_bytes", "dial", "encode_frame",
+    "parse_address", "read_frames", "recv_message", "send_message",
+    "transport_counters",
 ]

@@ -4,10 +4,10 @@ The paper's pitch is cheap *online* sequential learning — policies that
 are usable the moment they are trained.  This package closes the loop:
 
 * :class:`PolicyServer` (``server.py``) — a TCP daemon on the distributed
-  backend's framing that answers ``ACT`` frames with greedy actions,
-  micro-batched through the already-vectorized ``act_batch`` predict path;
-* :class:`MicroBatcher` (``batcher.py``) — natural batching: each
-  dispatch takes whatever is queued, up to ``max_batch``, with no timer;
+  backend's framing that answers ``ACT`` frames with greedy actions from
+  one ``selectors`` loop thread.  Natural batching: each tick groups the
+  ``ACT`` frames it read by design, up to ``max_batch``, into one call of
+  the already-vectorized ``act_batch`` predict path, with no timer;
   greedy selection is RNG-free, so served actions are byte-identical to
   offline greedy evaluation;
 * :class:`PolicyClient` (``client.py``) — ``act``/pipelined ``act_many``/
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.serving.batcher import BatcherClosed, MicroBatcher, PendingAction
 from repro.serving.callback import WeightPushCallback
 from repro.serving.client import PolicyClient, ServingError
 from repro.serving.server import SERVING_MAX_FRAME_BYTES, PolicyServer
@@ -73,9 +72,6 @@ def load_spec_policies(store: Any, spec: Any,
 
 
 __all__ = [
-    "BatcherClosed",
-    "MicroBatcher",
-    "PendingAction",
     "PolicyClient",
     "PolicyServer",
     "SERVING_MAX_FRAME_BYTES",

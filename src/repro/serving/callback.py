@@ -5,7 +5,7 @@ hook this callback onto a :class:`~repro.training.trainer.Trainer` and
 every ``every`` episodes (plus once at the end of training) the trial's
 *current* agent is pickled and pushed to a running
 :class:`~repro.serving.server.PolicyServer` as a ``SWAP`` frame — requests
-already in flight finish on the old weights, everything after serves the
+read before it are answered by the old weights, everything after by the
 fresh ones.
 
 Lives in :mod:`repro.serving` rather than :mod:`repro.training.callbacks`

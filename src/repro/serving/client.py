@@ -6,8 +6,9 @@ serving daemon), then
 
 * :meth:`PolicyClient.act` — one observation, one greedy action;
 * :meth:`PolicyClient.act_many` — *pipelined*: all ``ACT`` frames are
-  written before any reply is read, so one client saturates the server's
-  micro-batcher instead of serializing on round trips;
+  written before any reply is read, so one server tick reads many of them
+  and answers them with a few ``act_batch`` calls instead of serializing
+  on round trips;
 * :meth:`PolicyClient.swap` — push a (pickled) trained agent into the live
   server, the transport under :class:`~repro.serving.WeightPushCallback`;
 * :meth:`PolicyClient.stats` — the server's counters + latency histograms.
@@ -145,8 +146,8 @@ class PolicyClient:
         """Greedy actions for many observations, pipelined.
 
         All ``ACT`` frames are sent before any ``ACTION`` is read; the
-        server's per-connection writer preserves request order, so the
-        returned array lines up with ``states`` row for row.
+        server answers each connection in request order, so the returned
+        array lines up with ``states`` row for row.
         """
         resolved = self._design(design)
         matrix = np.asarray(states, dtype=np.float64)

@@ -2,44 +2,43 @@
 
 A TCP daemon on the distributed backend's length-prefixed pickle framing
 (:mod:`repro.distributed.protocol`) that hosts one trained agent per design
-and answers ``ACT`` frames with greedy actions.  Architecture mirrors the
-:class:`~repro.distributed.broker.SweepBroker`: a threaded accept loop with
-a short accept timeout, one handler per connection, ``HELLO``/``WELCOME``
-version negotiation, and a ``STATS`` observability channel — but where the
-broker fans *work out*, this daemon fans *requests in*:
+and answers ``ACT`` frames with greedy actions.  One loop thread serves every
+connection through a :mod:`selectors` selector.  Each *tick* of the loop:
 
-* every connection gets a **reader** thread (parses frames, applies swaps,
-  queues ``ACT`` requests into the shared :class:`~repro.serving.batcher.
-  MicroBatcher`) and a **writer** thread (sends replies strictly in request
-  order, so a client may pipeline many ``ACT`` frames without waiting);
-* one dispatcher thread inside the batcher drains the queues and calls
-  ``agent.act_batch(states, explore=False)`` on whatever is queued, up to
-  ``max_batch`` — no request waits for a batch to fill; the agent is only
-  ever touched single-threaded, and greedy selection is RNG-free, so served
-  actions are byte-identical to offline greedy evaluation;
-* a ``SWAP`` frame atomically replaces a design's agent between batches —
-  in-flight requests are never dropped: batches already dispatched finish
-  on the old weights, everything after the swap uses the new ones.
+1. **reads** one bounded ``recv`` per ready socket and cuts out every
+   complete frame (:func:`~repro.distributed.protocol.read_frames` checks
+   each length header against ``max_frame_bytes`` before buffering a body);
+2. **orders** the frames round-robin across connections, FIFO within one.
+   ``ACT`` frames collect into pending groups; any other frame first
+   dispatches the pending groups, so a ``SWAP`` lands between groups;
+3. **dispatches** the pending ``ACT`` frames grouped by design, one
+   ``agent.act_batch(states, explore=False)`` call per ``max_batch`` of
+   them.  No request waits for a batch to fill, and greedy selection is
+   RNG-free, so served actions are byte-identical to offline greedy
+   evaluation;
+4. **writes** the replies to each connection in request order (so clients
+   may pipeline) with non-blocking ``send``.
 
-Request counters and latency histograms ride a dedicated
-:class:`~repro.telemetry.registry.MetricsRegistry` (always on — serving
-latency is the product here, not optional debug telemetry), surfaced
-through the ``STATS`` frame with interpolated p50/p90/p99.
+A peer whose unsent replies exceed ``max_frame_bytes`` is dropped with a
+warning, so the loop never waits on one peer.  Counters, latency and
+per-stage (``serving.stage.{read,act_batch,write}_seconds``) histograms ride
+a :class:`~repro.telemetry.registry.MetricsRegistry`, surfaced through the
+``STATS`` frame with interpolated p50/p90/p99.
 """
 
 from __future__ import annotations
 
 import pickle
+import selectors
 import socket
 import threading
 import time
-from queue import Queue
+from itertools import zip_longest
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.distributed import protocol
-from repro.serving.batcher import MicroBatcher, PendingAction
 from repro.telemetry.registry import COUNT_BUCKETS, MetricsRegistry
 from repro.utils.logging import get_logger
 
@@ -50,6 +49,9 @@ _LOGGER = get_logger("repro.serving.server")
 #: megabytes of hidden-layer matrices — 64 MiB bounds a hostile length
 #: header at roughly 1000x real traffic instead of the 1 GiB default.
 SERVING_MAX_FRAME_BYTES = 64 << 20
+
+#: The most bytes one connection's ``recv`` takes per tick.
+_RECV_BYTES = 1 << 16
 
 
 class _PolicyEntry:
@@ -71,6 +73,21 @@ def _state_width(agent: Any) -> Optional[int]:
     return int(width) if width is not None else None
 
 
+class _Connection:
+    """One client socket and its buffers."""
+
+    __slots__ = ("sock", "client_id", "inbox", "outbox", "replies")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.client_id = "<unregistered>"
+        self.inbox = bytearray()      #: bytes of a frame not yet complete
+        self.outbox = bytearray()     #: reply bytes not yet sent
+        #: This tick's ``(kind, payload)`` replies in request order; an
+        #: ``ACT`` holds a ``None`` slot until its chunk is dispatched.
+        self.replies: List[Optional[Tuple[str, Any]]] = []
+
+
 class PolicyServer:
     """Serve greedy actions for trained agents over TCP.
 
@@ -85,11 +102,12 @@ class PolicyServer:
         Bind address; port 0 (default) picks an ephemeral port, published
         through :attr:`address` after :meth:`start`.
     max_batch:
-        The most queued requests one ``act_batch`` call takes, forwarded
-        to the :class:`~repro.serving.batcher.MicroBatcher`.
+        The most ``ACT`` requests one ``act_batch`` call takes; a tick's
+        longer group for one design splits into several calls.
     max_frame_bytes:
-        Frame-size ceiling enforced on every client frame before
-        allocation (default :data:`SERVING_MAX_FRAME_BYTES`).
+        Frame-size ceiling enforced on every client frame before its body
+        is buffered (default :data:`SERVING_MAX_FRAME_BYTES`); also the most
+        unsent reply bytes one connection may hold.
     """
 
     def __init__(self, policies: Dict[str, Any], *,
@@ -103,6 +121,9 @@ class PolicyServer:
                 raise TypeError(
                     f"policy for design {design!r} has no act_batch(); "
                     f"got {type(agent).__name__}")
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        self.max_batch = int(max_batch)
         self.max_frame_bytes = int(max_frame_bytes)
         self._policy_lock = threading.Lock()
         self._policies: Dict[str, _PolicyEntry] = {
@@ -113,17 +134,20 @@ class PolicyServer:
         self._latency = self.metrics.histogram("serving.request_latency_seconds")
         self._batch_sizes = self.metrics.histogram("serving.batch_size",
                                                    buckets=COUNT_BUCKETS)
+        self._stages = {stage: self.metrics.histogram(f"serving.stage.{stage}_seconds")
+                        for stage in ("read", "act_batch", "write")}
         self._requests = self.metrics.counter("serving.requests")
         self._errors = self.metrics.counter("serving.errors")
         self._swaps = self.metrics.counter("serving.swaps")
-        self._connections = self.metrics.gauge("serving.connections")
-        self.batcher = MicroBatcher(self._dispatch, max_batch=max_batch,
-                                    on_batch=self._observe_batch)
+        self._connections_gauge = self.metrics.gauge("serving.connections")
         self._server: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []
-        self._open_connections: set = set()
-        self._conn_lock = threading.Lock()
-        self._closing = threading.Event()
+        self._selector: Any = None
+        self._wake: Tuple[socket.socket, ...] = ()
+        self._thread: Optional[threading.Thread] = None
+        self._connections: set = set()
+        self._closing = False
+        #: ``ACT`` frames decoded but not yet answered (``STATS`` mid-tick).
+        self._queued = 0
         self._started_at = time.monotonic()
 
     # ------------------------------------------------------------------ lifecycle
@@ -132,14 +156,16 @@ class PolicyServer:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind((self._bind_host, self._bind_port))
         server.listen(64)
-        server.settimeout(0.2)
+        server.setblocking(False)
         self._server = server
+        self._wake = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(server, selectors.EVENT_READ, "accept")
+        self._selector.register(self._wake[0], selectors.EVENT_READ, "wake")
         self._started_at = time.monotonic()
-        self.batcher.start()
-        accept = threading.Thread(target=self._accept_loop,
-                                  name="repro-serving-accept", daemon=True)
-        accept.start()
-        self._threads.append(accept)
+        self._thread = threading.Thread(target=self._run,
+                                        name="repro-serving-loop", daemon=True)
+        self._thread.start()
         _LOGGER.info("policy server started", address="%s:%d" % self.address,
                      designs=len(self._policies))
         return self
@@ -155,23 +181,15 @@ class PolicyServer:
             return sorted(self._policies)
 
     def close(self) -> None:
-        if self._closing.is_set():
+        """Stop the loop; every client sees its connection close."""
+        if self._closing:
             return
-        self._closing.set()
-        self.batcher.close()
-        if self._server is not None:
-            self._server.close()
-        # Readers block in recv(); closing their sockets is what unblocks
-        # them, so shutdown never waits on an idle client.
-        with self._conn_lock:
-            open_connections = list(self._open_connections)
-        for connection in open_connections:
-            try:
-                connection.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=5.0)
+        self._closing = True
+        if self._thread is None:
+            return
+        self._wake[1].send(b"\0")
+        self._thread.join(timeout=5.0)
+        self._wake[1].close()
         _LOGGER.info("policy server stopped")
 
     def __enter__(self) -> "PolicyServer":
@@ -180,30 +198,14 @@ class PolicyServer:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ dispatch
-    def _dispatch(self, design: str, states: np.ndarray) -> np.ndarray:
-        # Resolve the design's *current* agent under the swap lock; act_batch
-        # itself runs outside it (single-threaded: only the dispatcher calls
-        # this), so a SWAP never blocks on an in-flight batch and an
-        # in-flight batch always completes on the weights it started with.
-        with self._policy_lock:
-            entry = self._policies[design]
-            agent = entry.agent
-            entry.requests += len(states)
-        return np.asarray(agent.act_batch(states, explore=False),
-                          dtype=np.int64)
-
-    def _observe_batch(self, design: str, size: int, seconds: float) -> None:
-        self._batch_sizes.observe(size)
-
     # ------------------------------------------------------------------ swaps
     def swap_policy(self, design: str, agent: Any) -> Dict[str, Any]:
         """Install ``agent`` as the live policy for ``design``.
 
-        Called by the ``SWAP`` frame handler (and usable in-process).  A
-        previously unserved design is added, so a trainer can push a brand
-        new policy into a running daemon.  Returns the acknowledgement
-        payload (design, new generation).
+        Called by the ``SWAP`` frame handler (and usable in-process, from
+        any thread).  A previously unserved design is added, so a trainer
+        can push a brand new policy into a running daemon.  Returns the
+        acknowledgement payload (design, new generation).
         """
         if not callable(getattr(agent, "act_batch", None)):
             raise TypeError(
@@ -237,101 +239,147 @@ class PolicyServer:
             "repro_version": repro.__version__,
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
             "designs": designs,
-            "batching": {"max_batch": self.batcher.max_batch,
-                         "queued": self.batcher.queued()},
+            "batching": {"max_batch": self.max_batch, "queued": self._queued},
             "metrics": self.metrics.snapshot(),
             "transport": protocol.transport_counters().snapshot(),
         }
 
-    # ------------------------------------------------------------------ protocol
-    def _accept_loop(self) -> None:
-        assert self._server is not None
-        while not self._closing.is_set():
-            try:
-                connection, _address = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            handler = threading.Thread(target=self._serve_client,
-                                       args=(connection,),
-                                       name="repro-serving-conn", daemon=True)
-            handler.start()
-            self._threads.append(handler)
-
-    def _serve_client(self, connection: socket.socket) -> None:
-        """Reader half of one connection; spawns its ordered-reply writer.
-
-        Every frame's reply is enqueued (as an immediate payload or a
-        pending batcher future) on a per-connection FIFO that the writer
-        drains — replies leave in exactly the order requests arrived, which
-        is what lets :meth:`PolicyClient.act_many` pipeline.
-        """
-        replies: Queue = Queue()
-        with self._conn_lock:
-            self._open_connections.add(connection)
-        writer = threading.Thread(target=self._write_replies,
-                                  args=(connection, replies),
-                                  name="repro-serving-writer", daemon=True)
-        writer.start()
-        self._connections.inc()
-        client_id = "<unregistered>"
+    # ------------------------------------------------------------------ loop
+    def _run(self) -> None:
         try:
-            while not self._closing.is_set():
-                try:
-                    kind, payload = protocol.recv_message(
-                        connection, max_frame_bytes=self.max_frame_bytes)
-                except protocol.ProtocolError as error:
-                    _LOGGER.warning("client protocol error",
-                                    client=client_id, error=str(error))
-                    break
-                except (ConnectionError, OSError):
-                    break
-                if kind == protocol.HELLO:
-                    client_id = str(payload)
-                    replies.put(("now", protocol.WELCOME, self._welcome_info()))
-                elif kind == protocol.ACT:
-                    self._handle_act(payload, replies)
-                elif kind == protocol.SWAP:
-                    self._handle_swap(payload, replies)
-                elif kind == protocol.STATS:
-                    replies.put(("now", protocol.STATS, self.stats_snapshot()))
-                else:
-                    self._errors.inc()
-                    replies.put(("now", protocol.ERROR,
-                                 f"unknown frame kind {kind!r}"))
+            while True:
+                events = self._selector.select()
+                # Only close() writes to the wake-up pair; its peer stays open
+                # until the loop has read that byte.
+                if any(key.data == "wake" for key, _mask in events):
+                    return
+                self._tick(events)
         finally:
-            replies.put(None)
-            writer.join(timeout=5.0)
-            self._connections.dec()
-            with self._conn_lock:
-                self._open_connections.discard(connection)
+            for conn in list(self._connections):
+                self._drop(conn)
+            self._selector.close()
+            self._server.close()
+            self._wake[0].close()
+
+    def _tick(self, events: List[Tuple[selectors.SelectorKey, int]]) -> None:
+        started = time.perf_counter()
+        inbound: List[List[Tuple[_Connection, str, Any]]] = []
+        for key, mask in events:
+            if key.data == "accept":
+                self._accept()
+                continue
+            if mask & selectors.EVENT_WRITE:
+                self._flush(key.data)
+            if mask & selectors.EVENT_READ:
+                frames = self._read(key.data)
+                if frames:
+                    inbound.append(frames)
+        if not inbound:
+            return
+        self._stages["read"].observe(time.perf_counter() - started)
+
+        order = [frame for rank in zip_longest(*inbound) for frame in rank
+                 if frame is not None]
+        self._queued = sum(kind == protocol.ACT for _, kind, _ in order)
+        pending: Dict[str, List[Tuple[_Connection, int, np.ndarray]]] = {}
+        act_seconds = 0.0
+        for conn, kind, payload in order:
+            if kind == protocol.ACT:
+                self._queue_act(conn, payload, pending)
+            else:
+                act_seconds += self._dispatch(pending, started)
+                conn.replies.append(self._answer(conn, kind, payload))
+        act_seconds += self._dispatch(pending, started)
+        self._stages["act_batch"].observe(act_seconds)
+
+        write_started = time.perf_counter()
+        for frames in inbound:
+            conn = frames[0][0]
+            conn.outbox += b"".join(protocol.encode_frame(*reply)
+                                    for reply in conn.replies)
+            conn.replies.clear()
+            self._flush(conn)
+        self._stages["write"].observe(time.perf_counter() - write_started)
+
+    def _accept(self) -> None:
+        try:
+            sock, _address = self._server.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        conn = _Connection(sock)
+        self._connections.add(conn)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._connections_gauge.inc()
+
+    def _drop(self, conn: _Connection) -> None:
+        if conn not in self._connections:
+            return
+        self._connections.discard(conn)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        self._connections_gauge.dec()
+
+    def _read(self, conn: _Connection) -> List[Tuple[_Connection, str, Any]]:
+        """One ``recv``, then every frame it completed.  A peer that closed
+        or sent a bad frame is dropped."""
+        try:
+            chunk = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return []
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self._drop(conn)
+            return []
+        conn.inbox += chunk
+        try:
+            return [(conn, kind, payload) for kind, payload in protocol.read_frames(
+                conn.inbox, max_frame_bytes=self.max_frame_bytes)]
+        except protocol.ProtocolError as error:
+            _LOGGER.warning("client protocol error", client=conn.client_id,
+                            error=str(error))
+            self._drop(conn)
+            return []
+
+    def _flush(self, conn: _Connection) -> None:
+        """Send what the socket takes now; watch for writability if not all."""
+        if conn not in self._connections:
+            return
+        if conn.outbox:
             try:
-                connection.close()
+                sent = conn.sock.send(conn.outbox)
+            except BlockingIOError:
+                sent = 0
             except OSError:
-                pass
+                self._drop(conn)
+                return
+            del conn.outbox[:sent]
+        if len(conn.outbox) > self.max_frame_bytes:
+            _LOGGER.warning("client not reading: dropped", client=conn.client_id,
+                            unsent_bytes=len(conn.outbox))
+            self._drop(conn)
+            return
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE
+                                         if conn.outbox else 0)
+        if events != self._selector.get_key(conn.sock).events:
+            self._selector.modify(conn.sock, events, conn)
 
-    def _welcome_info(self) -> Dict[str, Any]:
-        import repro
-
-        return {
-            "serving": True,
-            "stats": True,
-            "repro_version": repro.__version__,
-            "designs": self.designs(),
-            "max_batch": self.batcher.max_batch,
-        }
-
-    def _handle_act(self, payload: Any, replies: Queue) -> None:
+    # ------------------------------------------------------------------ frames
+    def _queue_act(self, conn: _Connection, payload: Any,
+                   pending: Dict[str, List[Tuple[_Connection, int, np.ndarray]]]
+                   ) -> None:
+        """Check one ``ACT``; queue it on its design's group, or answer ERROR."""
         try:
             design, state = payload
+            design = str(design)
             state = np.asarray(state, dtype=np.float64)
             if state.ndim != 1:
                 raise ValueError(
                     f"state must be 1-D (one observation per ACT frame), "
                     f"got shape {state.shape}")
             with self._policy_lock:
-                entry = self._policies.get(str(design))
+                entry = self._policies.get(design)
                 expected = entry.n_states if entry is not None else None
             if entry is None:
                 raise KeyError(
@@ -340,50 +388,80 @@ class PolicyServer:
                 raise ValueError(
                     f"design {design!r} expects {expected} state dims, "
                     f"got {state.shape[0]}")
-        except (TypeError, ValueError, KeyError) as error:
+            if not np.isfinite(state).all():
+                raise ValueError("state contains NaN or Inf values")
+        except Exception as error:  # noqa: BLE001 - any bad request -> ERROR
             self._errors.inc()
-            replies.put(("now", protocol.ERROR, str(error)))
+            self._queued -= 1
+            conn.replies.append((protocol.ERROR, str(error)))
             return
         self._requests.inc()
-        replies.put(("pending", self.batcher.submit(str(design), state)))
+        pending.setdefault(design, []).append((conn, len(conn.replies), state))
+        conn.replies.append(None)
 
-    def _handle_swap(self, payload: Any, replies: Queue) -> None:
-        try:
-            design, blob = payload
-            agent = pickle.loads(blob)
-            info = self.swap_policy(str(design), agent)
-        except Exception as error:  # noqa: BLE001 - any bad blob -> ERROR reply
-            self._errors.inc()
-            replies.put(("now", protocol.ERROR,
-                         f"swap rejected: {error}"))
-            return
-        replies.put(("now", protocol.SWAPPED, info))
-
-    def _write_replies(self, connection: socket.socket, replies: Queue) -> None:
-        """Drain one connection's reply queue in FIFO order."""
-        while True:
-            item = replies.get()
-            if item is None:
-                return
-            try:
-                if item[0] == "now":
-                    _tag, kind, payload = item
-                    protocol.send_message(connection, kind, payload)
+    def _dispatch(self, pending: Dict[str, List[Tuple[_Connection, int, np.ndarray]]],
+                  started: float) -> float:
+        """Answer the pending ``ACT`` frames, one ``act_batch`` per chunk of
+        ``max_batch`` (a failure answers its chunk); returns its seconds."""
+        seconds = 0.0
+        for design, requests in pending.items():
+            for first in range(0, len(requests), self.max_batch):
+                chunk = requests[first:first + self.max_batch]
+                # Read under the swap lock, so an in-process swap_policy from
+                # another thread lands between chunks, never inside one.
+                with self._policy_lock:
+                    entry = self._policies[design]
+                    agent = entry.agent
+                    entry.requests += len(chunk)
+                began = time.perf_counter()
+                try:
+                    states = np.stack([state for _, _, state in chunk])
+                    actions = np.asarray(agent.act_batch(states, explore=False),
+                                         dtype=np.int64)
+                    if actions.shape != (len(chunk),):
+                        raise RuntimeError(
+                            f"act_batch returned shape {actions.shape}, "
+                            f"expected ({len(chunk)},)")
+                except Exception as error:  # noqa: BLE001 - forwarded to the chunk
+                    _LOGGER.warning("batch dispatch failed", design=design,
+                                    size=len(chunk), error=repr(error))
+                    self._errors.inc(len(chunk))
+                    replies = [(protocol.ERROR, f"dispatch failed: {error}")] * len(chunk)
                 else:
-                    pending: PendingAction = item[1]
-                    try:
-                        action = pending.result()
-                    except Exception as error:  # noqa: BLE001
-                        self._errors.inc()
-                        protocol.send_message(connection, protocol.ERROR,
-                                              f"dispatch failed: {error}")
-                        continue
-                    self._latency.observe(time.perf_counter() - pending.enqueued)
-                    protocol.send_message(connection, protocol.ACTION, action)
-            except (ConnectionError, OSError):
-                # The peer vanished mid-reply (disconnect mid-batch): keep
-                # draining so pending futures are consumed, sending nothing.
-                continue
+                    self._batch_sizes.observe(len(chunk))
+                    replies = [(protocol.ACTION, int(action)) for action in actions]
+                    latency = time.perf_counter() - started  # since its tick began
+                    for _ in chunk:
+                        self._latency.observe(latency)
+                seconds += time.perf_counter() - began
+                for (conn, slot, _state), reply in zip(chunk, replies):
+                    conn.replies[slot] = reply
+                self._queued -= len(chunk)
+        pending.clear()
+        return seconds
+
+    def _answer(self, conn: _Connection, kind: str, payload: Any) -> Tuple[str, Any]:
+        """The reply to one non-``ACT`` frame."""
+        import repro
+
+        if kind == protocol.HELLO:
+            conn.client_id = str(payload)
+            return protocol.WELCOME, {"serving": True, "stats": True,
+                                      "repro_version": repro.__version__,
+                                      "designs": self.designs(),
+                                      "max_batch": self.max_batch}
+        if kind == protocol.SWAP:
+            try:
+                design, blob = payload
+                return protocol.SWAPPED, self.swap_policy(str(design),
+                                                          pickle.loads(blob))
+            except Exception as error:  # noqa: BLE001 - any bad blob -> ERROR
+                self._errors.inc()
+                return protocol.ERROR, f"swap rejected: {error}"
+        if kind == protocol.STATS:
+            return protocol.STATS, self.stats_snapshot()
+        self._errors.inc()
+        return protocol.ERROR, f"unknown frame kind {kind!r}"
 
 
 __all__ = ["PolicyServer", "SERVING_MAX_FRAME_BYTES"]

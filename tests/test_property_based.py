@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.clipping import q_learning_target, shaped_cartpole_reward
+from repro.core.designs import make_design
 from repro.core.elm import ELM
 from repro.core.os_elm import OSELM
 from repro.core.qfunction import QFunction
@@ -19,6 +20,7 @@ from repro.fixedpoint.qformat import Q20, QFormat
 from repro.linalg.incremental import sherman_morrison_update
 from repro.linalg.spectral import spectral_norm, spectral_normalize
 from repro.parallel.sweep import SweepSpec, execute_tasks
+from repro.serving import PolicyClient, PolicyServer
 from repro.training import Trainer, TrainingConfig
 from repro.utils.metrics import MovingAverage, RunningStats
 
@@ -262,7 +264,64 @@ wire_bytes = st.one_of(
 )
 
 
+#: Frames of the shapes the serving and sweep traffic carries.
+messages = st.lists(
+    st.tuples(st.text(max_size=8),
+              st.one_of(st.none(), st.integers(), st.text(max_size=32),
+                        st.binary(max_size=600))),
+    min_size=1, max_size=8)
+
+
+@pytest.fixture(scope="module")
+def live_server():
+    agent = make_design("OS-ELM", n_hidden=8, seed=3)
+    with PolicyServer({"OS-ELM": agent}, max_frame_bytes=4096) as server:
+        yield server, agent
+
+
 class TestFramingProperties:
+    @_SETTINGS
+    @given(sent=messages, data=st.data())
+    def test_any_chunking_reads_what_recv_message_reads(self, sent, data):
+        stream = b"".join(protocol.encode_frame(kind, payload)
+                          for kind, payload in sent)
+        writer, reader = socket.socketpair()
+        try:
+            writer.sendall(stream)
+            blocking = [protocol.recv_message(reader) for _ in sent]
+        finally:
+            writer.close()
+            reader.close()
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)),
+                                         max_size=6)))
+        buffer, incremental = bytearray(), []
+        for start, end in zip([0] + cuts, cuts + [len(stream)]):
+            buffer += stream[start:end]
+            incremental.extend(protocol.read_frames(buffer,
+                                                    max_frame_bytes=4096))
+        assert incremental == blocking == sent
+        assert not buffer
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=wire_bytes)
+    def test_policy_server_survives_arbitrary_bytes(self, live_server, data):
+        server, agent = live_server
+        sock = socket.create_connection(server.address, timeout=5.0)
+        try:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+            while True:  # ERROR replies until the server drops the peer
+                try:
+                    kind, _reason = protocol.recv_message(sock)
+                except ConnectionError:
+                    break
+                assert kind == protocol.ERROR
+        finally:
+            sock.close()
+        state = np.array([0.1, -0.2, 0.03, 0.4])
+        with PolicyClient(*server.address, timeout=5.0) as client:
+            assert client.act(state) == agent.act(state, explore=False)
+
     @_SETTINGS
     @given(data=wire_bytes)
     def test_recv_message_raises_only_connection_errors(self, data):

@@ -1,13 +1,15 @@
-"""Tests of the serving stack: batcher, protocol edge cases, byte-identity.
+"""Tests of the serving stack: tick semantics, protocol edge cases, byte-identity.
 
 Protocol edge cases drive :class:`~repro.serving.server.PolicyServer` with
 raw scripted sockets in the style of ``test_distributed_broker.py`` —
-malformed frames, oversized frames, disconnects mid-batch, swaps racing
-in-flight requests — so every fault a client fleet can throw at the daemon
-is exercised deterministically.  The byte-identity tests pin the paper-level
-contract: an action served through pickling + micro-batching equals the
-same observation evaluated offline with ``agent.act(state, explore=False)``,
-for every agent family and after a hot swap.
+malformed frames, oversized frames, disconnects mid-batch, swaps between
+requests, clients that never read — so every fault a client fleet can throw
+at the daemon is exercised deterministically.  Tick tests send several
+frames in one write, so one loop tick reads them all, and pin the order the
+loop handles them in.  The byte-identity tests pin the paper-level contract:
+an action served through pickling + batching equals the same observation
+evaluated offline with ``agent.act(state, explore=False)``, for every agent
+family and after a hot swap.
 """
 
 import pickle
@@ -24,8 +26,6 @@ from repro.distributed import protocol
 from repro.distributed.broker import SweepBroker
 from repro.parallel.sweep import SweepSpec
 from repro.serving import (
-    BatcherClosed,
-    MicroBatcher,
     PolicyClient,
     PolicyServer,
     ServingError,
@@ -62,206 +62,36 @@ def _clone(agent):
     return pickle.loads(pickle.dumps(agent))
 
 
-def _wait_until(predicate, timeout=5.0, message="condition"):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(0.005)
-    raise AssertionError(f"timed out waiting for {message}")
+class _EchoAgent:
+    """Answers each state with ``int(state[0]) + offset``.
 
-
-class _GatedAgent:
-    """Wraps an agent so its ``act_batch`` blocks until ``gate`` is set.
-
-    A server hosting it parks its dispatcher inside the first batch, so a
-    test can queue requests behind that batch and decide what happens
-    before they dispatch.  ``sizes`` records every batch it served.
+    ``batches`` records the first features of every ``act_batch`` call, so
+    a test sees exactly how the loop grouped its requests.  A batch holding
+    ``fail_on`` raises; ``gate``, once cleared, parks the loop inside
+    ``act_batch`` until it is set again.
     """
 
-    def __init__(self, agent):
-        self.agent = agent
-        self.config = agent.config
+    def __init__(self, offset=0, fail_on=None):
+        self.config = type("Config", (), {"n_states": 4})()
+        self.offset = offset
+        self.fail_on = fail_on
+        self.batches = []
         self.entered = threading.Event()
         self.gate = threading.Event()
-        self.sizes = []
+        self.gate.set()
 
     def act_batch(self, states, explore=False):
-        self.sizes.append(len(states))
+        firsts = [int(state[0]) for state in states]
+        self.batches.append(firsts)
         self.entered.set()
         self.gate.wait(timeout=10.0)
-        return self.agent.act_batch(states, explore=explore)
-
-
-# ---------------------------------------------------------------------- batcher
-class TestMicroBatcher:
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError, match="max_batch"):
-            MicroBatcher(lambda d, s: s, max_batch=0)
-
-    def test_fills_to_max_batch(self):
-        sizes = []
-
-        def dispatch(design, states):
-            sizes.append(len(states))
-            return np.zeros(len(states), dtype=np.int64)
-
-        batcher = MicroBatcher(dispatch, max_batch=4)
-        # Queue everything before the dispatcher starts: it must drain the
-        # backlog as two full batches.
-        pending = [batcher.submit("d", np.zeros(4)) for _ in range(8)]
-        with batcher:
-            assert [request.result(timeout=5.0) for request in pending] == [0] * 8
-        assert sizes == [4, 4]
-
-    def test_dispatches_partial_batch_without_waiting(self):
-        sizes = []
-
-        def dispatch(design, states):
-            sizes.append(len(states))
-            return np.arange(len(states))
-
-        batcher = MicroBatcher(dispatch, max_batch=64)
-        pending = [batcher.submit("d", np.zeros(4)) for _ in range(3)]
-        with batcher:
-            assert [request.result(timeout=5.0) for request in pending] == [0, 1, 2]
-            # A lone request on an idle batcher goes out on its own.
-            assert batcher.submit("d", np.zeros(4)).result(timeout=5.0) == 0
-        assert sizes == [3, 1]
-
-    def test_requests_queued_during_a_dispatch_form_the_next_batch(self):
-        entered, gate = threading.Event(), threading.Event()
-        sizes = []
-
-        def dispatch(design, states):
-            sizes.append(len(states))
-            entered.set()
-            gate.wait(timeout=10.0)
-            return np.zeros(len(states), dtype=np.int64)
-
-        with MicroBatcher(dispatch, max_batch=4) as batcher:
-            first = batcher.submit("d", np.zeros(4))
-            assert entered.wait(timeout=5.0)
-            # The dispatcher is busy: these six queue behind it, and go out
-            # together when it returns, split at max_batch.
-            queued = [batcher.submit("d", np.zeros(4)) for _ in range(6)]
-            assert batcher.queued() == 6
-            gate.set()
-            for request in [first, *queued]:
-                assert request.result(timeout=5.0) == 0
-        assert sizes == [1, 4, 2]
-
-    def test_max_batch_one_dispatches_each_request_alone(self):
-        sizes = []
-
-        def dispatch(design, states):
-            sizes.append(len(states))
-            return np.zeros(len(states), dtype=np.int64)
-
-        batcher = MicroBatcher(dispatch, max_batch=1)
-        pending = [batcher.submit("d", np.zeros(4)) for _ in range(3)]
-        with batcher:
-            for request in pending:
-                assert request.result(timeout=5.0) == 0
-        assert sizes == [1, 1, 1]
-
-    def test_each_request_gets_its_own_row_in_fifo_order(self):
-        seen = []
-
-        def dispatch(design, states):
-            seen.extend(int(state[0]) for state in states)
-            # Echo the first feature back as the "action".
-            return states[:, 0].astype(np.int64)
-
-        batcher = MicroBatcher(dispatch, max_batch=3)
-        pending = [batcher.submit("d", np.full(4, float(i))) for i in range(7)]
-        with batcher:
-            assert [request.result(timeout=5.0) for request in pending] == list(range(7))
-        assert seen == list(range(7))
-
-    def test_head_of_line_picks_oldest_design_after_a_dispatch(self):
-        entered, gate = threading.Event(), threading.Event()
-        order = []
-
-        def dispatch(design, states):
-            order.append((design, len(states)))
-            entered.set()
-            gate.wait(timeout=10.0)
-            return np.zeros(len(states), dtype=np.int64)
-
-        with MicroBatcher(dispatch, max_batch=8) as batcher:
-            first = batcher.submit("a", np.zeros(2))
-            assert entered.wait(timeout=5.0)
-            # "b" queues before the second "a": once the running batch
-            # returns, "b" has the oldest head and goes next.
-            later = [batcher.submit("b", np.zeros(2)),
-                     batcher.submit("a", np.zeros(2)),
-                     batcher.submit("b", np.zeros(2))]
-            gate.set()
-            for request in [first, *later]:
-                request.result(timeout=5.0)
-        assert order == [("a", 1), ("b", 2), ("a", 1)]
-
-    def test_on_batch_hook_sees_every_dispatch(self):
-        calls = []
-        batcher = MicroBatcher(lambda d, s: np.zeros(len(s), dtype=np.int64),
-                               max_batch=2,
-                               on_batch=lambda *args: calls.append(args))
-        pending = [batcher.submit("d", np.zeros(4)) for _ in range(3)]
-        with batcher:
-            for request in pending:
-                request.result(timeout=5.0)
-        assert [(design, size) for design, size, _ in calls] == [("d", 2), ("d", 1)]
-        assert all(seconds >= 0.0 for _, _, seconds in calls)
-
-    def test_wrong_action_shape_fails_the_batch(self):
-        batcher = MicroBatcher(lambda d, s: np.zeros(len(s) + 1), max_batch=4)
-        pending = [batcher.submit("d", np.zeros(4)) for _ in range(2)]
-        with batcher:
-            for request in pending:
-                with pytest.raises(RuntimeError, match="dispatch returned shape"):
-                    request.result(timeout=5.0)
-
-    def test_start_twice_rejected(self):
-        with MicroBatcher(lambda d, s: np.zeros(len(s))) as batcher:
-            with pytest.raises(RuntimeError, match="already started"):
-                batcher.start()
-
-    def test_head_of_line_order_across_designs(self):
-        order = []
-
-        def dispatch(design, states):
-            order.append(design)
-            return np.zeros(len(states), dtype=np.int64)
-
-        batcher = MicroBatcher(dispatch, max_batch=1)
-        first = batcher.submit("a", np.zeros(2))
-        second = batcher.submit("b", np.zeros(2))
-        with batcher:
-            first.result(timeout=5.0)
-            second.result(timeout=5.0)
-        assert order == ["a", "b"]
-
-    def test_dispatch_error_fails_whole_batch(self):
-        def dispatch(design, states):
+        if self.fail_on in firsts:
             raise RuntimeError("model exploded")
+        return np.asarray(firsts) + self.offset
 
-        batcher = MicroBatcher(dispatch, max_batch=4)
-        pending = [batcher.submit("d", np.zeros(4)) for _ in range(2)]
-        with batcher:
-            for request in pending:
-                with pytest.raises(RuntimeError, match="model exploded"):
-                    request.result(timeout=5.0)
 
-    def test_close_fails_pending_and_rejects_new(self):
-        batcher = MicroBatcher(lambda d, s: np.zeros(len(s)))
-        # Never started: the request can only be failed by close().
-        request = batcher.submit("d", np.zeros(4))
-        batcher.close()
-        with pytest.raises(BatcherClosed):
-            request.result(timeout=1.0)
-        with pytest.raises(BatcherClosed):
-            batcher.submit("d", np.zeros(4))
+def _act(value, design="d"):
+    return protocol.ACT, (design, [float(value), 0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------- scripted sockets
@@ -279,6 +109,11 @@ class _RawClient:
 
     def send(self, kind, payload=None):
         protocol.send_message(self.sock, kind, payload)
+
+    def send_many(self, frames):
+        """Every ``(kind, payload)`` frame in one write: one tick reads them."""
+        self.sock.sendall(b"".join(protocol.encode_frame(kind, payload)
+                                   for kind, payload in frames))
 
     def recv(self):
         return protocol.recv_message(self.sock)
@@ -303,6 +138,8 @@ class TestServerProtocol:
             PolicyServer({})
         with pytest.raises(TypeError, match="act_batch"):
             PolicyServer({"OS-ELM": object()})
+        with pytest.raises(ValueError, match="max_batch"):
+            PolicyServer({"d": _EchoAgent()}, max_batch=0)
 
     def test_welcome_advertises_serving(self, agents):
         with PolicyServer({"OS-ELM": _clone(agents["OS-ELM"])}) as server:
@@ -374,58 +211,98 @@ class TestServerProtocol:
 
     def test_client_disconnect_mid_batch_spares_other_clients(self, agents):
         agent = agents["OS-ELM"]
-        state = _probe_states(agent, 3, seed=3)
-        gated = _GatedAgent(_clone(agent))
-        with PolicyServer({"OS-ELM": gated}, max_batch=4) as server:
-            blocker = _RawClient(server, "blocker")
-            blocker.send(protocol.ACT, ("OS-ELM", state[0]))
-            assert gated.entered.wait(timeout=5.0)  # dispatcher is parked
+        states = _probe_states(agent, 8, seed=3)
+        with PolicyServer({"OS-ELM": _clone(agent)}, max_batch=4) as server:
             doomed = _RawClient(server, "doomed")
-            doomed.send(protocol.ACT, ("OS-ELM", state[1]))
-            _wait_until(lambda: server.batcher.queued() == 1,
-                        message="the doomed request to queue")
-            doomed.close()  # dies with its request still queued
-            survivor = _RawClient(server, "survivor")
-            survivor.send(protocol.ACT, ("OS-ELM", state[2]))
-            _wait_until(lambda: server.batcher.queued() == 2,
-                        message="the survivor request to queue")
-            gated.gate.set()
-            assert blocker.recv() == (protocol.ACTION,
-                                      agent.act(state[0], explore=False))
-            # The survivor shares the next batch with the dead client's
-            # request; the batch must dispatch and this reply arrive.
-            assert survivor.recv() == (protocol.ACTION,
-                                       agent.act(state[2], explore=False))
-            assert gated.sizes == [1, 2]
-            blocker.close()
-            survivor.close()
+            doomed.send_many([(protocol.ACT, ("OS-ELM", state))
+                              for state in states])
+            doomed.close()  # dies with its requests unanswered
+            with PolicyClient(*server.address) as survivor:
+                np.testing.assert_array_equal(survivor.act_many(states),
+                                              _offline_greedy(agent, states))
 
     def test_swap_during_inflight_act_drops_nothing(self, agents):
         old = agents["OS-ELM"]
         new = make_design("OS-ELM", n_hidden=8, seed=321)
         state = _probe_states(old, 2, seed=4)
-        gated = _GatedAgent(_clone(old))
-        with PolicyServer({"OS-ELM": gated}, max_batch=8) as server:
-            running = _RawClient(server, "running")
-            running.send(protocol.ACT, ("OS-ELM", state[0]))
-            assert gated.entered.wait(timeout=5.0)  # dispatcher is parked
-            inflight = _RawClient(server, "inflight")
-            inflight.send(protocol.ACT, ("OS-ELM", state[1]))
-            _wait_until(lambda: server.batcher.queued() == 1,
-                        message="the in-flight request to queue")
-            with PolicyClient(*server.address) as pusher:
-                info = pusher.swap(_clone(new))
-                assert info == {"design": "OS-ELM", "generation": 1}
-            gated.gate.set()
-            # The batch already dispatched finishes on the old weights ...
-            assert running.recv() == (protocol.ACTION,
-                                      old.act(state[0], explore=False))
-            # ... and the queued request is still answered, on the new ones.
-            kind, action = inflight.recv()
-            assert kind == protocol.ACTION
-            assert action == new.act(state[1], explore=False)
-            running.close()
-            inflight.close()
+        with PolicyServer({"OS-ELM": _clone(old)}, max_batch=8) as server:
+            raw = _RawClient(server)
+            raw.send_many([(protocol.ACT, ("OS-ELM", state[0])),
+                           (protocol.SWAP, ("OS-ELM", pickle.dumps(new))),
+                           (protocol.ACT, ("OS-ELM", state[1]))])
+            assert raw.recv() == (protocol.ACTION, old.act(state[0], explore=False))
+            assert raw.recv() == (protocol.SWAPPED,
+                                  {"design": "OS-ELM", "generation": 1})
+            assert raw.recv() == (protocol.ACTION, new.act(state[1], explore=False))
+            raw.close()
+
+    def test_non_finite_state_fails_only_its_request(self, agents):
+        agent = agents["OS-ELM"]
+        states = _probe_states(agent, 3, seed=5)
+        states[1, 2] = np.nan
+        with PolicyServer({"OS-ELM": _clone(agent)}) as server:
+            raw = _RawClient(server)
+            raw.send_many([(protocol.ACT, ("OS-ELM", state)) for state in states])
+            assert raw.recv() == (protocol.ACTION,
+                                  agent.act(states[0], explore=False))
+            kind, reason = raw.recv()
+            assert kind == protocol.ERROR and "NaN or Inf" in reason
+            assert raw.recv() == (protocol.ACTION,
+                                  agent.act(states[2], explore=False))
+            raw.close()
+
+    def test_close_returns_promptly_with_idle_clients(self, agents):
+        server = PolicyServer({"OS-ELM": _clone(agents["OS-ELM"])}).start()
+        idle = [_RawClient(server, f"idle-{i}") for i in range(2)]
+        began = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - began < 1.0
+        for raw in idle:
+            raw.assert_closed_by_peer()
+            raw.close()
+
+    def test_close_returns_even_if_the_loop_wakes_for_a_client_first(self):
+        server = PolicyServer({"d": _EchoAgent()}).start()
+        raw = _RawClient(server)
+        wake, sender = server._wake
+
+        class LateWakeUp:
+            """close() is held up; a client frame wakes the loop first."""
+
+            def send(self, data):
+                raw.send(*_act(1))
+                assert raw.recv() == (protocol.ACTION, 1)
+                return sender.send(data)
+
+            def close(self):
+                sender.close()
+
+        server._wake = (wake, LateWakeUp())
+        server.close()
+        assert not server._thread.is_alive()
+        raw.assert_closed_by_peer()
+        raw.close()
+
+    def test_client_that_never_reads_is_dropped(self, agents):
+        agent = agents["OS-ELM"]
+        states = _probe_states(agent, 64, seed=6)
+        burst = b"".join(protocol.encode_frame(protocol.ACT, ("OS-ELM", state))
+                         for state in states)
+        with PolicyServer({"OS-ELM": _clone(agent)},
+                          max_frame_bytes=4096) as server:
+            hog = socket.socket()
+            hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            hog.settimeout(5.0)
+            hog.connect(server.address)
+            deadline = time.monotonic() + 60.0
+            with pytest.raises(ConnectionError):  # reset, not a timeout
+                while time.monotonic() < deadline:
+                    hog.sendall(burst)  # never reads a reply
+            assert time.monotonic() < deadline, "the hog was never dropped"
+            hog.close()
+            with PolicyClient(*server.address) as client:
+                np.testing.assert_array_equal(client.act_many(states),
+                                              _offline_greedy(agent, states))
 
     def test_swap_rejects_non_agent_blob(self, agents):
         agent = agents["OS-ELM"]
@@ -463,6 +340,9 @@ class TestServerProtocol:
             assert latency[percentile] >= 0.0
         batches = stats["metrics"]["histograms"]["serving.batch_size"]
         assert batches["count"] >= 3  # 12 requests through max_batch=4
+        for stage in ("read", "act_batch", "write"):
+            timings = stats["metrics"]["histograms"][f"serving.stage.{stage}_seconds"]
+            assert timings["count"] >= 1
 
     def test_client_refuses_a_sweep_broker_peer(self):
         spec = SweepSpec(designs=("OS-ELM-L2",), n_seeds=1, n_hidden=8,
@@ -494,6 +374,110 @@ class TestServerProtocol:
         with pytest.raises(ServingError):
             with PolicyClient(*peer.address, timeout=5.0) as client:
                 client.act([0.0, 0.0, 0.0, 0.0])
+
+
+# ------------------------------------------------------------------ tick semantics
+class TestTick:
+    @pytest.mark.parametrize("max_batch, batches", [
+        (4, [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]),
+        (1, [[i] for i in range(10)]),
+    ])
+    def test_max_batch_splits_a_tick_into_chunks(self, max_batch, batches):
+        echo = _EchoAgent()
+        with PolicyServer({"d": echo}, max_batch=max_batch) as server:
+            raw = _RawClient(server)
+            raw.send_many([_act(i) for i in range(10)])
+            assert [raw.recv() for _ in range(10)] == [
+                (protocol.ACTION, i) for i in range(10)]
+            raw.close()
+        assert echo.batches == batches
+
+    def test_replies_stay_fifo_when_designs_interleave(self):
+        a, b = _EchoAgent(), _EchoAgent(offset=100)
+        with PolicyServer({"a": a, "b": b}) as server:
+            raw = _RawClient(server)
+            raw.send_many([_act(0, "a"), _act(1, "b"), _act(2, "a"),
+                           _act(3, "b"), _act(4, "a")])
+            assert [raw.recv() for _ in range(5)] == [
+                (protocol.ACTION, action) for action in (0, 101, 2, 103, 4)]
+            raw.close()
+        assert (a.batches, b.batches) == ([[0, 2, 4]], [[1, 3]])
+
+    def test_stats_reply_stays_in_order_behind_earlier_acts(self):
+        echo = _EchoAgent()
+        with PolicyServer({"d": echo}) as server:
+            raw = _RawClient(server)
+            raw.send_many([_act(0), _act(1), (protocol.STATS, None), _act(2)])
+            assert raw.recv() == (protocol.ACTION, 0)
+            assert raw.recv() == (protocol.ACTION, 1)
+            kind, stats = raw.recv()
+            assert kind == protocol.STATS
+            assert stats["designs"]["d"]["requests"] == 2
+            # The ACT behind the STATS frame is decoded, not yet answered.
+            assert stats["batching"] == {"max_batch": 8, "queued": 1}
+            assert raw.recv() == (protocol.ACTION, 2)
+            raw.close()
+        assert echo.batches == [[0, 1], [2]]
+
+    def test_lone_client_act_lands_in_the_first_group(self):
+        echo = _EchoAgent()
+        with PolicyServer({"d": echo}, max_batch=4) as server:
+            parker, burst, lone = (_RawClient(server, name)
+                                   for name in ("parker", "burst", "lone"))
+            echo.gate.clear()
+            parker.send(*_act(99))
+            assert echo.entered.wait(timeout=5.0)  # the loop is parked
+            # Both writes land while the loop is parked: its next tick
+            # reads them together, round-robin across the two connections.
+            burst.send_many([_act(i) for i in range(12)])
+            lone.send(*_act(50))
+            echo.gate.set()
+            assert parker.recv() == (protocol.ACTION, 99)
+            assert lone.recv() == (protocol.ACTION, 50)
+            assert [burst.recv() for _ in range(12)] == [
+                (protocol.ACTION, i) for i in range(12)]
+            for raw in (parker, burst, lone):
+                raw.close()
+        assert echo.batches[0] == [99]
+        assert 50 in echo.batches[1]
+        assert [len(batch) for batch in echo.batches[1:]] == [4, 4, 4, 1]
+
+    def test_dispatch_failure_reaches_only_its_own_chunk(self):
+        with PolicyServer({"d": _EchoAgent(fail_on=5)}, max_batch=4) as server:
+            raw = _RawClient(server)
+            raw.send_many([_act(i) for i in range(8)])
+            assert [raw.recv() for _ in range(4)] == [
+                (protocol.ACTION, i) for i in range(4)]
+            for _ in range(4):
+                assert raw.recv() == (protocol.ERROR,
+                                      "dispatch failed: model exploded")
+            raw.send(*_act(9))  # the connection and the loop live on
+            assert raw.recv() == (protocol.ACTION, 9)
+            raw.close()
+
+    def test_wrong_action_shape_fails_its_chunk(self):
+        class Overeager(_EchoAgent):
+            def act_batch(self, states, explore=False):
+                return np.zeros(len(states) + 1, dtype=np.int64)
+
+        with PolicyServer({"d": Overeager()}) as server:
+            raw = _RawClient(server)
+            raw.send(*_act(0))
+            kind, reason = raw.recv()
+            assert kind == protocol.ERROR and "returned shape" in reason
+            raw.close()
+
+    def test_one_thread_serves_every_client(self):
+        before = threading.active_count()
+        with PolicyServer({"d": _EchoAgent()}) as server:
+            assert threading.active_count() == before + 1
+            clients = [PolicyClient(*server.address) for _ in range(8)]
+            for index, client in enumerate(clients):
+                assert client.act([float(index), 0.0, 0.0, 0.0]) == index
+            assert threading.active_count() == before + 1
+            for client in clients:
+                client.close()
+        assert threading.active_count() == before
 
 
 # ------------------------------------------------------------------ byte identity
