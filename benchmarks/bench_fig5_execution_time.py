@@ -48,9 +48,9 @@ def test_figure5_execution_time_32_units(benchmark, ci_hidden_sizes):
     assert fpga.modelled_total < software.modelled_total < dqn.modelled_total
 
     # Bottleneck attribution reported in Section 4.4.
-    assert dqn.modelled.fraction("train_DQN") > 0.5
-    assert (software.modelled.fraction("seq_train")
-            + software.modelled.fraction("predict_seq")) > 0.5
+    assert dqn.modelled.get("train_DQN", 0.0) / dqn.modelled_total > 0.5
+    assert (software.modelled.get("seq_train", 0.0)
+            + software.modelled.get("predict_seq", 0.0)) / software.modelled_total > 0.5
 
 
 @pytest.mark.benchmark(group="figure5", min_rounds=1, max_time=1.0)
@@ -76,8 +76,8 @@ def test_figure5_per_step_cost_sweep(benchmark, full_hidden_sizes):
             row = {"n_hidden": n_hidden}
             for design, counts in step_counts.items():
                 scaled = {op: int(count * 1000) for op, count in counts.items()}
-                row[design] = platform.project_breakdown(design, scaled,
-                                                         n_hidden=n_hidden).total()
+                row[design] = sum(platform.project_breakdown(
+                    design, scaled, n_hidden=n_hidden).values())
             rows.append(row)
         return rows
 
@@ -106,14 +106,14 @@ def test_figure5_speedup_factors_vs_paper(benchmark, full_hidden_sizes):
     def speedups():
         out = {}
         for n_hidden in full_hidden_sizes:
-            dqn = platform.project_breakdown(
+            dqn = sum(platform.project_breakdown(
                 "DQN", {"predict_1": 1000, "predict_32": 2000, "train_DQN": 1000},
-                n_hidden=n_hidden).total()
-            oselm = platform.project_breakdown(
+                n_hidden=n_hidden).values())
+            oselm = sum(platform.project_breakdown(
                 "OS-ELM-L2-Lipschitz", {"predict_seq": 3000, "seq_train": 500},
-                n_hidden=n_hidden).total()
-            fpga = platform.project_breakdown(
-                "FPGA", {"predict_seq": 3000, "seq_train": 500}, n_hidden=n_hidden).total()
+                n_hidden=n_hidden).values())
+            fpga = sum(platform.project_breakdown(
+                "FPGA", {"predict_seq": 3000, "seq_train": 500}, n_hidden=n_hidden).values())
             out[n_hidden] = {"OS-ELM-L2-Lipschitz": dqn / oselm, "FPGA": dqn / fpga}
         return out
 

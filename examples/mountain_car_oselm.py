@@ -64,7 +64,7 @@ def main() -> None:
     print(f"episodes run:        {result.episodes}")
     print(f"episode length:      mean {lengths.mean:.1f}, best {lengths.min:.0f} "
           f"(shorter is better on {args.env})")
-    print(f"seq_train updates:   {result.breakdown.counts.get('seq_train', 0)}")
+    print(f"seq_train updates:   {result.operation_counts.get('seq_train', 0)}")
     print(f"weight resets:       {result.weight_resets}")
     best_window = np.min([np.mean(result.curve.steps[max(0, i - 25):i + 1])
                           for i in range(len(result.curve))])

@@ -3,8 +3,8 @@
 
 This is the smallest end-to-end use of the library: build one of the paper's
 designs with :func:`repro.make_design`, train it with :meth:`repro.Trainer.fit`
-and look at the training curve, the per-operation time breakdown and the
-greedy-policy evaluation.
+and look at the training curve, the operation counts projected onto the
+PYNQ-Z1 board (one bar of Figure 5) and the greedy-policy evaluation.
 
 Run:
     python examples/quickstart.py [--design OS-ELM-L2] [--episodes 400] [--hidden 64]
@@ -16,7 +16,15 @@ import argparse
 
 import numpy as np
 
-from repro import DESIGN_NAMES, Trainer, TrainingConfig, evaluate_agent, make_design
+from repro import (
+    DESIGN_NAMES,
+    PynqZ1Platform,
+    Trainer,
+    TrainingConfig,
+    evaluate_agent,
+    make_design,
+)
+from repro.api.reports import ExecutionTimeResult, project_timing
 from repro.utils.tables import format_table
 
 
@@ -48,14 +56,12 @@ def main() -> None:
     print(f"final 100-episode average steps: {result.curve.final_average():.1f}")
     print(f"wall-clock training time: {result.wall_time_seconds:.1f}s")
 
-    rows = [{"operation": op,
-             "count": result.breakdown.counts.get(op, 0),
-             "seconds": sec,
-             "fraction": result.breakdown.fraction(op)}
-            for op, sec in sorted(result.breakdown.seconds.items(), key=lambda kv: -kv[1])]
+    timing = ExecutionTimeResult()
+    timing.add(project_timing(result, PynqZ1Platform()))
     print()
-    print(format_table(rows, float_format=".4f",
-                       title="Measured per-operation breakdown (host wall clock)"))
+    print(format_table(timing.breakdown_rows(result.design, result.n_hidden),
+                       float_format=".4f",
+                       title="Modelled per-operation breakdown on the PYNQ-Z1 (Figure 5)"))
 
     greedy = evaluate_agent(agent, n_episodes=10, config=TrainingConfig(seed=args.seed + 1))
     print()

@@ -22,9 +22,8 @@ latency model (:class:`~repro.fpga.platform.PynqZ1Platform`: Cortex-A9
 latencies for the software designs, 125 MHz programmable-logic latencies
 for the FPGA design's predict_seq / seq_train) projects them at render
 time.  Re-reporting a finished run under a different platform model is
-therefore free.  The measured host wall-clock breakdown is kept for
-reference, but only the modelled times are comparable across designs
-because the host CPU is not a 650 MHz Cortex-A9.
+therefore free.  No host seconds enter these reports: the host CPU is not a
+650 MHz Cortex-A9, so only modelled times are comparable across designs.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.fpga.resources import (
 )
 from repro.training.records import TrainingResult
 from repro.utils.tables import format_table, relative_error, rows_to_csv
-from repro.utils.timer import TimeBreakdown
 
 #: Hidden-layer sizes of Figures 5 and 6.
 FIGURE5_HIDDEN_SIZES: Tuple[int, ...] = (32, 64, 128, 192)
@@ -154,17 +152,12 @@ class DesignTiming:
     n_hidden: int
     solved: bool
     episodes: int
-    modelled: TimeBreakdown
-    measured: TimeBreakdown
+    modelled: Dict[str, float]      #: modelled seconds per operation
     counts: Dict[str, int]
 
     @property
     def modelled_total(self) -> float:
-        return self.modelled.total()
-
-    @property
-    def measured_total(self) -> float:
-        return self.measured.total()
+        return float(sum(self.modelled.values()))
 
 
 def project_timing(result: TrainingResult, platform: PynqZ1Platform) -> DesignTiming:
@@ -174,7 +167,7 @@ def project_timing(result: TrainingResult, platform: PynqZ1Platform) -> DesignTi
     modelled seconds.
     """
     modelled = platform.project_breakdown(
-        result.design, result.breakdown.counts, n_hidden=result.n_hidden,
+        result.design, result.operation_counts, n_hidden=result.n_hidden,
     )
     return DesignTiming(
         design=result.design,
@@ -182,8 +175,7 @@ def project_timing(result: TrainingResult, platform: PynqZ1Platform) -> DesignTi
         solved=result.solved,
         episodes=result.episodes,
         modelled=modelled,
-        measured=result.breakdown,
-        counts=dict(result.breakdown.counts),
+        counts=dict(result.operation_counts),
     )
 
 
@@ -230,7 +222,7 @@ class ExecutionTimeResult:
         timing = self.get(design, n_hidden)
         total = timing.modelled_total
         rows = []
-        for operation, seconds in sorted(timing.modelled.seconds.items(),
+        for operation, seconds in sorted(timing.modelled.items(),
                                          key=lambda kv: -kv[1]):
             rows.append({
                 "operation": operation,
@@ -260,7 +252,7 @@ def fpga_breakdown_rows(result: ExecutionTimeResult,
             "total_seconds": round(timing.modelled_total, 4),
         }
         for operation in ("init_train", "predict_init", "predict_seq", "seq_train"):
-            row[operation] = round(timing.modelled.seconds.get(operation, 0.0), 4)
+            row[operation] = round(timing.modelled.get(operation, 0.0), 4)
         rows.append(row)
     return rows
 

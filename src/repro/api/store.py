@@ -2,7 +2,7 @@
 
 Layout (all under one root, default ``./artifacts`` or ``$REPRO_ARTIFACTS``)::
 
-    <root>/trials/<trial_key>/trial.json   scalar result fields + time breakdown
+    <root>/trials/<trial_key>/trial.json   scalar result fields + operation counts
                                            + the full trial descriptor + backend_used
     <root>/trials/<trial_key>/curve.npz    per-episode arrays of the training curve
     <root>/trials/<trial_key>/policy.pkl   the trained agent (``--save-policy``
@@ -36,7 +36,6 @@ from repro.parallel.sweep import SweepTask
 from repro.training.records import EpisodeRecord, TrainingCurve, TrainingResult
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
 from repro.utils.seeding import stable_digest
-from repro.utils.timer import TimeBreakdown
 
 PathLike = Union[str, os.PathLike]
 
@@ -136,8 +135,7 @@ class ArtifactStore:
                 "wall_time_seconds": result.wall_time_seconds,
                 "weight_resets": result.weight_resets,
                 "seed": result.seed,
-                "breakdown_seconds": dict(result.breakdown.seconds),
-                "breakdown_counts": dict(result.breakdown.counts),
+                "breakdown_counts": dict(result.operation_counts),
             },
         }
         curve = result.curve
@@ -181,10 +179,8 @@ class ArtifactStore:
                                    else int(payload["episodes_to_solve"])),
                 wall_time_seconds=float(payload["wall_time_seconds"]),
                 curve=curve,
-                breakdown=TimeBreakdown(
-                    seconds={k: float(v) for k, v in payload["breakdown_seconds"].items()},
-                    counts={k: int(v) for k, v in payload["breakdown_counts"].items()},
-                ),
+                operation_counts={k: int(v)
+                                  for k, v in payload["breakdown_counts"].items()},
                 weight_resets=int(payload["weight_resets"]),
                 seed=(None if payload["seed"] is None else int(payload["seed"])),
             )
@@ -259,13 +255,15 @@ class ArtifactStore:
         """The trained agent saved for this trial, or ``None``.
 
         Like :meth:`load_trial`, a corrupt or truncated blob reads as a
-        miss rather than crashing the caller.
+        miss rather than crashing the caller; so does a stale one whose
+        pickled classes have moved or gone (``AttributeError`` /
+        ``ImportError``).
         """
         try:
             payload = pickle.loads(self.policy_path(task).read_bytes())
             return payload["agent"]
         except (FileNotFoundError, OSError, KeyError, TypeError,
-                pickle.UnpicklingError, EOFError, AttributeError):
+                pickle.UnpicklingError, EOFError, AttributeError, ImportError):
             return None
 
     def has_policy(self, task: SweepTask) -> bool:

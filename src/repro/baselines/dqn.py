@@ -20,7 +20,6 @@ training) and ``train_DQN`` (backward pass + optimizer step).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,9 +95,8 @@ class DQNAgent(QLearningAgent):
     # ------------------------------------------------------------------ acting
     def act(self, state: np.ndarray, *, explore: bool = True) -> int:
         state = np.asarray(state, dtype=float).reshape(1, -1)
-        start = time.perf_counter()
         q_values = self.q_network.predict(state)[0]
-        self._record("predict_1", time.perf_counter() - start)
+        self._count("predict_1")
         return self.policy.select(q_values, explore=explore)
 
     # ------------------------------------------------------------------ learning
@@ -116,18 +114,16 @@ class DQNAgent(QLearningAgent):
         cfg = self.config
         states, actions, rewards, next_states, dones = self.replay.sample(cfg.batch_size)
 
-        start = time.perf_counter()
         next_q = self.target_network.predict(next_states)
         current_q = self.q_network.predict(states)
-        self._record("predict_32", time.perf_counter() - start, count=2)
+        self._count("predict_32", 2)
 
         targets = current_q.copy()
         bootstrap = rewards + cfg.gamma * (1.0 - dones.astype(float)) * next_q.max(axis=1)
         targets[np.arange(cfg.batch_size), actions] = bootstrap
 
-        start = time.perf_counter()
         self.q_network.train_step(states, targets, self.loss, self.optimizer)
-        self._record("train_DQN", time.perf_counter() - start)
+        self._count("train_DQN")
         self.train_steps += 1
 
     def end_episode(self, episode_index: int) -> None:

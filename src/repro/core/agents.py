@@ -18,18 +18,16 @@ Both agents follow the paper's four-state loop:
   * theta_2 is re-synchronised with theta_1 every ``UPDATE_STEP`` episodes
     (lines 23–24).
 
-Every operation is attributed to the paper's Figure 5/6 labels
-(``predict_init``, ``predict_seq``, ``init_train``, ``seq_train``) in a
-:class:`~repro.utils.timer.TimeBreakdown`, with both wall-clock seconds and
-invocation counts, so the execution-time experiments can either report
-measured times or project them through the platform latency models.
+Every operation is counted under the paper's Figure 5/6 labels
+(``predict_init``, ``predict_seq``, ``init_train``, ``seq_train``) in
+``operation_counts``; the execution-time reports project those counts
+through the PYNQ-Z1 latency models (:mod:`repro.fpga.platform`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -41,7 +39,6 @@ from repro.core.qfunction import QFunction, state_action_input_size
 from repro.core.regularization import RegularizationConfig
 from repro.core.replay import InitialTrainingBuffer, Transition
 from repro.utils.seeding import np_random
-from repro.utils.timer import TimeBreakdown
 from repro.utils.validation import check_probability
 
 
@@ -107,7 +104,8 @@ class QLearningAgent:
     name: str = "agent"
 
     def __init__(self) -> None:
-        self.breakdown = TimeBreakdown()
+        #: Invocations per Figure 5/6 operation label.
+        self.operation_counts: Dict[str, int] = {}
         self.global_step = 0
         self.episodes_completed = 0
 
@@ -144,8 +142,8 @@ class QLearningAgent:
         raise NotImplementedError
 
     # -- bookkeeping -----------------------------------------------------------
-    def _record(self, operation: str, seconds: float, count: int = 1) -> None:
-        self.breakdown.add(operation, seconds, count)
+    def _count(self, operation: str, count: int = 1) -> None:
+        self.operation_counts[operation] = self.operation_counts.get(operation, 0) + count
 
 
 class _ELMFamilyAgent(QLearningAgent):
@@ -192,11 +190,9 @@ class _ELMFamilyAgent(QLearningAgent):
 
     # ------------------------------------------------------------------ acting
     def act(self, state: np.ndarray, *, explore: bool = True) -> int:
-        start = time.perf_counter()
         q_values = self.q_online.q_values(state)
-        elapsed = time.perf_counter() - start
-        label = "predict_seq" if self.initial_training_done else "predict_init"
-        self._record(label, elapsed, count=self.config.n_actions)
+        self._count("predict_seq" if self.initial_training_done else "predict_init",
+                    self.config.n_actions)
         return self.policy.select(q_values, explore=explore)
 
     def act_batch(self, states: np.ndarray, *, explore: bool = True) -> np.ndarray:
@@ -209,18 +205,15 @@ class _ELMFamilyAgent(QLearningAgent):
         states = np.asarray(states, dtype=float)
         if states.ndim == 1:
             states = states.reshape(1, -1)
-        start = time.perf_counter()
         q_matrix = self.q_online.q_values(states)
-        elapsed = time.perf_counter() - start
-        label = "predict_seq" if self.initial_training_done else "predict_init"
-        self._record(label, elapsed, count=states.shape[0] * self.config.n_actions)
+        self._count("predict_seq" if self.initial_training_done else "predict_init",
+                    states.shape[0] * self.config.n_actions)
         return self.policy.select_batch(q_matrix, explore=explore)
 
     # ------------------------------------------------------------------ training helpers
     def _compute_targets(self, rewards: np.ndarray, dones: np.ndarray,
                          next_states: np.ndarray) -> np.ndarray:
         """Clipped one-step targets for a batch, using the theta_2 bootstrap."""
-        start = time.perf_counter()
         targets = np.empty(rewards.shape[0])
         for i in range(rewards.shape[0]):
             max_next = self._target_max_q(next_states[i])
@@ -229,18 +222,16 @@ class _ELMFamilyAgent(QLearningAgent):
                 gamma=self.config.gamma, clip=self.config.clip_targets,
                 clip_low=self.config.clip_low, clip_high=self.config.clip_high,
             )
-        label = "predict_seq" if self.initial_training_done else "predict_init"
-        self._record(label, time.perf_counter() - start,
-                     count=rewards.shape[0] * self.config.n_actions)
+        self._count("predict_seq" if self.initial_training_done else "predict_init",
+                    rewards.shape[0] * self.config.n_actions)
         return targets
 
     def _initial_training(self) -> None:
         """Lines 17–19: one-shot training on the full buffer with clipped targets."""
         states, actions, rewards, next_states, dones = self.buffer.as_batches()
         targets = self._compute_targets(rewards, dones, next_states)
-        start = time.perf_counter()
         self.q_online.fit_batch(states, actions, targets)
-        self._record("init_train", time.perf_counter() - start)
+        self._count("init_train")
         self.initial_training_done = True
         if self._target_beta is None:
             self._sync_target()
@@ -339,7 +330,6 @@ class OSELMQAgent(_ELMFamilyAgent):
             gamma=self.config.gamma, clip=self.config.clip_targets,
             clip_low=self.config.clip_low, clip_high=self.config.clip_high,
         )
-        start = time.perf_counter()
         try:
             self.q_online.update(state, action, target)
         except np.linalg.LinAlgError:
@@ -348,13 +338,11 @@ class OSELMQAgent(_ELMFamilyAgent):
             # device would keep running with a corrupted P; we skip the update
             # and count the event so experiments can report the instability.
             self.skipped_updates += 1
-        self._record("seq_train", time.perf_counter() - start)
+        self._count("seq_train")
 
     def _predict_target_bootstrap(self, next_state: np.ndarray) -> float:
-        start = time.perf_counter()
         max_next = self._target_max_q(next_state)
-        self._record("predict_seq", time.perf_counter() - start,
-                     count=self.config.n_actions)
+        self._count("predict_seq", self.config.n_actions)
         return max_next
 
     def reset_weights(self) -> None:

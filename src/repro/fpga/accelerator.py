@@ -4,11 +4,10 @@
 :class:`~repro.core.os_elm.OSELM` whose prediction and sequential training
 run on the fixed-point :class:`~repro.fpga.core_sim.FixedPointOSELMCore`
 (programmable logic) while the initial training stays in floating point
-(CPU), exactly mirroring Figure 3's partitioning.  Besides computing the
-fixed-point results, it accumulates *modelled* latency — cycle counts of the
-PL core at 125 MHz and Cortex-A9 estimates for the CPU-side parts — in a
-:class:`~repro.utils.timer.TimeBreakdown`, which the execution-time
-experiments use to produce the FPGA bars of Figures 5 and 6.
+(CPU), exactly mirroring Figure 3's partitioning.  The core counts its own
+invocations (``core.predict_invocations`` / ``core.seq_train_invocations``);
+the FPGA bars of Figures 5 and 6 come from the agent's operation counts,
+projected through :class:`~repro.fpga.platform.PynqZ1Platform`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.fpga.core_sim import FixedPointOSELMCore
 from repro.fpga.device import FPGADevice, XC7Z020
 from repro.fpga.resources import OSELMCoreResourceModel
 from repro.fpga.timing import CortexA9LatencyModel, FPGACoreLatencyModel
-from repro.utils.timer import TimeBreakdown
 
 
 class FPGAAcceleratedOSELM(OSELM):
@@ -70,8 +68,6 @@ class FPGAAcceleratedOSELM(OSELM):
                                         activation=activation, qformat=qformat)
         self.pl_latency = FPGACoreLatencyModel(clock_hz=clock_mhz * 1e6)
         self.cpu_latency = CortexA9LatencyModel()
-        #: Modelled (not wall-clock) execution time attributed per operation.
-        self.modelled_time = TimeBreakdown()
         self.core.load_weights(self.alpha, self.bias)
 
     # ------------------------------------------------------------------ state management
@@ -101,16 +97,11 @@ class FPGAAcceleratedOSELM(OSELM):
         """Initial training in floating point on the CPU, then quantized into BRAM."""
         super()._init_rows(x0, t0)
         self.core.load_initial_state(self._recursive.p, self._recursive.beta)
-        latency = self.cpu_latency.init_train(self.n_inputs, self.n_hidden, x0.shape[0],
-                                              self.n_outputs)
-        self.modelled_time.add("init_train", latency.seconds)
 
     def _update_rows(self, x: np.ndarray, t: np.ndarray) -> None:
         """Sequential training on the fixed-point core, one row per core invocation."""
-        latency = self.pl_latency.seq_train(self.n_hidden, self.n_outputs).seconds
         for row in range(x.shape[0]):
             self.core.seq_train(x[row], t[row])
-            self.modelled_time.add("seq_train", latency)
         # Mirror the quantized state into the float attributes so diagnostics
         # (beta norm, Lipschitz bound, target-network snapshots) see the same
         # weights the hardware would produce.
@@ -122,11 +113,8 @@ class FPGAAcceleratedOSELM(OSELM):
     def _predict_rows(self, rows: np.ndarray) -> np.ndarray:
         """Prediction on the fixed-point core, one row per core invocation."""
         outputs = np.empty((rows.shape[0], self.n_outputs))
-        latency = self.pl_latency.predict(self.n_inputs, self.n_hidden,
-                                          self.n_outputs).seconds
         for row in range(rows.shape[0]):
             outputs[row] = self.core.predict(rows[row])[0]
-            self.modelled_time.add("predict_seq", latency)
         return outputs
 
     # ------------------------------------------------------------------ diagnostics

@@ -6,7 +6,8 @@ run entirely on the 650 MHz Cortex-A9, while the FPGA design offloads
 ``init_train`` (and the pre-initialisation predictions) on the CPU.
 :class:`PynqZ1Platform` knows, for every design, which latency model each
 operation uses, and converts the per-operation *counts* collected during a
-training run into modelled execution-time breakdowns.
+training run into modelled seconds per operation.  No host clock is read:
+the host is not a Cortex-A9, so only modelled times compare across designs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Dict, Mapping
 
 from repro.fpga.device import PYNQ_Z1, PlatformSpec
 from repro.fpga.timing import CortexA9LatencyModel, FPGACoreLatencyModel
-from repro.utils.timer import TimeBreakdown
 
 
 @dataclass
@@ -85,14 +85,14 @@ class PynqZ1Platform:
     def project_breakdown(self, design: str, counts: Mapping[str, int], *, n_hidden: int,
                           n_inputs: int = 5, n_outputs: int = 1,
                           n_states: int = 4, n_actions: int = 2,
-                          dqn_batch: int = 32) -> TimeBreakdown:
-        """Convert per-operation invocation counts into a modelled time breakdown.
+                          dqn_batch: int = 32) -> Dict[str, float]:
+        """Convert per-operation invocation counts into modelled seconds.
 
-        ``counts`` is typically ``TrainingResult.breakdown.counts`` — the
+        ``counts`` is typically ``TrainingResult.operation_counts`` — the
         number of network evaluations / updates each design actually needed
-        to complete the task.
+        to complete the task.  Operations with no invocations are left out.
         """
-        projected = TimeBreakdown()
+        projected: Dict[str, float] = {}
         for operation, count in counts.items():
             if count <= 0:
                 continue
@@ -101,15 +101,8 @@ class PynqZ1Platform:
                 n_outputs=n_outputs, n_states=n_states, n_actions=n_actions,
                 dqn_batch=dqn_batch,
             )
-            projected.add(operation, latency * count, count)
+            projected[operation] = float(latency * count)
         return projected
-
-    def speedup(self, baseline: TimeBreakdown, proposed: TimeBreakdown) -> float:
-        """Ratio of total modelled times (the "x-times faster than DQN" numbers)."""
-        denominator = proposed.total()
-        if denominator <= 0:
-            return float("inf")
-        return baseline.total() / denominator
 
     def summary(self) -> Dict[str, object]:
         return dict(self.spec.summary())

@@ -17,11 +17,9 @@ hooks.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Dict, Protocol, runtime_checkable
 
 import numpy as np
-
-from repro.utils.timer import TimeBreakdown
 
 
 @runtime_checkable
@@ -39,8 +37,8 @@ class AgentProtocol(Protocol):
 
     #: Display name used in experiment tables.
     name: str
-    #: Per-operation measured seconds + counts (the Figure 5/6 attribution).
-    breakdown: TimeBreakdown
+    #: Invocations per Figure 5/6 operation label.
+    operation_counts: Dict[str, int]
     #: Environment steps observed so far.
     global_step: int
     #: Episodes finished so far.

@@ -14,8 +14,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.utils.timer import TimeBreakdown
-
 
 @dataclass
 class EpisodeRecord:
@@ -84,7 +82,7 @@ class TrainingResult:
     episodes_to_solve: Optional[int]           #: None when the run failed / was cut off
     wall_time_seconds: float                   #: the run's (lock-step: its group's) wall time
     curve: TrainingCurve
-    breakdown: TimeBreakdown                   #: per-operation measured time + counts
+    operation_counts: Dict[str, int]           #: invocations per Figure 5/6 label
     weight_resets: int = 0
     seed: Optional[int] = None
 
@@ -92,21 +90,6 @@ class TrainingResult:
     def completed(self) -> bool:
         """Alias matching the paper's phrasing ("acquire correct behaviors")."""
         return self.solved
-
-    def summary(self) -> Dict[str, object]:
-        """Flat dictionary used by the experiment reporting tables."""
-        return {
-            "design": self.design,
-            "n_hidden": self.n_hidden,
-            "solved": self.solved,
-            "episodes": self.episodes,
-            "episodes_to_solve": self.episodes_to_solve,
-            "wall_time_seconds": self.wall_time_seconds,
-            "final_average_steps": self.curve.final_average(),
-            "weight_resets": self.weight_resets,
-            "operation_counts": dict(self.breakdown.counts),
-            "operation_seconds": dict(self.breakdown.seconds),
-        }
 
 
 __all__ = ["EpisodeRecord", "TrainingCurve", "TrainingResult"]

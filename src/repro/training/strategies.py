@@ -25,7 +25,6 @@ when the whole batch qualifies, generic otherwise.
 
 from __future__ import annotations
 
-import time
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
@@ -129,7 +128,7 @@ class LockstepStrategy:
         """Bottom of the step loop (buffer rotation)."""
 
     def finalize(self) -> None:
-        """Training over: flush state back to the agents, attribute timing."""
+        """Training over: flush state back to the agents, add their counts."""
 
 
 class GenericLockstepStrategy(LockstepStrategy):
@@ -167,9 +166,9 @@ class BatchedELMStrategy(LockstepStrategy):
     The RNG draw order per trial is exactly the serial loop's, so trials
     replay the serial driver bit-for-bit.
 
-    Timing attribution: operation *counts* in each result's breakdown are
-    exact; measured *seconds* of the batched phases are apportioned across
-    trials by their share of the operation counts.
+    Operation counts: each trial's batched acts, bootstraps and sequential
+    updates are tallied here and added to its agent's ``operation_counts``
+    in :meth:`finalize`, so the counts equal the serial loop's exactly.
     """
 
     def bind(self, trials: List[Any], venv: Any) -> None:
@@ -250,14 +249,13 @@ class BatchedELMStrategy(LockstepStrategy):
         self.delegate_observe = [isinstance(agent, ELMQAgent) for agent in agents]
         self.acts_init = [0] * n_trials
         self.acts_seq = [0] * n_trials
-        self.boots = [0] * n_trials
-        self.sequps = [0] * n_trials
+        #: Gated sequential updates (skipped ones too), each with its bootstrap.
+        self.seq_updates = [0] * n_trials
         self.n_applied_updates = [0] * n_trials
 
         self.batched_updates: List[int] = []
         self.update_rewards: List[float] = []
         self.update_dones: List[bool] = []
-        self.t_act = self.t_boot = self.t_update = 0.0
         self.hidden_cur: Optional[np.ndarray] = None
         self.hidden_next: Optional[np.ndarray] = None
         self.spare: Optional[np.ndarray] = None
@@ -304,12 +302,10 @@ class BatchedELMStrategy(LockstepStrategy):
 
     def select_actions(self, states: np.ndarray, actions: np.ndarray,
                        active_indices: List[int]):
-        t0 = time.perf_counter()
         if self.any_beta:
             q_matrix = np.matmul(self.hidden_cur, self.beta, out=self.q_buf)[:, :, 0]
         else:
             q_matrix = self.q_zeros
-        self.t_act += time.perf_counter() - t0
         n_actions = self.n_actions
         for i in active_indices:
             policy = self.policies[i]
@@ -330,10 +326,8 @@ class BatchedELMStrategy(LockstepStrategy):
         return actions
 
     def post_env_step(self, step: Any) -> None:
-        t0 = time.perf_counter()
         self.sweep_inputs[:, :, :self.n_states] = step.observations[:, None, :]
         self.hidden_next = self._compute_hidden(self.spare)
-        self.t_act += time.perf_counter() - t0
 
     def observe(self, i: int, state: np.ndarray, action: Any, reward: float,
                 next_state: np.ndarray, done: bool) -> None:
@@ -372,7 +366,6 @@ class BatchedELMStrategy(LockstepStrategy):
         # Next-state hidden rows are the slices just computed for the next
         # action sweep, except for episode ends, whose bootstrap state is
         # the terminal observation rather than the auto-reset one.
-        t0 = time.perf_counter()
         boot_hidden = np.empty((idx.size, n_actions, n_hidden))
         for pos, i in enumerate(batched_updates):
             if update_dones[pos]:
@@ -394,7 +387,6 @@ class BatchedELMStrategy(LockstepStrategy):
             targets[clip_mask] = np.clip(targets[clip_mask],
                                          self.clip_low[idx][clip_mask],
                                          self.clip_high[idx][clip_mask])
-        self.t_boot += time.perf_counter() - t0
         # Sherman-Morrison rank-1 update of each gated trial's (P, beta),
         # in place through views of the stacks (copying P in and out via
         # fancy indexing would cost O(H^2) per update).  The input row is
@@ -402,9 +394,9 @@ class BatchedELMStrategy(LockstepStrategy):
         # already evaluated; the operation sequence per trial is exactly
         # the serial RecursiveInverse.update, i.e. the _sherman_morrison /
         # _beta_update pair in repro.linalg.incremental.
-        t0 = time.perf_counter()
         h = self.hidden_cur[idx, actions[idx]]                           # (U, H)
         for pos, i in enumerate(batched_updates):
+            self.seq_updates[i] += 1
             h_row = h[pos]
             p_i = self.p_stack[i]
             ph = p_i @ h_row
@@ -419,10 +411,6 @@ class BatchedELMStrategy(LockstepStrategy):
             residual = targets[pos] - float(h_row @ beta_col)
             beta_col += p_i @ (h_row * residual)
             self.n_applied_updates[i] += 1
-        for i in idx:
-            self.boots[i] += 1
-            self.sequps[i] += 1
-        self.t_update += time.perf_counter() - t0
         self.batched_updates = []
         self.update_rewards = []
         self.update_dones = []
@@ -463,26 +451,15 @@ class BatchedELMStrategy(LockstepStrategy):
 
     def finalize(self) -> None:
         n_actions = self.n_actions
-        total_acts = sum(ai + asq for ai, asq in zip(self.acts_init, self.acts_seq)) or 1
-        total_boots = sum(self.boots) or 1
-        total_sequps = sum(self.sequps) or 1
         for i, agent in enumerate(self.agents):
             self._flush_to_model(i)
-            acts_init, acts_seq = self.acts_init[i], self.acts_seq[i]
-            act_seconds = self.t_act * (acts_init + acts_seq) / total_acts
-            act_total = acts_init + acts_seq or 1
-            if acts_init:
-                agent._record("predict_init", act_seconds * acts_init / act_total,
-                              count=acts_init * n_actions)
-            if acts_seq:
-                agent._record("predict_seq", act_seconds * acts_seq / act_total,
-                              count=acts_seq * n_actions)
-            if self.boots[i]:
-                agent._record("predict_seq", self.t_boot * self.boots[i] / total_boots,
-                              count=self.boots[i] * n_actions)
-            if self.sequps[i]:
-                agent._record("seq_train", self.t_update * self.sequps[i] / total_sequps,
-                              count=self.sequps[i])
+            if self.acts_init[i]:
+                agent._count("predict_init", self.acts_init[i] * n_actions)
+            if self.acts_seq[i]:
+                agent._count("predict_seq", self.acts_seq[i] * n_actions)
+            if self.seq_updates[i]:
+                agent._count("predict_seq", self.seq_updates[i] * n_actions)
+                agent._count("seq_train", self.seq_updates[i])
 
 
 __all__ = [

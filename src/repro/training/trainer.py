@@ -220,7 +220,7 @@ class Trainer:
             episodes_to_solve=trial.episodes_to_solve,
             wall_time_seconds=wall_time,
             curve=curve,
-            breakdown=agent.breakdown,
+            operation_counts=agent.operation_counts,
             weight_resets=getattr(agent, "weight_resets", 0),
             seed=trial.config.seed,
         )

@@ -1,4 +1,4 @@
-"""Shared utilities: seeding, logging, timing, metrics, serialization.
+"""Shared utilities: seeding, logging, metrics, serialization, validation.
 
 These helpers are deliberately dependency-free (NumPy only) so that every
 other subpackage — the OS-ELM core, the environments, the FPGA models — can
@@ -24,7 +24,6 @@ from repro.utils.metrics import (
 )
 from repro.utils.seeding import SeedSequenceFactory, derive_rng, np_random
 from repro.utils.serialization import load_arrays, load_json, save_arrays, save_json
-from repro.utils.timer import TimeBreakdown
 from repro.utils.validation import (
     check_array,
     check_in_range,
@@ -52,7 +51,6 @@ __all__ = [
     "load_json",
     "save_arrays",
     "save_json",
-    "TimeBreakdown",
     "check_array",
     "check_in_range",
     "check_positive",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
 import socket
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,22 @@ def tiny_agent_config():
     from repro.core.agents import AgentConfig
 
     return AgentConfig(n_states=4, n_actions=2, n_hidden=16, seed=0)
+
+
+@pytest.fixture
+def stale_pickle():
+    """``dump(wrap)`` pickles ``wrap(orphan)``, where ``orphan``'s class lives
+    in a module that is gone by the time the blob is read — a blob saved by
+    an older package whose module has since been deleted."""
+    def dump(wrap):
+        module = types.ModuleType("repro_deleted_module")
+        module.Orphan = type("Orphan", (), {"__module__": module.__name__})
+        sys.modules[module.__name__] = module
+        try:
+            return pickle.dumps(wrap(module.Orphan()))
+        finally:
+            del sys.modules[module.__name__]
+    return dump
 
 
 class ScriptedPeer:

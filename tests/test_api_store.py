@@ -1,5 +1,7 @@
 """Tests for the artifact store: content addressing, round-trips, resume."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -57,10 +59,37 @@ class TestStoreRoundTrip:
         np.testing.assert_array_equal(loaded.curve.steps, result.curve.steps)
         np.testing.assert_array_equal(loaded.curve.moving_average,
                                       result.curve.moving_average)
-        assert loaded.breakdown.counts == result.breakdown.counts
-        assert loaded.breakdown.seconds == pytest.approx(result.breakdown.seconds)
+        assert loaded.operation_counts == result.operation_counts
         # summary_rows-visible fields must survive the round trip exactly.
         assert loaded.curve.final_average() == result.curve.final_average()
+
+    def test_trial_json_records_counts_not_host_seconds(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        task = _tiny_spec().tasks()[0]
+        result = _train(task)
+        store.save_trial(task, result, backend_used="serial")
+        record = json.loads((store.trial_dir(trial_key(task)) / "trial.json").read_text())
+        assert record["result"]["breakdown_counts"] == result.operation_counts
+        assert [field for field in record["result"] if field.endswith("seconds")] \
+            == ["wall_time_seconds"]
+
+    def test_trial_json_with_measured_seconds_still_hits(self, tmp_path):
+        """Stores written when trials also recorded host seconds per operation
+        (a ``breakdown_seconds`` field) still load, with the same counts."""
+        store = ArtifactStore(tmp_path)
+        task = _tiny_spec().tasks()[0]
+        result = _train(task)
+        store.save_trial(task, result, backend_used="serial")
+        record_path = store.trial_dir(trial_key(task)) / "trial.json"
+        record = json.loads(record_path.read_text())
+        saved = record["result"]
+        counts = saved.pop("breakdown_counts")
+        saved["breakdown_seconds"] = {operation: 0.5 for operation in counts}
+        saved["breakdown_counts"] = counts
+        record_path.write_text(json.dumps(record))
+        loaded, backend_used = store.load_trial(task)
+        assert backend_used == "serial"
+        assert loaded.operation_counts == result.operation_counts
 
     def test_missing_trial_reads_as_none(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -156,6 +185,25 @@ class TestPolicyPersistence:
         store.save_policy(task, task.make_agent())
         store.policy_path(task).write_bytes(b"not a pickle")
         assert store.load_policy(task) is None
+
+    def test_policy_from_a_removed_module_reads_as_miss(self, tmp_path, stale_pickle):
+        """A policy saved by an older package whose agent module has since
+        been deleted is a miss, and the serve preflight asks for a retrain."""
+        from repro.serving import load_spec_policies
+
+        spec = _tiny_spec()
+        task = spec.tasks()[0]
+        store = ArtifactStore(tmp_path)
+        path = store.policy_path(task)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(stale_pickle(lambda orphan: {
+            "descriptor": trial_descriptor(task), "design": task.design,
+            "agent": orphan}))
+        assert store.load_policy(task) is None
+        policies, problems = load_spec_policies(store, spec)
+        assert policies == {}
+        assert len(problems) == 1
+        assert f"run `repro run {spec.name} --save-policy` first" in problems[0]
 
     @pytest.mark.parametrize("backend", ["serial", "vectorized", "process"])
     def test_run_save_policy_writes_every_trial(self, tmp_path, backend):

@@ -116,6 +116,19 @@ class TestTrainerMidTrialResume:
                             ).fit(task.make_agent(), config=task.training)
         np.testing.assert_array_equal(clean.curve.steps, recovered.curve.steps)
 
+    def test_state_from_a_removed_module_reads_as_fresh_start(self, tmp_path,
+                                                              stale_pickle):
+        """A mid-trial state saved by an older package whose classes have
+        since been deleted is "no checkpoint", not a crash."""
+        store = ArtifactStore(tmp_path / "store")
+        task = _spec().tasks()[0]
+        store.save_trial_state(task, stale_pickle(lambda orphan: {"agent": orphan}))
+        clean = Trainer().fit(task.make_agent(), config=task.training)
+        recovered = Trainer(callbacks=[CheckpointCallback(store, task, every=4)]
+                            ).fit(task.make_agent(), config=task.training)
+        np.testing.assert_array_equal(clean.curve.steps, recovered.curve.steps)
+        assert recovered.operation_counts == clean.operation_counts
+
 
 class TestEngineMidTrialResume:
     def test_repro_run_resumes_mid_trial_with_identical_csv(self, tmp_path):

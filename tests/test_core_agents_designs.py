@@ -61,12 +61,12 @@ class TestOSELMQAgent:
         assert not agent.initial_training_done
         _fill_buffer(agent, rng)
         assert agent.initial_training_done
-        assert agent.breakdown.counts.get("init_train", 0) == 1
+        assert agent.operation_counts.get("init_train", 0) == 1
 
     def test_operation_labels_recorded(self, tiny_agent_config, rng):
         agent = OSELMQAgent(tiny_agent_config)
         _fill_buffer(agent, rng, steps=tiny_agent_config.n_hidden + 40)
-        counts = agent.breakdown.counts
+        counts = agent.operation_counts
         assert counts.get("predict_init", 0) > 0
         assert counts.get("predict_seq", 0) > 0
         assert counts.get("seq_train", 0) > 0
@@ -77,14 +77,42 @@ class TestOSELMQAgent:
                              update_probability=0.0)
         agent = OSELMQAgent(config)
         _fill_buffer(agent, rng, steps=60)
-        assert agent.breakdown.counts.get("seq_train", 0) == 0
+        assert agent.operation_counts.get("seq_train", 0) == 0
 
     def test_always_update_gate(self, rng):
         config = AgentConfig(n_states=4, n_actions=2, n_hidden=16, seed=0,
                              update_probability=1.0)
         agent = OSELMQAgent(config)
         _fill_buffer(agent, rng, steps=16 + 30)
-        assert agent.breakdown.counts.get("seq_train", 0) == 30
+        assert agent.operation_counts.get("seq_train", 0) == 30
+
+    def test_counts_per_step(self, rng):
+        """Every act and every target bootstrap counts one prediction per
+        action: predict_init until the initial training, predict_seq after."""
+        config = AgentConfig(n_states=4, n_actions=2, n_hidden=16, seed=0,
+                             update_probability=1.0)
+        agent = OSELMQAgent(config)
+        _fill_buffer(agent, rng, steps=16 + 30)
+        assert agent.operation_counts == {"predict_init": 16 * 2 + 16 * 2,
+                                          "init_train": 1,
+                                          "predict_seq": 30 * 2 + 30 * 2,
+                                          "seq_train": 30}
+        assert list(agent.operation_counts) == ["predict_init", "init_train",
+                                                "predict_seq", "seq_train"]
+
+    def test_counts_accumulate_across_weight_reset(self, rng):
+        """The reset rule re-initialises the weights, not the tally of work done."""
+        config = AgentConfig(n_states=4, n_actions=2, n_hidden=16, seed=0,
+                             update_probability=1.0)
+        agent = OSELMQAgent(config)
+        _fill_buffer(agent, rng, steps=16 + 30)
+        before = dict(agent.operation_counts)
+        agent.reset_weights()
+        assert agent.operation_counts == before
+        _fill_buffer(agent, rng, steps=16)
+        assert agent.operation_counts["init_train"] == 2
+        assert agent.operation_counts["predict_init"] == before["predict_init"] + 16 * 2 + 16 * 2
+        assert agent.operation_counts["seq_train"] == before["seq_train"]
 
     def test_act_returns_valid_action(self, tiny_agent_config, rng):
         agent = OSELMQAgent(tiny_agent_config)
@@ -153,15 +181,15 @@ class TestELMQAgent:
         agent = ELMQAgent(config)
         _fill_buffer(agent, rng, steps=8 * 3 + 2)
         # the buffer is cleared after each batch fit, so 3 initial trainings fit in 26 steps
-        assert agent.breakdown.counts.get("init_train", 0) == 3
-        assert agent.breakdown.counts.get("seq_train", 0) is None or \
-            agent.breakdown.counts.get("seq_train", 0) == 0
+        assert agent.operation_counts.get("init_train", 0) == 3
+        assert agent.operation_counts.get("seq_train", 0) is None or \
+            agent.operation_counts.get("seq_train", 0) == 0
 
     def test_no_sequential_updates(self, rng):
         config = AgentConfig(n_states=4, n_actions=2, n_hidden=8, seed=0)
         agent = ELMQAgent(config)
         _fill_buffer(agent, rng, steps=40)
-        assert "seq_train" not in agent.breakdown.counts
+        assert "seq_train" not in agent.operation_counts
 
 
 class TestDesignFactory:
@@ -269,6 +297,18 @@ class TestAgentBoundary:
         assert agent.skipped_updates == 1
         np.testing.assert_array_equal(agent.model.beta, beta)
 
+    def test_skipped_and_terminal_updates_still_count(self, rng):
+        """The device runs the bootstrap and the update either way, so a
+        terminal transition and a skipped update both count in full."""
+        agent = self._trained(rng)
+        before = dict(agent.operation_counts)
+        agent.observe(_with_bad(0.0), 0, 0.5, _with_bad(0.0), True)
+        agent.model._recursive.p = -10.0 * np.eye(16)
+        agent.observe(_with_bad(0.0), 0, 0.5, _with_bad(0.0), False)
+        assert agent.skipped_updates == 1
+        assert agent.operation_counts["seq_train"] == before["seq_train"] + 2
+        assert agent.operation_counts["predict_seq"] == before["predict_seq"] + 2 * 2
+
 
 class TestFPGAModelBoundary:
     def _model(self, rng):
@@ -295,8 +335,8 @@ class TestFPGAModelBoundary:
                      lambda: model.partial_fit(x[:1], np.full((1, 1), bad))):
             with pytest.raises(ValueError):
                 call()
-        assert model.modelled_time.counts.get("predict_seq", 0) == 0
-        assert model.modelled_time.counts.get("seq_train", 0) == 0
+        assert model.core.predict_invocations == 0
+        assert model.core.seq_train_invocations == 0
 
     def test_wrong_width_raises_shape_error(self, rng):
         model, x = self._model(rng)
@@ -316,7 +356,7 @@ class TestFPGAModelBoundary:
         with pytest.raises(ValueError):
             agent.q_online.update(_with_bad(0.0), 0, bad)
         np.testing.assert_array_equal(core.p.to_float(), p_words)
-        assert core.seq_train_invocations == agent.breakdown.counts.get("seq_train", 0)
+        assert core.seq_train_invocations == agent.operation_counts.get("seq_train", 0)
 
     def test_public_calls_run_on_the_fixed_point_core(self, rng):
         model, x = self._model(rng)
@@ -326,8 +366,6 @@ class TestFPGAModelBoundary:
         model.partial_fit(x[3:5], np.zeros((2, 1)))
         assert model.core.predict_invocations == 4
         assert model.core.seq_train_invocations == 2
-        assert model.modelled_time.counts["predict_seq"] == 4
-        assert model.modelled_time.counts["seq_train"] == 2
         np.testing.assert_array_equal(model.beta, model.core.beta.to_float())
 
 
@@ -342,7 +380,7 @@ class TestDQNAgent:
     def test_act_valid(self, rng):
         agent = self._agent()
         assert agent.act(rng.normal(size=4)) in (0, 1)
-        assert agent.breakdown.counts.get("predict_1", 0) == 1
+        assert agent.operation_counts.get("predict_1", 0) == 1
 
     def test_training_starts_after_min_replay(self, rng):
         agent = self._agent()
@@ -352,8 +390,8 @@ class TestDQNAgent:
         assert agent.train_steps == 0
         agent.observe(state, 0, 0.0, state, False)
         assert agent.train_steps == 1
-        assert agent.breakdown.counts.get("train_DQN", 0) == 1
-        assert agent.breakdown.counts.get("predict_32", 0) == 2
+        assert agent.operation_counts.get("train_DQN", 0) == 1
+        assert agent.operation_counts.get("predict_32", 0) == 2
 
     def test_target_network_sync(self, rng):
         agent = self._agent(target_update_interval=1)

@@ -45,7 +45,7 @@ def _assert_same_trials(reference, sweep):
         assert task_a.key() == task_b.key()
         np.testing.assert_array_equal(result_a.curve.steps, result_b.curve.steps)
         assert result_a.solved == result_b.solved
-        assert result_a.breakdown.counts == result_b.breakdown.counts
+        assert result_a.operation_counts == result_b.operation_counts
 
 
 class TestDistributedBackend:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api.reports import ExecutionTimeResult, project_timing
 from repro.core.os_elm import OSELM
 from repro.core.regularization import RegularizationConfig
 from repro.fpga.accelerator import FPGAAcceleratedOSELM
@@ -15,6 +16,7 @@ from repro.fpga.resources import (
 )
 from repro.fpga.timing import CortexA9LatencyModel, FPGACoreLatencyModel
 from repro.fixedpoint.qformat import QFormat
+from repro.training import TrainingCurve, TrainingResult
 from repro.utils.exceptions import NotFittedError, ResourceExhaustedError
 
 
@@ -249,9 +251,8 @@ class TestFPGAAcceleratedOSELM:
         pred = model.predict(rng.uniform(-1, 1, size=(3, 5)))
         assert pred.shape == (3, 1)
         model.seq_train_step(rng.uniform(-1, 1, size=5), 0.3)
-        assert model.modelled_time.counts.get("seq_train", 0) == 1
-        assert model.modelled_time.counts.get("predict_seq", 0) == 3
-        assert model.modelled_time.seconds.get("init_train", 0) > 0
+        assert model.core.seq_train_invocations == 1
+        assert model.core.predict_invocations == 3
 
     def test_tracks_quantization_divergence(self, rng):
         model = FPGAAcceleratedOSELM(5, 16, 1, seed=0,
@@ -302,23 +303,64 @@ class TestPynqZ1Platform:
         platform = PynqZ1Platform()
         counts = {"seq_train": 1000, "predict_seq": 4000, "init_train": 1, "predict_init": 128}
         projected = platform.project_breakdown("OS-ELM-L2-Lipschitz", counts, n_hidden=64)
-        assert projected.total() > 0
-        assert projected.counts["seq_train"] == 1000
+        assert list(projected) == list(counts)
+        assert projected["seq_train"] == pytest.approx(
+            1000 * platform.operation_latency("OS-ELM-L2-Lipschitz", "seq_train",
+                                              n_hidden=64))
         # seq_train dominates for the OS-ELM designs, as Figure 5 reports.
-        assert projected.fraction("seq_train") > 0.4
+        assert projected["seq_train"] / sum(projected.values()) > 0.4
 
     def test_project_skips_zero_counts(self):
         platform = PynqZ1Platform()
         projected = platform.project_breakdown("DQN", {"train_DQN": 0}, n_hidden=32)
-        assert projected.total() == 0.0
+        assert projected == {}
 
-    def test_speedup_helper(self):
+    def test_every_paper_label_is_priced(self):
         platform = PynqZ1Platform()
-        base = platform.project_breakdown("DQN", {"train_DQN": 100, "predict_1": 100},
-                                          n_hidden=64)
-        fast = platform.project_breakdown("FPGA", {"seq_train": 100, "predict_seq": 100},
-                                          n_hidden=64)
-        assert platform.speedup(base, fast) > 1.0
+        labels = {"OS-ELM-L2-Lipschitz": ["predict_init", "predict_seq",
+                                          "init_train", "seq_train"],
+                  "FPGA": ["predict_init", "predict_seq", "init_train", "seq_train"],
+                  "DQN": ["predict_1", "predict_32", "train_DQN"]}
+        # The seven Figure 5/6 operation labels.
+        assert len({label for ops in labels.values() for label in ops}) == 7
+        for design, operations in labels.items():
+            for operation in operations:
+                assert platform.operation_latency(design, operation, n_hidden=64) > 0.0
+
+    def test_project_breakdown_is_linear_in_counts(self):
+        platform = PynqZ1Platform()
+        counts = {"seq_train": 300, "predict_seq": 1200}
+        single = platform.project_breakdown("FPGA", counts, n_hidden=64)
+        doubled = platform.project_breakdown(
+            "FPGA", {op: 2 * n for op, n in counts.items()}, n_hidden=64)
+        for operation in counts:
+            assert doubled[operation] == pytest.approx(2 * single[operation])
+
+    def test_project_breakdown_adds_over_merged_counts(self):
+        platform = PynqZ1Platform()
+        a = {"seq_train": 10, "predict_seq": 40}
+        b = {"seq_train": 5, "init_train": 1}
+        merged = {op: a.get(op, 0) + b.get(op, 0) for op in {**a, **b}}
+        projected_a = platform.project_breakdown("OS-ELM-L2", a, n_hidden=32)
+        projected_b = platform.project_breakdown("OS-ELM-L2", b, n_hidden=32)
+        projected = platform.project_breakdown("OS-ELM-L2", merged, n_hidden=32)
+        for operation in merged:
+            assert projected[operation] == pytest.approx(
+                projected_a.get(operation, 0.0) + projected_b.get(operation, 0.0))
+        # The input counts are left untouched.
+        assert a == {"seq_train": 10, "predict_seq": 40}
+        assert b == {"seq_train": 5, "init_train": 1}
+
+    def test_speedup_vs_dqn(self):
+        platform = PynqZ1Platform()
+        result = ExecutionTimeResult()
+        for design, counts in (("DQN", {"train_DQN": 100, "predict_1": 100}),
+                               ("FPGA", {"seq_train": 100, "predict_seq": 100})):
+            trained = TrainingResult(design, 64, True, 1, 1, 0.0, TrainingCurve(), counts)
+            result.add(project_timing(trained, platform))
+        assert result.speedup_vs_dqn("FPGA", 64) == pytest.approx(
+            result.get("DQN", 64).modelled_total / result.get("FPGA", 64).modelled_total)
+        assert result.speedup_vs_dqn("FPGA", 64) > 1.0
 
     def test_clock_consistency_with_spec(self):
         platform = PynqZ1Platform()

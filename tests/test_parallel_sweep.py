@@ -44,7 +44,7 @@ class TestLockstepTrainer:
             np.testing.assert_array_equal(serial_result.curve.steps,
                                           batch_result.curve.steps)
             assert serial_result.solved == batch_result.solved
-            assert serial_result.breakdown.counts == batch_result.breakdown.counts
+            assert serial_result.operation_counts == batch_result.operation_counts
 
     def test_elm_design_matches_serial(self):
         seeds = [5, 6]
@@ -178,7 +178,7 @@ class TestSweepRunner:
         for (_, proc_result), (_, ser_result) in zip(proc.entries, ser.entries):
             np.testing.assert_array_equal(proc_result.curve.steps,
                                           ser_result.curve.steps)
-            assert proc_result.breakdown.counts == ser_result.breakdown.counts
+            assert proc_result.operation_counts == ser_result.operation_counts
 
     def test_process_backend_streams_one_group_slice_per_job(self):
         """With one worker every lock-step group is one pool job, so the

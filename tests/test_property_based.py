@@ -200,7 +200,7 @@ def _trial_bits(result):
     curve = [(r.episode, r.steps, float(r.shaped_return).hex(),
               float(r.moving_average).hex(), repr(r.lipschitz_bound),
               repr(r.beta_norm)) for r in result.curve.records]
-    return curve, dict(result.breakdown.counts), result.weight_resets
+    return curve, dict(result.operation_counts), result.weight_resets
 
 
 _SERIAL_BITS = {}

@@ -27,7 +27,6 @@ from repro.training import (
     evaluate_agent,
 )
 from repro.utils.tables import format_table, relative_error, rows_to_csv
-from repro.utils.timer import TimeBreakdown
 
 
 def _ci_run(name, designs, max_episodes):
@@ -47,16 +46,11 @@ class TestRecording:
         assert curve.final_average(2) == pytest.approx(45.0)
         assert set(curve.as_dict()) == {"episodes", "steps", "moving_average"}
 
-    def test_training_result_summary(self):
+    def test_training_result_completed_alias(self):
         curve = TrainingCurve([EpisodeRecord(1, 100, 1.0, 100.0)])
-        breakdown = TimeBreakdown()
-        breakdown.add("seq_train", 1.0, 10)
-        result = TrainingResult("OS-ELM", 64, True, 1, 1, 2.0, curve, breakdown)
-        summary = result.summary()
-        assert summary["design"] == "OS-ELM"
-        assert summary["solved"] is True
-        assert summary["operation_counts"]["seq_train"] == 10
+        result = TrainingResult("OS-ELM", 64, True, 1, 1, 2.0, curve, {"seq_train": 10})
         assert result.completed
+        assert result.operation_counts == {"seq_train": 10}
 
 
 class TestTrainerFit:
@@ -74,7 +68,8 @@ class TestTrainerFit:
         assert not result.solved
         assert len(result.curve) == 12
         assert result.n_hidden == 16
-        assert result.breakdown.total() > 0
+        assert result.operation_counts["predict_init"] > 0
+        assert result.operation_counts is agent.operation_counts
         assert all(record.steps >= 1 for record in result.curve.records)
 
     def test_fit_stops_when_solved(self):
@@ -90,7 +85,7 @@ class TestTrainerFit:
         config = TrainingConfig(max_episodes=6, seed=0)
         result = Trainer().fit(agent, config=config)
         assert result.design == "DQN"
-        assert result.breakdown.counts.get("predict_1", 0) > 0
+        assert result.operation_counts.get("predict_1", 0) > 0
 
     def test_fit_accepts_env_instance(self, cartpole_env):
         agent = make_design("OS-ELM", n_hidden=8, seed=0)
@@ -204,14 +199,14 @@ class TestTrainingCurveReport:
         collected = TrainingCurveResult()
         for design, n_hidden in (("OS-ELM", 64), ("DQN", 32), ("OS-ELM", 32)):
             collected.add(TrainingResult(design, n_hidden, False, 1, None, 0.0,
-                                         TrainingCurve(), TimeBreakdown()))
+                                         TrainingCurve(), {}))
         assert collected.designs() == ["DQN", "OS-ELM"]
         assert collected.hidden_sizes() == [32, 64]
         assert [(row["n_hidden"], row["design"]) for row in collected.summary_rows()] \
             == [(32, "DQN"), (32, "OS-ELM"), (64, "OS-ELM")]
 
     def test_stability_classification(self):
-        solved = TrainingResult("X", 32, True, 10, 10, 1.0, TrainingCurve(), TimeBreakdown())
+        solved = TrainingResult("X", 32, True, 10, 10, 1.0, TrainingCurve(), {})
         assert stability_classification(solved) == "solved"
         # A collapsing curve: rises then falls sharply (the paper's plain OS-ELM behaviour).
         curve = TrainingCurve()
@@ -219,12 +214,12 @@ class TestTrainingCurveReport:
             steps = 150 if episode < 100 else 10
             avg = 150.0 if episode < 100 else max(10.0, 150 - (episode - 100) * 2)
             curve.append(EpisodeRecord(episode, steps, 0.0, avg))
-        collapsed = TrainingResult("OS-ELM", 32, False, 200, None, 1.0, curve, TimeBreakdown())
+        collapsed = TrainingResult("OS-ELM", 32, False, 200, None, 1.0, curve, {})
         assert stability_classification(collapsed) == "collapsed"
         flat = TrainingCurve()
         for episode in range(1, 50):
             flat.append(EpisodeRecord(episode, 10, 0.0, 10.0))
-        dull = TrainingResult("OS-ELM", 32, False, 49, None, 1.0, flat, TimeBreakdown())
+        dull = TrainingResult("OS-ELM", 32, False, 49, None, 1.0, flat, {})
         assert stability_classification(dull) == "not_learning"
 
 
@@ -239,16 +234,16 @@ class TestExecutionTimeReport:
         assert set(spec.hidden_sizes) == set(PAPER_EXECUTION_TIMES)
         assert {"DQN", "OS-ELM-L2-Lipschitz", "FPGA"} <= set(spec.designs)
 
-    def test_project_timing_keeps_measured_counts(self):
-        breakdown = TimeBreakdown()
-        breakdown.add("seq_train", 0.5, 40)
-        breakdown.add("predict_1", 0.25, 100)
-        result = TrainingResult("FPGA", 64, True, 7, 7, 1.0, TrainingCurve(), breakdown)
-        timing = project_timing(result, PynqZ1Platform())
+    def test_project_timing_keeps_counts(self):
+        counts = {"seq_train": 40, "predict_1": 100}
+        result = TrainingResult("FPGA", 64, True, 7, 7, 1.0, TrainingCurve(), counts)
+        platform = PynqZ1Platform()
+        timing = project_timing(result, platform)
         assert (timing.design, timing.n_hidden, timing.solved, timing.episodes) \
             == ("FPGA", 64, True, 7)
-        assert timing.counts == {"seq_train": 40, "predict_1": 100}
-        assert timing.measured_total == pytest.approx(0.75)
+        assert timing.counts == counts
+        assert timing.modelled == platform.project_breakdown("FPGA", counts, n_hidden=64)
+        assert timing.modelled_total == pytest.approx(sum(timing.modelled.values()))
         assert timing.modelled_total > 0
 
     def test_ci_scale_run_and_speedups(self):
@@ -258,7 +253,7 @@ class TestExecutionTimeReport:
         for design in ("OS-ELM-L2", "DQN", "FPGA"):
             timing = result.get(design, 16)
             assert timing.modelled_total > 0
-            assert timing.measured_total > 0
+            assert set(timing.modelled) <= set(timing.counts)
         # The proposed designs complete the same (small) workload faster than DQN
         # under the platform latency model.
         assert result.speedup_vs_dqn("OS-ELM-L2", 16) > 1.0

@@ -1,6 +1,4 @@
-"""Tests for repro.utils.timer and repro.utils.metrics."""
-
-import time
+"""Tests for repro.utils.metrics."""
 
 import pytest
 
@@ -9,74 +7,6 @@ from repro.utils.metrics import (
     RunningStats,
     SolvedCriterion,
 )
-from repro.utils.timer import OPERATION_LABELS, TimeBreakdown
-
-
-class TestTimeBreakdown:
-    def test_add_and_total(self):
-        breakdown = TimeBreakdown()
-        breakdown.add("seq_train", 1.5)
-        breakdown.add("predict_seq", 0.5)
-        breakdown.add("seq_train", 0.5, count=3)
-        assert breakdown.total() == pytest.approx(2.5)
-        assert breakdown.seconds["seq_train"] == pytest.approx(2.0)
-        assert breakdown.counts["seq_train"] == 4
-
-    def test_negative_seconds_rejected(self):
-        with pytest.raises(ValueError):
-            TimeBreakdown().add("x", -1.0)
-
-    def test_fraction(self):
-        breakdown = TimeBreakdown()
-        breakdown.add("a", 3.0)
-        breakdown.add("b", 1.0)
-        assert breakdown.fraction("a") == pytest.approx(0.75)
-        assert breakdown.fraction("missing") == 0.0
-
-    def test_fraction_empty(self):
-        assert TimeBreakdown().fraction("a") == 0.0
-
-    def test_merge_keeps_both(self):
-        a = TimeBreakdown()
-        a.add("x", 1.0)
-        b = TimeBreakdown()
-        b.add("x", 2.0)
-        b.add("y", 1.0)
-        merged = a.merge(b)
-        assert merged.seconds["x"] == pytest.approx(3.0)
-        assert merged.seconds["y"] == pytest.approx(1.0)
-        # originals untouched
-        assert a.seconds["x"] == pytest.approx(1.0)
-
-    def test_scaled(self):
-        breakdown = TimeBreakdown()
-        breakdown.add("x", 2.0)
-        scaled = breakdown.scaled(0.5)
-        assert scaled.seconds["x"] == pytest.approx(1.0)
-
-    def test_scaled_negative_rejected(self):
-        with pytest.raises(ValueError):
-            TimeBreakdown().scaled(-1.0)
-
-    def test_measure_context(self):
-        breakdown = TimeBreakdown()
-        with breakdown.measure("op"):
-            time.sleep(0.005)
-        assert breakdown.seconds["op"] >= 0.004
-        assert breakdown.counts["op"] == 1
-
-    def test_measure_records_a_block_that_raises(self):
-        breakdown = TimeBreakdown()
-        with pytest.raises(KeyError):
-            with breakdown.measure("op"):
-                raise KeyError("boom")
-        assert breakdown.counts["op"] == 1
-        assert breakdown.seconds["op"] >= 0.0
-
-    def test_paper_operation_labels_present(self):
-        assert "seq_train" in OPERATION_LABELS
-        assert "train_DQN" in OPERATION_LABELS
-        assert len(OPERATION_LABELS) == 7
 
 
 class TestMovingAverage:
