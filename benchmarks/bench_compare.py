@@ -5,7 +5,7 @@ document's shape:
 
 * **parallel** (``bench_parallel_throughput.py --smoke``, committed as
   ``BENCH_parallel.json``): per-backend ``steps_per_sec`` rates plus the
-  sync/subproc trajectory-identity flag;
+  Autoscale-v0 serial/lock-step curve-identity flag;
 * **serving** (``bench_serving.py --smoke``, committed as
   ``BENCH_serving.json``, detected by its ``latency`` / ``pipelined``
   keys): per-(clients, max_batch) latency/throughput rows plus the
@@ -75,11 +75,7 @@ def _compare_parallel(fresh: Dict[str, object], baseline: Dict[str, object],
                 f"{name}: {now:.0f} steps/s is below {min_ratio:.0%} of the "
                 f"committed {base:.0f} steps/s")
 
-    if fresh.get("sync_subproc_identical") is not True:
-        problems.append("sync/subproc trajectory identity no longer holds")
-
-    if ("autoscale_serial_vectorized_identical" in baseline
-            and fresh.get("autoscale_serial_vectorized_identical") is not True):
+    if fresh.get("autoscale_serial_vectorized_identical") is not True:
         problems.append("Autoscale-v0 serial/lock-step curve identity no "
                         "longer holds")
     return problems

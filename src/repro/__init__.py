@@ -64,15 +64,12 @@ from repro.training import (
     evaluate_agent,
 )
 from repro.parallel import (
-    AsyncVectorEnv,
-    SubprocVectorEnv,
     SweepResult,
     SweepRunner,
     SweepSpec,
     SyncVectorEnv,
     evaluate_agent_vectorized,
     make_vector,
-    pipelined_rollout,
 )
 from repro.distributed import SweepBroker, run_distributed_sweep, run_worker
 from repro import telemetry
@@ -125,8 +122,6 @@ __all__ = [
     "MetricsRecorder",
     "ProgressCallback",
     "Trainer",
-    "AsyncVectorEnv",
-    "SubprocVectorEnv",
     "SweepBroker",
     "SweepResult",
     "SweepRunner",
@@ -134,7 +129,6 @@ __all__ = [
     "SyncVectorEnv",
     "evaluate_agent_vectorized",
     "make_vector",
-    "pipelined_rollout",
     "run_distributed_sweep",
     "run_worker",
     "PolicyClient",

@@ -6,7 +6,8 @@ the relevant slice of the Gym API from scratch:
 * :class:`Env` — the ``reset`` / ``step`` protocol,
 * :class:`Box` and :class:`Discrete` spaces,
 * a string registry and :func:`make` factory,
-* :class:`TimeLimit` and :class:`EpisodeStatistics` wrappers,
+* :class:`TimeLimit`, :class:`ActionRepeat` (frame skip) and
+  :class:`EpisodeStatistics` wrappers,
 * the classic-control tasks CartPole-v0/v1 (the paper's benchmark, with the
   exact Table 2 bounds), MountainCar-v0 and Acrobot-v1 (the "other
   reinforcement tasks" mentioned as future work in Section 5),
@@ -21,7 +22,7 @@ from repro.envs.autoscale import AutoscaleEnv, AutoscaleParams
 from repro.envs.cartpole import CartPoleEnv
 from repro.envs.mountain_car import MountainCarEnv
 from repro.envs.acrobot import AcrobotEnv
-from repro.envs.wrappers import EpisodeStatistics, TimeLimit, Wrapper
+from repro.envs.wrappers import ActionRepeat, EpisodeStatistics, TimeLimit, Wrapper
 
 __all__ = [
     "Env",
@@ -40,6 +41,7 @@ __all__ = [
     "CartPoleEnv",
     "MountainCarEnv",
     "AcrobotEnv",
+    "ActionRepeat",
     "EpisodeStatistics",
     "TimeLimit",
     "Wrapper",

@@ -1,4 +1,4 @@
-"""Environment wrappers (time limits and episode statistics)."""
+"""Environment wrappers (time limits, frame skip and episode statistics)."""
 
 from __future__ import annotations
 
@@ -76,6 +76,33 @@ class TimeLimit(Wrapper):
         if self._elapsed >= self.max_episode_steps and not result.terminated:
             result.truncated = True
             result.info.setdefault("TimeLimit.truncated", True)
+        return result
+
+
+class ActionRepeat(Wrapper):
+    """Frame skip: each ``step`` repeats its action up to ``repeat`` times.
+
+    Stepping stops early at episode end; the reward is the sum over the
+    frames actually advanced, the observation, flags and info are the last
+    frame's, and ``info["frames"]`` counts the frames.  Wrap the registry
+    env (outside any :class:`TimeLimit`) so time limits count frames.
+    """
+
+    def __init__(self, env: Env, repeat: int) -> None:
+        super().__init__(env)
+        if repeat <= 0:
+            raise ValueError("repeat must be positive")
+        self.repeat = int(repeat)
+
+    def step(self, action) -> StepResult:
+        reward = 0.0
+        for frames in range(1, self.repeat + 1):
+            result = self.env.step(action)
+            reward += result.reward
+            if result.done:
+                break
+        result.reward = reward
+        result.info["frames"] = frames
         return result
 
 

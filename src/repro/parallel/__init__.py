@@ -3,12 +3,10 @@
 The subsystem has two layers (see the README for the architecture sketch
 and determinism guarantees):
 
-* **Vector envs** — :class:`SyncVectorEnv` / :class:`SubprocVectorEnv` /
-  :class:`AsyncVectorEnv` step N registry environments behind one stacked
-  ``reset()``/``step()`` interface with auto-reset (``Async`` adds the
-  ``step_async``/``step_wait`` split that overlaps env stepping with agent
-  compute); :func:`make_vector` builds any of them from a registered id
-  with ``spawn_seeds``-derived per-env seeds.
+* **Vector env** — :class:`SyncVectorEnv` steps N environments in-process
+  behind one stacked ``reset()``/``step()`` interface with auto-reset;
+  :func:`make_vector` builds one from a registered id with
+  ``spawn_seeds``-derived per-env seeds.
 * **Sweep orchestration** — :class:`SweepRunner` fans a
   (design x env x seed) :class:`SweepSpec` grid across the vectorized,
   process-pool, serial or distributed (:mod:`repro.distributed`) backend
@@ -18,10 +16,8 @@ and determinism guarantees):
   :meth:`repro.training.Trainer.fit_lockstep` per group of compatible trials.
 """
 
-from repro.parallel.async_env import AsyncVectorEnv, pipelined_rollout
 from repro.parallel.pool import parallel_map
 from repro.parallel.rollout import evaluate_agent_vectorized
-from repro.parallel.subproc import SubprocVectorEnv
 from repro.parallel.sweep import SweepResult, SweepRunner, SweepSpec, SweepTask
 from repro.parallel.vector_env import (
     EnvFactory,
@@ -32,9 +28,7 @@ from repro.parallel.vector_env import (
 )
 
 __all__ = [
-    "AsyncVectorEnv",
     "EnvFactory",
-    "SubprocVectorEnv",
     "SweepResult",
     "SweepRunner",
     "SweepSpec",
@@ -45,5 +39,4 @@ __all__ = [
     "evaluate_agent_vectorized",
     "make_vector",
     "parallel_map",
-    "pipelined_rollout",
 ]

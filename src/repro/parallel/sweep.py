@@ -166,16 +166,15 @@ def _lockstep_groups(tasks: Sequence[SweepTask]
 
     Batchable trials (:func:`~repro.training.strategies.supports_lockstep`)
     group by (design, env, hidden size), the rest by env under the generic
-    strategy.  One vector env drives a group, so it shares frame skip too.
+    strategy.  Frame skip lives in each sub-env, so it does not split groups.
     """
     groups: Dict[tuple, list] = defaultdict(list)
     for position, task in enumerate(tasks):
         agent = task.make_agent()
         cell = (task.design, task.n_hidden) if supports_lockstep(agent) else None
-        groups[(task.env_id, task.training.action_repeat, cell)].append(
-            (position, agent))
+        groups[(task.env_id, cell)].append((position, agent))
     return [("generic" if cell is None else "batched", group)
-            for (_env_id, _repeat, cell), group in groups.items()]
+            for (_env_id, cell), group in groups.items()]
 
 
 def execute_tasks(tasks: Sequence[SweepTask], callbacks: Sequence = ()

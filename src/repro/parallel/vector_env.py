@@ -24,8 +24,8 @@ env class flagging ``supports_batch_dynamics`` (e.g.
 :class:`~repro.envs.autoscale.AutoscaleEnv`) goes through the generic
 ``batch_dynamics(states, steps, actions, params, rngs)`` hook, rewards and
 RNG streams included.  The per-env trajectories are identical either way.
-:class:`~repro.parallel.subproc.SubprocVectorEnv` offers the same interface
-across worker processes.
+Wrapped sub-envs (e.g. :class:`~repro.envs.wrappers.ActionRepeat` frame
+skip) step through the per-env loop.
 """
 
 from __future__ import annotations
@@ -69,12 +69,7 @@ class VectorStepResult:
 
 @dataclass(frozen=True)
 class EnvFactory:
-    """A picklable environment constructor bound to a registry id.
-
-    ``SubprocVectorEnv`` ships factories across process boundaries, so plain
-    closures over :func:`repro.envs.registry.make` only work with the
-    ``fork`` start method; this small callable works everywhere.
-    """
+    """A picklable environment constructor bound to a registry id."""
 
     env_id: str
     seed: Optional[int] = None
@@ -106,7 +101,7 @@ class VectorEnv:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release sub-env resources (worker processes, pipes)."""
+        """Release sub-env resources."""
 
     def _spawn_reset_seeds(self, seed: Optional[int]) -> List[Optional[int]]:
         if seed is None:
@@ -141,11 +136,8 @@ class SyncVectorEnv(VectorEnv):
     ----------
     env_fns:
         One zero-argument constructor per sub-env (e.g. :class:`EnvFactory`
-        instances, or closures over ``make``).
-    autoreset:
-        Reset finished sub-envs automatically during :meth:`step` (default).
-        With ``autoreset=False`` a finished sub-env raises on the next step
-        unless :meth:`reset` is called, mirroring the scalar ``Env`` contract.
+        instances, or closures over ``make``).  Finished sub-envs reset
+        automatically during :meth:`step`.
     batch_physics:
         Use the vectorized CartPole dynamics when every sub-env is a stock
         :class:`CartPoleEnv` with identical parameters.  Trajectories are
@@ -159,13 +151,12 @@ class SyncVectorEnv(VectorEnv):
     """
 
     def __init__(self, env_fns: Sequence[Callable[[], Env]], *,
-                 autoreset: bool = True, batch_physics: bool = True,
+                 batch_physics: bool = True,
                  validate: bool = True) -> None:
         if not env_fns:
             raise ValueError("SyncVectorEnv needs at least one env_fn")
         self.envs: List[Env] = [fn() for fn in env_fns]
         self.num_envs = len(self.envs)
-        self.autoreset = bool(autoreset)
         self.validate = bool(validate)
         self.single_observation_space = self.envs[0].observation_space
         self.single_action_space = self.envs[0].action_space
@@ -256,8 +247,7 @@ class SyncVectorEnv(VectorEnv):
             if self._batch_dynamics:
                 return self._step_batched_generic(actions)
             result = self._step_loop(actions)
-            if self.autoreset:
-                self._autoreset(result)
+            self._autoreset(result)
             return result
 
     def close(self) -> None:
@@ -317,18 +307,19 @@ class SyncVectorEnv(VectorEnv):
         steps_list = self._steps.tolist()
         infos: List[Dict[str, Any]] = [{"steps": steps_list[i]}
                                        for i in range(self.num_envs)]
-        if dones.any():
-            for i in np.flatnonzero(dones):
-                if self.autoreset:
-                    infos[i]["final_observation"] = new_states[i].copy()
-                    obs, _ = self.envs[i].reset()
-                    self._states[i] = obs
-                    observations[i] = obs
-                    self._steps[i] = 0
-                else:
-                    self._started[i] = False
+        self._reset_finished(dones, observations, infos)
         return VectorStepResult(observations, self._unit_rewards.copy(),
                                 terminated, truncated, infos)
+
+    def _reset_finished(self, dones: np.ndarray, observations: np.ndarray,
+                        infos: List[Dict[str, Any]]) -> None:
+        """Auto-reset the sub-envs a batched step finished, in place."""
+        for i in np.flatnonzero(dones):
+            infos[i]["final_observation"] = self._states[i].copy()
+            obs, _ = self.envs[i].reset()
+            self._states[i] = obs
+            observations[i] = obs
+            self._steps[i] = 0
 
     def _validate_batch_actions(self, actions: np.ndarray) -> None:
         """Batched mirror of the per-env step preconditions."""
@@ -377,16 +368,7 @@ class SyncVectorEnv(VectorEnv):
         steps_list = self._steps.tolist()
         infos: List[Dict[str, Any]] = [{"steps": steps_list[i]}
                                        for i in range(self.num_envs)]
-        if dones.any():
-            for i in np.flatnonzero(dones):
-                if self.autoreset:
-                    infos[i]["final_observation"] = self._states[i].copy()
-                    obs, _ = self.envs[i].reset()
-                    self._states[i] = obs
-                    observations[i] = obs
-                    self._steps[i] = 0
-                else:
-                    self._started[i] = False
+        self._reset_finished(dones, observations, infos)
         return VectorStepResult(observations, np.asarray(rewards, dtype=np.float64),
                                 terminated, truncated, infos)
 
@@ -405,8 +387,8 @@ class SyncVectorEnv(VectorEnv):
 
 
 def make_vector(env_id: str, num_envs: int, *, seed: Optional[int] = None,
-                vectorization: str = "sync", **kwargs: Any) -> VectorEnv:
-    """Build a vector env of ``num_envs`` registry environments.
+                **kwargs: Any) -> SyncVectorEnv:
+    """Build a :class:`SyncVectorEnv` of ``num_envs`` registry environments.
 
     Parameters
     ----------
@@ -418,11 +400,6 @@ def make_vector(env_id: str, num_envs: int, *, seed: Optional[int] = None,
         Root seed; sub-env ``i`` is constructed with the ``i``-th seed of
         ``spawn_seeds(seed, num_envs)`` so the batch is reproducible and the
         per-env streams never overlap.
-    vectorization:
-        ``"sync"`` (in-process lock-step), ``"subproc"`` (one worker
-        process per sub-env) or ``"async"`` (subproc workers with the
-        ``step_async``/``step_wait`` split of
-        :class:`~repro.parallel.async_env.AsyncVectorEnv`).
     kwargs:
         Forwarded to the environment constructor (e.g. ``max_episode_steps``).
     """
@@ -433,15 +410,4 @@ def make_vector(env_id: str, num_envs: int, *, seed: Optional[int] = None,
     factory_kwargs = tuple(sorted(kwargs.items()))
     env_fns = [EnvFactory(env_id, seed=seeds[i], kwargs=factory_kwargs)
                for i in range(num_envs)]
-    if vectorization == "sync":
-        return SyncVectorEnv(env_fns)
-    if vectorization == "subproc":
-        from repro.parallel.subproc import SubprocVectorEnv
-
-        return SubprocVectorEnv(env_fns)
-    if vectorization == "async":
-        from repro.parallel.async_env import AsyncVectorEnv
-
-        return AsyncVectorEnv(env_fns)
-    raise ValueError(f"unknown vectorization {vectorization!r}; "
-                     "use 'sync', 'subproc' or 'async'")
+    return SyncVectorEnv(env_fns)

@@ -18,11 +18,8 @@ class TrainingConfig:
     once per *decision point* and the environment advances up to that many
     steps with it (stopping early at episode end), the agent observing one
     aggregate transition.  The default of 1 is the paper's per-step protocol
-    and is bit-for-bit identical to the historical loops; values > 1 pair
-    with ``SubprocVectorEnv(steps_per_message=k)`` /
-    :class:`~repro.parallel.async_env.AsyncVectorEnv` so heavyweight envs
-    amortize one pipe round-trip over k physics steps inside a real
-    training loop.
+    (Algorithm 1).  Both drivers implement k > 1 by wrapping the trial's env
+    in :class:`~repro.envs.wrappers.ActionRepeat`.
     """
 
     env_id: str = "CartPole-v0"

@@ -9,8 +9,8 @@ agent implementing :class:`~repro.training.protocols.AgentProtocol`, with:
 * the 50,000-episode "impossible" cutoff,
 * a typed :class:`~repro.training.callbacks.Callback` lifecycle
   (progress streaming, metric recording, mid-trial checkpointing),
-* ``action_repeat`` (frame-skip) stepping that pairs with
-  ``SubprocVectorEnv(steps_per_message=k)`` / ``AsyncVectorEnv``.
+* ``action_repeat`` frame skip, one
+  :class:`~repro.envs.wrappers.ActionRepeat` around each trial's env.
 
 Two drivers share that one set of episode semantics:
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, List, Optional, Sequence, Union
 
 import numpy as np
@@ -44,6 +45,7 @@ import numpy as np
 from repro.core.clipping import shaped_cartpole_reward
 from repro.envs.core import Env
 from repro.envs.registry import make as make_env
+from repro.envs.wrappers import ActionRepeat
 from repro.training.callbacks import (
     Callback,
     CallbackList,
@@ -104,6 +106,17 @@ def resolve_env(env: Union[str, Env, None], config: TrainingConfig) -> Env:
         if config.max_steps_per_episode is not None:
             kwargs["max_episode_steps"] = config.max_steps_per_episode
         return make_env(env, seed=config.seed, **kwargs)
+    return env
+
+
+def _frame_skip(env: Env, config: TrainingConfig) -> Env:
+    """``env`` under ``ActionRepeat(env, config.action_repeat)`` if k > 1.
+
+    At k = 1 the env stays bare: the vector env's batched fast paths check
+    ``type(env)``.
+    """
+    if config.action_repeat > 1:
+        return ActionRepeat(env, config.action_repeat)
     return env
 
 
@@ -260,10 +273,11 @@ class Trainer:
                 resumed = True
                 _LOGGER.info("resumed mid-trial", design=getattr(agent, "name", "agent"),
                              episode=trial.episode)
+        # Checkpoints pickle the bare env, so wrap only after resolve/restore.
+        stepper = _frame_skip(environment, config)
         run = TrainingRun(mode="serial", trials=[trial], resumed=resumed)
         self.callbacks.train_start(run)
         emit_steps = self.callbacks.wants_steps
-        repeat = config.action_repeat
         start_wall = time.perf_counter()
 
         stop = trial.solved and config.stop_when_solved
@@ -271,23 +285,17 @@ class Trainer:
             with span("trial.episode"):
                 agent.begin_episode(trial.episode)
                 self.callbacks.episode_start(trial)
-                state, _ = environment.reset()
+                state, _ = stepper.reset()
                 trial.steps = 0
                 trial.shaped_return = 0.0
                 done = False
                 while not done:
                     action = agent.act(state)
-                    frames = 0
-                    raw_reward = 0.0
-                    for _ in range(repeat):
-                        result = environment.step(action)
-                        trial.steps += 1
-                        frames += 1
-                        raw_reward += result.reward
-                        if result.done:
-                            break
+                    result = stepper.step(action)
+                    frames = result.info.get("frames", 1)
+                    trial.steps += frames
                     reward = self._shaped_reward(trial, result.terminated,
-                                                 result.truncated, raw_reward)
+                                                 result.truncated, result.reward)
                     trial.shaped_return += reward
                     agent.observe(state, action, reward, result.observation,
                                   result.done)
@@ -360,7 +368,6 @@ class Trainer:
     # ------------------------------------------------------------------ lock-step driver
     def fit_lockstep(self, agents: Sequence[Any],
                      configs: Sequence[TrainingConfig], *,
-                     venv: Optional[Any] = None,
                      strategy: Union[str, Any] = "auto") -> List[TrainingResult]:
         """Train N independent trials in lock-step; one result per trial.
 
@@ -368,15 +375,11 @@ class Trainer:
         ----------
         agents, configs:
             One protocol agent and one :class:`TrainingConfig` per trial.
-            ``env_id`` (and ``action_repeat``) must match across the batch —
-            one vector env drives every trial; budgets, thresholds and seeds
-            may differ per trial.
-        venv:
-            Pre-built vector env (one sub-env per trial, in trial order).
-            Built from the configs when omitted: a
-            :class:`~repro.parallel.vector_env.SyncVectorEnv` normally, or a
-            ``SubprocVectorEnv(steps_per_message=action_repeat)`` when the
-            batch uses frame skip.
+            ``env_id`` must match across the batch; one
+            :class:`~repro.parallel.vector_env.SyncVectorEnv` drives every
+            trial, each sub-env the env serial :meth:`fit` would step (frame
+            skip included).  Budgets, thresholds, seeds and
+            ``action_repeat`` may differ per trial.
         strategy:
             ``"auto"`` picks the batched ELM/OS-ELM strategy when every
             agent qualifies (see
@@ -394,38 +397,19 @@ class Trainer:
         if len(env_ids) != 1:
             raise ValueError(
                 f"all trials in a lock-step batch must share env_id, got {env_ids}")
-        repeats = {config.action_repeat for config in configs}
-        if len(repeats) != 1:
-            raise ValueError(
-                f"all trials in a lock-step batch must share action_repeat, got {repeats}")
-        repeat = repeats.pop()
 
         strat = _strategies.resolve_strategy(strategy, agents)
         trials = [TrialState(i, agent, config)
                   for i, (agent, config) in enumerate(zip(agents, configs))]
-        owns_venv = venv is None
-        if venv is None:
-            venv = _build_vector_env(configs, action_repeat=repeat)
-        if venv.num_envs != len(trials):
-            raise ValueError(
-                f"vector env has {venv.num_envs} sub-envs for {len(trials)} trials")
-        if repeat > 1 and getattr(venv, "steps_per_message", 1) != repeat:
-            raise ValueError(
-                "action_repeat > 1 on the lock-step driver needs a vector env "
-                "with matching frame skip (SubprocVectorEnv/AsyncVectorEnv "
-                f"steps_per_message={repeat}); got "
-                f"{type(venv).__name__}(steps_per_message="
-                f"{getattr(venv, 'steps_per_message', 1)})")
-
+        venv = _build_vector_env(configs)
         try:
             with span("trainer.fit_lockstep"):
-                return self._run_lockstep(trials, venv, strat, repeat)
+                return self._run_lockstep(trials, venv, strat)
         finally:
-            if owns_venv:
-                venv.close()
+            venv.close()
 
-    def _run_lockstep(self, trials: List[TrialState], venv: Any, strat: Any,
-                      repeat: int) -> List[TrainingResult]:
+    def _run_lockstep(self, trials: List[TrialState], venv: Any,
+                      strat: Any) -> List[TrainingResult]:
         run = TrainingRun(mode="lockstep", trials=trials,
                           strategy=type(strat).__name__)
         for trial in trials:
@@ -457,7 +441,8 @@ class Trainer:
                 term, trunc = terminated_flags[i], truncated_flags[i]
                 done = term or trunc
                 info = step.infos[i]
-                trial.steps += info.get("frames", 1) if repeat > 1 else 1
+                frames = info.get("frames", 1)
+                trial.steps += frames
                 next_obs = (info["final_observation"] if done
                             else step.observations[i])
                 reward = self._shaped_reward(trial, term, trunc,
@@ -467,8 +452,7 @@ class Trainer:
                 if emit_steps:
                     self.callbacks.step(trial, StepEvent(
                         state=states[i], action=raw_actions[i], reward=reward,
-                        next_state=next_obs, done=done,
-                        frames=info.get("frames", 1)))
+                        next_state=next_obs, done=done, frames=frames))
                 if done:
                     finished.append(i)
             strat.flush_updates(actions)
@@ -502,22 +486,16 @@ class Trainer:
         return results
 
 
-def _build_vector_env(configs: Sequence[TrainingConfig], *,
-                      action_repeat: int = 1) -> Any:
-    """One sub-env per trial config, frame-skip-aware."""
-    from repro.parallel.vector_env import EnvFactory, SyncVectorEnv
+def _trial_env(config: TrainingConfig) -> Env:
+    """The env one trial steps: the serial driver's, frame skip included."""
+    return _frame_skip(resolve_env(None, config), config)
 
-    env_fns = []
-    for config in configs:
-        kwargs = dict(config.env_params)
-        if config.max_steps_per_episode is not None:
-            kwargs["max_episode_steps"] = config.max_steps_per_episode
-        env_fns.append(EnvFactory(config.env_id, seed=config.seed,
-                                  kwargs=tuple(sorted(kwargs.items()))))
-    if action_repeat > 1:
-        from repro.parallel.subproc import SubprocVectorEnv
 
-        return SubprocVectorEnv(env_fns, steps_per_message=action_repeat)
+def _build_vector_env(configs: Sequence[TrainingConfig]) -> Any:
+    """One in-process sub-env per trial config, in trial order."""
+    from repro.parallel.vector_env import SyncVectorEnv
+
+    env_fns = [partial(_trial_env, config) for config in configs]
     # The trainer emits guaranteed-valid int64 actions every step, so the
     # per-step validation of the batched path is pure overhead here.
     return SyncVectorEnv(env_fns, validate=False)

@@ -9,12 +9,16 @@ what lets ``repro run --paper --checkpoint-every N`` survive kills without
 perturbing the reproduction.
 """
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.api import run as run_experiment
 from repro.api.spec import Budget, ExperimentSpec
 from repro.api.store import ArtifactStore
+from repro.envs.cartpole import CartPoleEnv
 from repro.training import Callback, CheckpointCallback, Trainer
 
 
@@ -128,6 +132,62 @@ class TestTrainerMidTrialResume:
                             ).fit(task.make_agent(), config=task.training)
         np.testing.assert_array_equal(clean.curve.steps, recovered.curve.steps)
         assert recovered.operation_counts == clean.operation_counts
+
+
+class TestFrameSkipResume:
+    """Mid-trial checkpoints under ``action_repeat=2``."""
+
+    @staticmethod
+    def _killed_run(store):
+        task = _spec(budget=Budget(max_episodes=10)).tasks()[0]
+        config = replace(task.training, action_repeat=2)
+        with pytest.raises(_KillAfter.Killed):
+            Trainer(callbacks=[CheckpointCallback(store, task, every=2),
+                               _KillAfter(5)]).fit(task.make_agent(), config=config)
+        assert store.load_trial_state(task) is not None
+        uninterrupted = Trainer().fit(task.make_agent(), config=config)
+        return task, config, uninterrupted
+
+    def test_killed_run_resumes_bit_for_bit(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        task, config, uninterrupted = self._killed_run(store)
+        resumed = Trainer(callbacks=[CheckpointCallback(store, task, every=2)]
+                          ).fit(task.make_agent(), config=config)
+        np.testing.assert_array_equal(uninterrupted.curve.steps,
+                                      resumed.curve.steps)
+        assert [r.shaped_return.hex() for r in uninterrupted.curve.records] \
+            == [r.shaped_return.hex() for r in resumed.curve.records]
+        assert uninterrupted.operation_counts == resumed.operation_counts
+
+    def test_payload_with_the_bare_env_resumes_with_frame_skip(self, tmp_path):
+        """The payload keeps the format written before frame skip became a
+        wrapper: the bare registry env, no ActionRepeat.  Resuming from it
+        wraps the env again."""
+        store = ArtifactStore(tmp_path / "store")
+        task, config, uninterrupted = self._killed_run(store)
+        payload = pickle.loads(store.load_trial_state(task))
+        assert set(payload) == {"version", "agent", "environment", "episode",
+                                "criterion", "curve", "solved",
+                                "episodes_to_solve", "elapsed_seconds"}
+        assert type(payload["environment"]) is CartPoleEnv
+        store.save_trial_state(task, pickle.dumps(payload))
+
+        class _Frames(Callback):
+            def __init__(self):
+                self.frames = []
+
+            def on_step(self, trial, event):
+                self.frames.append(event.frames)
+
+        recorder = _Frames()
+        resumed = Trainer(callbacks=[CheckpointCallback(store, task, every=2),
+                                     recorder]).fit(task.make_agent(), config=config)
+        np.testing.assert_array_equal(uninterrupted.curve.steps,
+                                      resumed.curve.steps)
+        assert uninterrupted.operation_counts == resumed.operation_counts
+        assert max(recorder.frames) == 2
+        resumed_steps = resumed.curve.steps[payload["episode"]:]
+        assert sum(recorder.frames) == int(resumed_steps.sum())
 
 
 class TestEngineMidTrialResume:

@@ -1,13 +1,13 @@
-"""Tests for the vector-env layer: semantics, auto-reset, Sync==Subproc."""
+"""Tests for the vector-env layer: semantics, auto-reset, frame skip."""
 
 import numpy as np
 import pytest
 
 from repro.envs.cartpole import CartPoleEnv, CartPoleParams
 from repro.envs.registry import make as make_env
+from repro.envs.wrappers import ActionRepeat, TimeLimit
 from repro.parallel import (
     EnvFactory,
-    SubprocVectorEnv,
     SyncVectorEnv,
     VectorStepResult,
     make_vector,
@@ -101,14 +101,6 @@ class TestSyncVectorEnv:
             assert not np.array_equal(final, result.observations[i])
             assert np.all(np.abs(result.observations[i]) <= 0.05)
 
-    def test_no_autoreset_raises_on_next_step(self):
-        venv = SyncVectorEnv(_factories(1, max_episode_steps=2), autoreset=False)
-        venv.reset(seed=0)
-        venv.step(np.array([1]))
-        venv.step(np.array([1]))
-        with pytest.raises(RuntimeError):
-            venv.step(np.array([1]))
-
     def test_batch_physics_enabled_for_uniform_cartpoles(self):
         assert SyncVectorEnv(_factories(2)).uses_batch_physics
         assert not SyncVectorEnv(_factories(2), batch_physics=False).uses_batch_physics
@@ -194,151 +186,85 @@ class TestMakeVector:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             make_vector("CartPole-v0", 0)
-        with pytest.raises(ValueError):
-            make_vector("CartPole-v0", 2, vectorization="threads")
         with pytest.raises(KeyError):
             make_vector("NoSuchEnv-v0", 2)
 
 
-class TestSubprocVectorEnv:
-    def test_matches_sync_step_for_step(self):
-        fns = _factories(3, base_seed=500)
-        sync_env = SyncVectorEnv(fns)
-        subproc_env = SubprocVectorEnv(fns)
-        try:
-            obs_sync, _ = sync_env.reset()
-            obs_sub, _ = subproc_env.reset()
-            np.testing.assert_array_equal(obs_sync, obs_sub)
-            rng = np.random.default_rng(9)
-            for _ in range(120):
-                actions = rng.integers(0, 2, size=3)
-                result_sync = sync_env.step(actions)
-                result_sub = subproc_env.step(actions)
-                np.testing.assert_array_equal(result_sync.observations,
-                                              result_sub.observations)
-                np.testing.assert_array_equal(result_sync.terminated,
-                                              result_sub.terminated)
-                np.testing.assert_array_equal(result_sync.truncated,
-                                              result_sub.truncated)
-        finally:
-            subproc_env.close()
+class TestActionRepeat:
+    """Frame skip as an env wrapper: k env steps per ``step`` call."""
 
-    def test_autoreset_final_observation(self):
-        venv = SubprocVectorEnv(_factories(2, max_episode_steps=3))
-        try:
-            venv.reset(seed=3)
-            result = None
-            for _ in range(3):
-                result = venv.step(np.array([1, 1]))
-            for i in np.flatnonzero(result.dones):
-                assert "final_observation" in result.infos[i]
-        finally:
-            venv.close()
-
-    def test_closed_env_rejects_use(self):
-        venv = SubprocVectorEnv(_factories(1))
-        venv.close()
-        with pytest.raises(RuntimeError):
-            venv.reset()
-        venv.close()  # idempotent
-
-    def test_worker_exceptions_propagate(self):
-        """Env errors inside a worker must re-raise in the parent instead of
-        killing the pipe (step-before-reset is the canonical misuse)."""
-        venv = SubprocVectorEnv(_factories(1))
-        try:
-            with pytest.raises(RuntimeError, match="before reset"):
-                venv.step(np.array([0]))
-        finally:
-            venv.close()
-
-
-class TestSubprocStepsPerMessage:
-    """Frame-skip batching: k env steps per pipe message."""
-
-    def test_invalid_steps_per_message(self):
-        with pytest.raises(ValueError):
-            SubprocVectorEnv(_factories(1), steps_per_message=0)
-
-    def test_matches_manual_frame_skip_on_sync(self):
-        """One batched step(action) must equal k Sync steps of the repeated
-        action (stopping at episode end), with the rewards summed."""
-        k = 4
-        fns = _factories(2, base_seed=700)
-        sync_env = SyncVectorEnv(fns)
-        batched = SubprocVectorEnv(fns, steps_per_message=k)
-        try:
-            obs_sync, _ = sync_env.reset()
-            obs_sub, _ = batched.reset()
-            np.testing.assert_array_equal(obs_sync, obs_sub)
-            rng = np.random.default_rng(41)
-            for _ in range(60):
-                actions = rng.integers(0, 2, size=2)
-                result_sub = batched.step(actions)
-                # Manual frame skip on the Sync env, per sub-env.
-                expected_obs = np.empty_like(result_sub.observations)
-                expected_reward = np.zeros(2)
-                expected_frames = np.zeros(2, dtype=int)
-                done = np.zeros(2, dtype=bool)
-                for _frame in range(k):
-                    live = ~done
-                    if not live.any():
-                        break
-                    result_sync = sync_env.step(actions)
-                    expected_reward[live] += result_sync.rewards[live]
-                    expected_frames[live] += 1
-                    expected_obs[live] = result_sync.observations[live]
-                    done |= result_sync.dones
-                    # NOTE: Sync auto-resets finished sub-envs, so a done
-                    # sub-env keeps stepping its *next* episode here — the
-                    # batched env must NOT have taken those frames.  This
-                    # only stays trajectory-exact while no sub-env finishes
-                    # mid-window, so the loop below re-syncs on divergence.
-                np.testing.assert_array_equal(result_sub.rewards[~done],
-                                              expected_reward[~done])
-                np.testing.assert_array_equal(result_sub.observations[~done],
-                                              expected_obs[~done])
-                for i in range(2):
-                    assert result_sub.infos[i]["frames"] <= k
-                if done.any():
-                    break   # streams diverge once an episode ends mid-window
-        finally:
-            batched.close()
-            sync_env.close()
+    @pytest.mark.parametrize("repeat", [0, -1])
+    def test_non_positive_repeat_rejected(self, repeat):
+        with pytest.raises(ValueError, match="repeat"):
+            ActionRepeat(make_env("CartPole-v0", seed=0), repeat)
 
     def test_early_stop_at_episode_end(self):
-        """With max_episode_steps=3 and k=10 the worker must stop after 3
-        frames, report frames=3 and auto-reset."""
-        venv = SubprocVectorEnv(_factories(1, max_episode_steps=3),
-                                steps_per_message=10)
-        try:
-            venv.reset(seed=11)
-            result = venv.step(np.array([1]))
-            assert result.infos[0]["frames"] == 3
-            assert result.truncated[0]
-            assert result.rewards[0] == pytest.approx(3.0)   # summed unit rewards
-            assert "final_observation" in result.infos[0]
-        finally:
-            venv.close()
+        """With max_episode_steps=3 and k=10 the wrapper stops after 3
+        frames, truncated, with the 3 unit rewards summed."""
+        env = ActionRepeat(make_env("CartPole-v0", seed=11, max_episode_steps=3), 10)
+        env.reset()
+        result = env.step(1)
+        assert result.info["frames"] == 3
+        assert result.truncated and not result.terminated
+        assert result.reward == 3.0
 
-    def test_k1_stays_identical_to_sync(self):
-        """steps_per_message=1 must not change the protocol semantics."""
-        fns = _factories(2, base_seed=900)
-        sync_env = SyncVectorEnv(fns)
-        subproc_env = SubprocVectorEnv(fns, steps_per_message=1)
-        try:
-            obs_sync, _ = sync_env.reset()
-            obs_sub, _ = subproc_env.reset()
-            np.testing.assert_array_equal(obs_sync, obs_sub)
-            for _ in range(50):
-                actions = np.array([0, 1])
-                result_sync = sync_env.step(actions)
-                result_sub = subproc_env.step(actions)
-                np.testing.assert_array_equal(result_sync.observations,
-                                              result_sub.observations)
-                np.testing.assert_array_equal(result_sync.rewards,
-                                              result_sub.rewards)
-                assert all("frames" not in info for info in result_sub.infos)
-        finally:
-            subproc_env.close()
-            sync_env.close()
+    def test_early_stop_auto_resets_inside_sync_vector_env(self):
+        factory = _factories(1, base_seed=11, max_episode_steps=3)[0]
+        venv = SyncVectorEnv([lambda: ActionRepeat(factory(), 10)])
+        venv.reset()
+        result = venv.step(np.array([1]))
+        info = result.infos[0]
+        assert info["frames"] == 3
+        assert result.truncated[0] and result.rewards[0] == 3.0
+        # The row returned is the next episode's initial state.
+        assert not np.array_equal(info["final_observation"], result.observations[0])
+        assert np.all(np.abs(result.observations[0]) <= 0.05)
+        assert venv.step(np.array([1])).infos[0]["frames"] == 3
+
+    def test_outside_a_time_limit_counts_frames(self):
+        env = ActionRepeat(TimeLimit(CartPoleEnv(max_episode_steps=None, seed=0), 5), 2)
+        env.reset()
+        frames = []
+        result = None
+        while result is None or not result.done:
+            result = env.step(0 if len(frames) % 2 else 1)
+            frames.append(result.info["frames"])
+        assert frames == [2, 2, 1] and result.truncated
+
+    @pytest.mark.parametrize("env_id,repeat", [("CartPole-v0", 4),
+                                               ("Autoscale-v0", 3)])
+    def test_k_frames_equal_k_manual_steps(self, env_id, repeat):
+        """One wrapped step equals k bare steps of the repeated action
+        (stopping at episode end), rewards summed in order."""
+        wrapped = ActionRepeat(make_env(env_id, seed=7, max_episode_steps=50), repeat)
+        bare = make_env(env_id, seed=7, max_episode_steps=50)
+        obs, _ = wrapped.reset()
+        np.testing.assert_array_equal(obs, bare.reset()[0])
+        rng = np.random.default_rng(41)
+        episodes = 0
+        for _ in range(80):
+            action = int(rng.integers(0, bare.action_space.n))
+            result = wrapped.step(action)
+            reward, frames = 0.0, 0
+            for _frame in range(repeat):
+                expected = bare.step(action)
+                reward += expected.reward
+                frames += 1
+                if expected.done:
+                    break
+            np.testing.assert_array_equal(result.observation, expected.observation)
+            assert result.reward.hex() == float(reward).hex()
+            assert (result.terminated, result.truncated) \
+                == (expected.terminated, expected.truncated)
+            assert result.info["frames"] == frames
+            if result.done:
+                episodes += 1
+                np.testing.assert_array_equal(wrapped.reset()[0], bare.reset()[0])
+        assert episodes > 0
+
+    def test_wrapped_sub_envs_step_through_the_per_env_loop(self):
+        """Batched physics reads the sub-env's own state, so a wrapped
+        CartPole must fall back to the per-env loop."""
+        fns = _factories(2)
+        assert not SyncVectorEnv([lambda fn=fn: ActionRepeat(fn(), 2)
+                                  for fn in fns]).uses_batch_dynamics

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.designs import make_design
+from repro.envs.wrappers import ActionRepeat
+from repro.parallel import SweepRunner, SweepSpec
 from repro.training import (
     Callback,
     CallbackList,
@@ -120,35 +122,74 @@ class TestActionRepeat:
             config=TrainingConfig(max_episodes=3, seed=seed,
                                   action_repeat=1)).curve.steps.sum()
 
-    def test_lockstep_frame_skip_uses_subproc_and_matches_serial(self):
-        """action_repeat on the lock-step driver auto-builds a
-        SubprocVectorEnv(steps_per_message=k) — the frame-skip batching
-        finally driven from a real training loop — and replays the serial
-        frame-skip run bit-for-bit."""
+    @pytest.mark.parametrize("repeat", [2, 3])
+    @pytest.mark.parametrize("design", ["OS-ELM-L2", "OS-ELM-L2-Lipschitz",
+                                        "ELM", "DQN"])
+    def test_lockstep_frame_skip_matches_serial(self, design, repeat):
+        """Each lock-step sub-env wraps its env in ActionRepeat, like the
+        serial driver, and replays the serial frame-skip run byte-for-byte."""
         seeds = (4, 5)
-        configs = [TrainingConfig(max_episodes=2, seed=s, action_repeat=2)
+        configs = [TrainingConfig(max_episodes=3, seed=s, action_repeat=repeat)
                    for s in seeds]
-        serial = [Trainer().fit(make_design("OS-ELM-L2", n_hidden=8, seed=s),
+        serial = [Trainer().fit(make_design(design, n_hidden=8, seed=s),
                                 config=c) for s, c in zip(seeds, configs)]
-        agents = [make_design("OS-ELM-L2", n_hidden=8, seed=s) for s in seeds]
-        lockstep = Trainer().fit_lockstep(agents, configs, strategy="generic")
+        agents = [make_design(design, n_hidden=8, seed=s) for s in seeds]
+        lockstep = Trainer().fit_lockstep(agents, configs)
         for serial_result, lockstep_result in zip(serial, lockstep):
-            np.testing.assert_array_equal(serial_result.curve.steps,
-                                          lockstep_result.curve.steps)
+            _assert_same_run(serial_result, lockstep_result)
 
-    def test_lockstep_frame_skip_rejects_mismatched_venv(self):
-        from repro.parallel.vector_env import EnvFactory, SyncVectorEnv
+    @pytest.mark.parametrize("design,strategy", [("OS-ELM-L2", "batched"),
+                                                 ("DQN", "generic")])
+    def test_mixed_action_repeat_lockstep_matches_serial(self, design, strategy):
+        """Frame skip lives in each sub-env, so one lock-step batch can mix
+        k=1 and k=2 trials and still replay every serial run."""
+        seeds = (0, 1, 2)
+        configs = [TrainingConfig(max_episodes=3, seed=s, action_repeat=k)
+                   for s, k in zip(seeds, (1, 2, 1))]
+        serial = [Trainer().fit(make_design(design, n_hidden=8, seed=s),
+                                config=c) for s, c in zip(seeds, configs)]
+        agents = [make_design(design, n_hidden=8, seed=s) for s in seeds]
+        lockstep = Trainer().fit_lockstep(agents, configs, strategy=strategy)
+        for serial_result, lockstep_result in zip(serial, lockstep):
+            _assert_same_run(serial_result, lockstep_result)
 
-        agents = [make_design("OS-ELM-L2", n_hidden=8, seed=0)]
-        configs = [TrainingConfig(max_episodes=2, seed=0, action_repeat=2)]
-        venv = SyncVectorEnv([EnvFactory("CartPole-v0", seed=0)])
-        with pytest.raises(ValueError, match="steps_per_message"):
-            Trainer().fit_lockstep(agents, configs, venv=venv)
-        venv.close()
 
-    def test_mixed_action_repeat_rejected_in_lockstep(self):
-        agents = [make_design("OS-ELM-L2", n_hidden=8, seed=s) for s in (0, 1)]
-        configs = [TrainingConfig(max_episodes=2, seed=0, action_repeat=1),
-                   TrainingConfig(max_episodes=2, seed=1, action_repeat=2)]
-        with pytest.raises(ValueError, match="action_repeat"):
-            Trainer().fit_lockstep(agents, configs)
+    def test_unit_repeat_keeps_the_batched_fast_path(self):
+        """k = 1 sub-envs stay bare, so CartPole keeps batched physics; k > 1
+        sub-envs are ActionRepeat wrappers stepped one by one."""
+        from repro.training.trainer import _build_vector_env
+
+        plain = _build_vector_env([TrainingConfig(seed=s) for s in (0, 1)])
+        skipped = _build_vector_env([TrainingConfig(seed=s, action_repeat=2)
+                                     for s in (0, 1)])
+        assert plain.uses_batch_physics
+        assert not skipped.uses_batch_dynamics
+        assert all(type(env) is ActionRepeat and env.repeat == 2
+                   for env in skipped.envs)
+
+    def test_episode_step_limit_counts_frames(self):
+        """The wrapper sits outside the env's own time limit, so a 7-step
+        limit under k=3 truncates after 3 + 3 + 1 frames."""
+        seed = 6
+        result = Trainer().fit(
+            make_design("OS-ELM-L2", n_hidden=8, seed=seed),
+            config=TrainingConfig(max_episodes=5, seed=seed, action_repeat=3,
+                                  max_steps_per_episode=7))
+        assert result.curve.steps.max() == 7
+
+    def test_sweep_vectorized_frame_skip_matches_serial(self):
+        spec = SweepSpec(designs=("OS-ELM-L2", "DQN"), n_seeds=2, n_hidden=8,
+                         training=TrainingConfig(max_episodes=3, action_repeat=2),
+                         root_seed=9)
+        serial = SweepRunner(spec, backend="serial").run()
+        vectorized = SweepRunner(spec, backend="vectorized").run()
+        assert vectorized.backend_counts() == {"lockstep": 4}
+        for serial_result, vectorized_result in zip(serial.results_for(),
+                                                    vectorized.results_for()):
+            _assert_same_run(serial_result, vectorized_result)
+
+def _assert_same_run(expected, actual):
+    np.testing.assert_array_equal(expected.curve.steps, actual.curve.steps)
+    assert [r.shaped_return.hex() for r in expected.curve.records] \
+        == [r.shaped_return.hex() for r in actual.curve.records]
+    assert expected.operation_counts == actual.operation_counts
