@@ -11,7 +11,8 @@ Subcommands
     ``--checkpoint-every N`` (serial backend) additionally persists
     mid-trial training state so a killed run resumes *inside* a trial;
     ``--progress-every N`` streams per-trial progress to stderr;
-    ``--lease-batch K`` sets the distributed lease size;
+    ``--lease-batch K`` caps the distributed lease (default: each
+    worker's share of the head task's lock-step key);
     ``--journal PATH`` (distributed backend) write-ahead logs broker
     queue transitions so a killed broker restarted with the same flag
     resumes the sweep instead of rerunning it.
@@ -460,9 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "a killed broker with the same path to resume "
                              "the sweep (completed trials stay done, "
                              "in-flight leases are requeued)")
-    runner.add_argument("--lease-batch", type=int, default=1, metavar="K",
-                        help="distributed backend: tasks per worker lease, "
-                             "trained lock-step (default 1)")
+    runner.add_argument("--lease-batch", type=int, default=None, metavar="K",
+                        help="distributed backend: cap of K tasks per worker "
+                             "lease, trained lock-step (default: each worker "
+                             "leases its share of the head task's lock-step "
+                             "key)")
     runner.add_argument("--progress-every", type=int, default=0, metavar="N",
                         help="stream per-trial training progress to stderr "
                              "every N episodes (serial/vectorized backends; "

@@ -106,7 +106,7 @@ def run(spec_or_name: Union[str, ExperimentSpec], *, backend: str = "auto",
         store: Optional[ArtifactStore] = None, resume: bool = True,
         cache_only: bool = False, max_workers: Optional[int] = None,
         bind: Optional[str] = None, checkpoint_every: int = 0,
-        lease_batch: int = 1, progress_every: int = 0,
+        lease_batch: Optional[int] = None, progress_every: int = 0,
         save_policy: bool = False, autoscale=None,
         journal: Optional[str] = None) -> RunReport:
     """Execute an experiment spec (or registered name) and return its report.
@@ -150,8 +150,10 @@ def run(spec_or_name: Union[str, ExperimentSpec], *, backend: str = "auto",
         N episodes so an interrupted run resumes *inside* a trial
         (bit-for-bit).  0 disables.
     lease_batch:
-        Distributed backend: tasks per worker lease, trained lock-step
-        (default 1; see :func:`repro.distributed.run_distributed_sweep`).
+        Distributed backend: cap on the tasks per worker lease, trained
+        lock-step.  The default ``None`` leases each worker its share of
+        the head task's lock-step key (see
+        :func:`repro.distributed.run_distributed_sweep`).
     progress_every:
         Serial/vectorized backends: stream per-trial progress to stderr
         every N episodes.  0 disables.

@@ -33,14 +33,14 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import telemetry
 from repro.distributed import protocol
 from repro.distributed.journal import SweepJournal, task_journal_key
-from repro.parallel.sweep import SweepTask
+from repro.parallel.sweep import SweepTask, lockstep_key
 from repro.training.records import TrainingResult
 from repro.utils.logging import get_logger
 
@@ -94,20 +94,32 @@ class SweepBroker:
         ``callback(task, result)`` streamed as each *fresh* result lands,
         mirroring :meth:`SweepRunner.run`'s callback contract.
     lease_batch:
-        Tasks leased per worker ``GET``.  With k > 1 the broker answers a
-        request with one ``TASKS`` frame carrying up to k tasks (each an
-        independent lease), so remote workers amortize a connection round
-        trip over k trials on paper-scale grids.  The default of 1 keeps
-        the classic one-``TASK``-per-request protocol.  Leases, heartbeat
-        extension, requeue-on-death and result dedup are per *task* either
-        way — a worker dying mid-batch requeues only its unfinished tasks.
+        Cap on the tasks leased per worker ``GET``.  A lease holds the head
+        of the pending queue plus the pending tasks that share its
+        :func:`~repro.parallel.sweep.lockstep_key` (skipped tasks keep their
+        queue order), so the worker trains it as one lock-step group.  With
+        a known ``fleet_size`` a lease holds up to the key's share,
+        ``ceil(tasks in the grid with the key / max(fleet_size, connected
+        workers))``, and a non-batchable head (key ``None``) leases alone;
+        the default ``None`` applies the share uncapped.  Without a
+        ``fleet_size`` there is no share: a lease holds up to
+        ``lease_batch`` tasks, or 1 by default.  A lease of more than one
+        is one ``TASKS`` frame, otherwise a classic ``TASK`` frame.
+        Leases, heartbeat extension, requeue-on-death and result dedup are
+        per *task* either way — a worker dying mid-batch requeues only its
+        unfinished tasks.
 
         Batching is *negotiated per worker*: a ``GET`` frame's payload
         advertises how many tasks the sender can accept (pre-1.4 workers
-        send ``None``), and the broker caps each batch at
-        ``min(lease_batch, advertised)`` — so a mixed fleet of old and new
-        workers serves one batching broker safely, old workers simply
-        receiving classic ``TASK`` frames.
+        send ``None``), which caps that worker's leases too — so a mixed
+        fleet of old and new workers serves one batching broker safely,
+        old workers simply receiving classic ``TASK`` frames.
+    fleet_size:
+        Workers the coordinator spawned for a fixed fleet (the share's
+        denominator, see ``lease_batch``).  Counting spawned rather than
+        connected workers keeps the first worker to connect from leasing
+        a whole key before its peers have said HELLO.  ``None`` (a bare
+        broker, external-only fleets, autoscaling) disables the share.
     max_frame_bytes:
         Per-frame size ceiling enforced on every worker frame *before*
         allocation (default: :func:`~repro.distributed.protocol.
@@ -132,19 +144,23 @@ class SweepBroker:
                  port: int = 0, store: Optional[object] = None,
                  heartbeat_timeout: float = 30.0,
                  callback: Optional[Callable[[SweepTask, TrainingResult], None]] = None,
-                 lease_batch: int = 1,
+                 lease_batch: Optional[int] = None,
+                 fleet_size: Optional[int] = None,
                  max_frame_bytes: Optional[int] = None,
                  journal: Optional[Union[SweepJournal, str, Path]] = None,
                  fault_plan: Optional[object] = None) -> None:
         if heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be positive")
-        if lease_batch < 1:
+        if lease_batch is not None and lease_batch < 1:
             raise ValueError("lease_batch must be >= 1")
+        if fleet_size is not None and fleet_size < 1:
+            raise ValueError("fleet_size must be >= 1")
         self.tasks: List[SweepTask] = list(tasks)
         self.store = store
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.callback = callback
-        self.lease_batch = int(lease_batch)
+        self.lease_batch = lease_batch
+        self.fleet_size = fleet_size
         self.max_frame_bytes = max_frame_bytes
         self._bind_host = host
         self._bind_port = port
@@ -156,6 +172,8 @@ class SweepBroker:
 
         self._lock = threading.Lock()
         self._pending: deque = deque(range(len(self.tasks)))
+        self._task_keys = [lockstep_key(task) for task in self.tasks]
+        self._key_totals = Counter(self._task_keys)
         self._leases: Dict[int, _Lease] = {}
         self._results: Dict[int, Tuple[TrainingResult, str]] = {}
         self._all_done = threading.Event()
@@ -166,6 +184,8 @@ class SweepBroker:
         self.duplicate_results = 0
         self.requeued_tasks = 0
         self.wait_replies = 0
+        self.leases_issued = 0
+        self.tasks_leased = 0
         #: Crash-safety accounting (1.8+): results restored from the journal
         #: at construction, and HELLOs from worker ids the broker already
         #: knew (a worker that reconnected instead of dying).
@@ -452,7 +472,7 @@ class SweepBroker:
                     conn_state: Optional[Dict[str, bool]] = None) -> None:
         # `capacity` is the worker's advertised max lease batch.  Pre-1.4
         # workers send GET with a None payload and can only parse TASK
-        # frames, so they cap the batch at 1 regardless of lease_batch.
+        # frames, so they cap the lease at 1 regardless of lease_batch.
         # 1.7+ workers that saw our "drain" WELCOME flag send a capability
         # dict {"capacity": k, "drain": True} instead of the bare integer.
         if isinstance(capacity, dict):
@@ -460,7 +480,6 @@ class SweepBroker:
                 conn_state["drain_capable"] = True
             capacity = capacity.get("capacity")
         advertised = capacity if isinstance(capacity, int) and capacity >= 1 else 1
-        batch = min(self.lease_batch, advertised)
         drain_capable = bool(conn_state and conn_state.get("drain_capable"))
         leased: List[Tuple[int, SweepTask]] = []
         with self._lock:
@@ -472,15 +491,17 @@ class SweepBroker:
                 # it disconnects holding nothing — a graceful drain.
                 reply = (protocol.DRAIN, None)
             elif self._pending:
+                limit = min(self._lease_limit(), advertised)
                 now = time.monotonic()
                 deadline = now + self.heartbeat_timeout
-                while self._pending and len(leased) < batch:
-                    index = self._pending.popleft()
+                for index in self._take_pending(limit):
                     self._leases[index] = _Lease(index, worker_id, deadline,
                                                  held, now)
                     held.add(index)
                     leased.append((index, self.tasks[index]))
-                if batch == 1:
+                self.leases_issued += 1
+                self.tasks_leased += len(leased)
+                if limit == 1:
                     reply = (protocol.TASK, leased[0])
                 else:
                     reply = (protocol.TASKS, leased)
@@ -493,6 +514,35 @@ class SweepBroker:
             self.journal.record_lease(
                 [self._journal_keys[index] for index, _ in leased], worker_id)
         protocol.send_message(connection, *reply)
+
+    def _lease_limit(self) -> int:
+        """How many tasks a lease on the head pending task may hold (locked)."""
+        if self.fleet_size is None:
+            return self.lease_batch or 1
+        key = self._task_keys[self._pending[0]]
+        if key is None:
+            return 1
+        connected = sum(1 for info in self._workers.values() if info["connected"])
+        share = -(-self._key_totals[key] // max(self.fleet_size, connected))
+        return share if self.lease_batch is None else min(share, self.lease_batch)
+
+    def _take_pending(self, limit: int) -> List[int]:
+        """Pop the head and up to ``limit - 1`` later same-key indices (locked).
+
+        The indices left behind keep their queue order.
+        """
+        if limit == 1:
+            return [self._pending.popleft()]
+        key = self._task_keys[self._pending[0]]
+        taken: List[int] = []
+        kept: deque = deque()
+        for index in self._pending:
+            if len(taken) < limit and self._task_keys[index] == key:
+                taken.append(index)
+            else:
+                kept.append(index)
+        self._pending = kept
+        return taken
 
     def _handle_result(self, connection: socket.socket, payload, held: Set[int],
                        worker_id: str = "<unregistered>") -> None:
@@ -653,6 +703,8 @@ class SweepBroker:
                     "requeued_tasks": self.requeued_tasks,
                     "duplicate_results": self.duplicate_results,
                     "wait_replies": self.wait_replies,
+                    "leases_issued": self.leases_issued,
+                    "tasks_leased": self.tasks_leased,
                     "workers_seen": len(self.workers_seen),
                     "active_connections": self.active_connections,
                     "drains_requested": self.drains_requested,

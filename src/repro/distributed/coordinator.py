@@ -78,7 +78,7 @@ def run_distributed_sweep(
         callback: Optional[Callable[[SweepTask, TrainingResult], None]] = None,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         timeout: Optional[float] = None,
-        lease_batch: int = 1,
+        lease_batch: Optional[int] = None,
         autoscale=None,
         on_fleet_report: Optional[Callable[[object], None]] = None,
         journal=None,
@@ -104,8 +104,14 @@ def run_distributed_sweep(
     timeout:
         Overall wall-clock bound; ``TimeoutError`` when exceeded.
     lease_batch:
-        Tasks per worker lease, trained lock-step.  Default 1 keeps trials
-        of uneven length (DQN next to OS-ELM) balanced across the fleet.
+        Cap on the tasks per worker lease, trained lock-step.  The default
+        ``None`` leases each worker of a fixed fleet its share of the head
+        task's lock-step key, ``ceil(tasks with the key / n_workers)``, so
+        compatible trials batch while non-batchable ones (DQN, FPGA,
+        unregularized OS-ELM) still go out one at a time and spread across
+        the fleet.  An autoscaled or external-only (``n_workers=0``) fleet
+        has no fixed size, so it leases up to ``lease_batch`` tasks, or 1
+        by default (see :class:`SweepBroker`).
     autoscale:
         ``True`` or an :class:`~repro.fleet.AutoscaleConfig` to replace the
         fixed ``n_workers`` fleet with a
@@ -142,9 +148,12 @@ def run_distributed_sweep(
             raise ValueError("n_workers must be positive when no bind address "
                              "is given (nobody could ever serve the queue)")
 
+    # Only a fixed local fleet has a size the key share can divide by.
+    fleet_size = n_workers if n_workers > 0 and not autoscale else None
     broker = SweepBroker(tasks, host=host, port=port, store=store,
                          heartbeat_timeout=heartbeat_timeout, callback=callback,
-                         lease_batch=lease_batch, journal=journal)
+                         lease_batch=lease_batch, fleet_size=fleet_size,
+                         journal=journal)
     broker.start()
     bound_host, bound_port = broker.address
     autoscaler = None

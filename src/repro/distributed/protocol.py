@@ -27,9 +27,10 @@ worker sends          broker replies           meaning
                                                  ``None`` = 1; brokers
                                                  ignore unknown payloads)
 ..                      ``(TASKS, [(idx, task), ...])``  a *batch* of leased
-                                                 tasks, at most
-                                                 ``min(broker lease_batch,
-                                                 worker capacity)`` — sent
+                                                 tasks sharing one lock-step
+                                                 key, at most the worker's
+                                                 capacity (see
+                                                 ``SweepBroker``) — sent
                                                  only to workers that
                                                  advertised capacity > 1
 ..                      ``(WAIT, seconds)``      nothing free right now — every
@@ -176,7 +177,7 @@ DRAIN = "drain"
 #: Broker -> worker kinds.
 WELCOME = "welcome"
 TASK = "task"
-TASKS = "tasks"          #: k-task lease batch (brokers with lease_batch > 1)
+TASKS = "tasks"          #: multi-task lease batch (one lock-step key)
 WAIT = "wait"
 SHUTDOWN = "shutdown"
 ACK = "ack"

@@ -72,9 +72,9 @@ _LOGGER = get_logger("repro.distributed.worker")
 DISTRIBUTED_BACKEND = "distributed"
 
 #: Max lease batch this worker advertises in every ``GET`` payload.  The
-#: broker caps batches at min(its lease_batch, this) per worker, so mixed
-#: fleets are safe: pre-1.4 workers send ``None`` and keep getting classic
-#: single-``TASK`` frames even from a batching broker.
+#: broker caps this worker's leases (a lock-step key share, or an explicit
+#: ``lease_batch``) at it, so mixed fleets are safe: pre-1.4 workers send
+#: ``None`` and keep getting classic single-``TASK`` frames.
 LEASE_CAPACITY = 1024
 
 

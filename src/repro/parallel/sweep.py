@@ -57,7 +57,6 @@ from repro.core.designs import design_spec, make_design
 from repro.parallel.pool import default_max_workers, parallel_map
 from repro.training.config import TrainingConfig
 from repro.training.records import TrainingResult
-from repro.training.strategies import supports_lockstep
 from repro.training.trainer import Trainer
 from repro.utils.logging import get_logger
 from repro.utils.seeding import spawn_seeds
@@ -160,21 +159,38 @@ class SweepSpec:
         return tasks
 
 
+def lockstep_key(task: SweepTask) -> Optional[Tuple[str, str, int]]:
+    """``(env_id, design, n_hidden)`` if ``task`` can batch, else ``None``.
+
+    The one batching predicate on a task, read from its
+    :func:`~repro.core.designs.design_spec` alone so the broker can lease
+    by it without building agents.  Batchable means the ELM design or an
+    L2-regularized software OS-ELM — the designs
+    :func:`~repro.training.strategies.supports_lockstep` accepts.  Tasks
+    with equal keys share one batched lock-step group; ``None`` tasks
+    train under the generic strategy.
+    """
+    spec = design_spec(task.design)
+    batchable = spec.family == "elm" or (
+        spec.family == "os-elm" and spec.regularization.l2_delta > 0
+        and not spec.runs_on_fpga)
+    return (task.env_id, task.design, task.n_hidden) if batchable else None
+
+
 def _lockstep_groups(tasks: Sequence[SweepTask]
                      ) -> List[Tuple[str, List[Tuple[int, object]]]]:
     """Build each agent once; ``(strategy, [(position, agent)])`` per group.
 
-    Batchable trials (:func:`~repro.training.strategies.supports_lockstep`)
-    group by (design, env, hidden size), the rest by env under the generic
-    strategy.  Frame skip lives in each sub-env, so it does not split groups.
+    Batchable trials group by :func:`lockstep_key`, the rest by env under
+    the generic strategy.  Frame skip lives in each sub-env, so it does not
+    split groups.
     """
     groups: Dict[tuple, list] = defaultdict(list)
     for position, task in enumerate(tasks):
-        agent = task.make_agent()
-        cell = (task.design, task.n_hidden) if supports_lockstep(agent) else None
-        groups[(task.env_id, cell)].append((position, agent))
-    return [("generic" if cell is None else "batched", group)
-            for (_env_id, cell), group in groups.items()]
+        groups[(task.env_id, lockstep_key(task))].append(
+            (position, task.make_agent()))
+    return [("generic" if key is None else "batched", group)
+            for (_env_id, key), group in groups.items()]
 
 
 def execute_tasks(tasks: Sequence[SweepTask], callbacks: Sequence = ()
@@ -369,8 +385,10 @@ class SweepRunner:
         discards any stale snapshot so the trial genuinely retrains;
         checkpoints are still *written* when ``checkpoint_every`` is set.
     lease_batch:
-        Distributed backend: tasks per worker lease, trained lock-step
-        through :func:`execute_tasks` (default 1; see
+        Distributed backend: cap on the tasks per worker lease, trained
+        lock-step through :func:`execute_tasks`.  The default ``None``
+        leases each worker its share of the head task's
+        :func:`lockstep_key` (see
         :func:`~repro.distributed.run_distributed_sweep`).
     progress_every:
         Serial/vectorized backends: stream per-trial progress to stderr
@@ -407,7 +425,7 @@ class SweepRunner:
                  bind: Optional[str] = None,
                  checkpoint_every: int = 0,
                  resume_trial_state: bool = True,
-                 lease_batch: int = 1,
+                 lease_batch: Optional[int] = None,
                  progress_every: int = 0,
                  save_policies: bool = False,
                  autoscale=None,
@@ -416,7 +434,7 @@ class SweepRunner:
             raise ValueError(f"unknown backend {backend!r}; choose from {self.BACKENDS}")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if lease_batch < 1:
+        if lease_batch is not None and lease_batch < 1:
             raise ValueError("lease_batch must be >= 1")
         if progress_every < 0:
             raise ValueError("progress_every must be >= 0")

@@ -10,7 +10,8 @@ returns one JSON-ready snapshot::
     {
       "tasks":   {"total": N, "queued": q, "leased": l, "done": d},
       "counters": {"requeued_tasks": ..., "duplicate_results": ...,
-                   "wait_replies": ..., "workers_seen": ...,
+                   "wait_replies": ..., "leases_issued": ...,
+                   "tasks_leased": ..., "workers_seen": ...,
                    "active_connections": ..., "drains_requested": ...,
                    "drains_completed": ..., "drain_requeued_tasks": ...},
       "workers": {worker_id: {"connected": bool, "draining": bool,
@@ -19,7 +20,7 @@ returns one JSON-ready snapshot::
                               "oldest_lease_age": float}, ...},
       "drain_seconds": [...],
       "transport": {"frames_sent": ..., "bytes_sent": ..., ...},
-      "lease_batch": int, "heartbeat_timeout": float,
+      "lease_batch": int or null, "heartbeat_timeout": float,
       "repro_version": "1.7.0"
     }
 
@@ -115,11 +116,14 @@ def format_fleet_status(snapshot: Dict[str, object]) -> str:
     tasks = snapshot.get("tasks", {})
     counters = snapshot.get("counters", {})
     transport = snapshot.get("transport", {})
+    batch = snapshot.get("lease_batch", "?")
+    leases = int(counters.get("leases_issued", 0))
+    leased = int(counters.get("tasks_leased", 0))
     lines = [
         "fleet status (broker {version}, lease_batch={batch}, "
         "heartbeat_timeout={hb:g}s)".format(
             version=snapshot.get("repro_version", "?"),
-            batch=snapshot.get("lease_batch", "?"),
+            batch="auto" if batch is None else batch,
             hb=float(snapshot.get("heartbeat_timeout", 0.0))),
         "tasks: {done}/{total} done, {queued} queued, {leased} leased".format(
             done=tasks.get("done", 0), total=tasks.get("total", 0),
@@ -131,6 +135,8 @@ def format_fleet_status(snapshot: Dict[str, object]) -> str:
                for key in ("requeued_tasks", "duplicate_results",
                            "wait_replies", "workers_seen",
                            "active_connections")}),
+        "leases: issued={} tasks={} mean_size={:.2f}".format(
+            leases, leased, leased / leases if leases else 0.0),
         # Pre-1.7 brokers have no drain counters; render zeros either way
         # so `repro fleet status` output stays line-stable for scripts.
         "drains: requested={drains_requested} completed={drains_completed} "

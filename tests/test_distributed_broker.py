@@ -429,6 +429,100 @@ class TestLeaseBatching:
             assert results[0].wall_time_seconds > broker.heartbeat_timeout
             assert broker.requeued_tasks == 0
 
+    @staticmethod
+    def _indices(reply):
+        kind, payload = reply
+        if kind == protocol.TASK:
+            return [payload[0]]
+        assert kind == protocol.TASKS
+        return [index for index, _ in payload]
+
+    def test_first_get_leases_the_fleet_share_before_peers_connect(self):
+        """The fleet's first GET can land before the second spawned worker
+        says HELLO; dividing by the spawned fleet size, not by the workers
+        connected so far, keeps it from leasing the whole key."""
+        with SweepBroker(_tiny_tasks(16), fleet_size=2) as broker:
+            first = _ScriptedWorker(broker, "first")
+            kind, leased = first.get(capacity=1024)
+            assert kind == protocol.TASKS
+            assert [index for index, _ in leased] == list(range(8))
+            late = _ScriptedWorker(broker, "late")
+            assert self._indices(late.get(capacity=1024)) == list(range(8, 16))
+            counters = broker.stats_snapshot()["counters"]
+            assert (counters["leases_issued"], counters["tasks_leased"]) == (2, 16)
+            first.close()
+            late.close()
+
+    def test_share_divides_by_connected_workers_beyond_the_fleet(self):
+        with SweepBroker(_tiny_tasks(16), fleet_size=1) as broker:
+            workers = [_ScriptedWorker(broker, f"w{i}") for i in range(4)]
+            assert len(self._indices(workers[0].get(capacity=1024))) == 4
+            for worker in workers:
+                worker.close()
+
+    def test_non_batchable_head_leases_one_task(self):
+        spec = SweepSpec(designs=("DQN", "OS-ELM-L2"), n_seeds=2, n_hidden=8,
+                         training=TrainingConfig(max_episodes=3), root_seed=99)
+        with SweepBroker(spec.tasks(), fleet_size=1) as broker:
+            worker = _ScriptedWorker(broker)
+            kind, (index, task) = worker.get(capacity=1024)
+            assert kind == protocol.TASK and (index, task.design) == (0, "DQN")
+            assert self._indices(worker.get(capacity=1024)) == [1]
+            assert self._indices(worker.get(capacity=1024)) == [2, 3]
+            worker.close()
+
+    def test_explicit_lease_batch_caps_the_share(self):
+        with SweepBroker(_tiny_tasks(16), lease_batch=3, fleet_size=2) as broker:
+            worker = _ScriptedWorker(broker)
+            assert self._indices(worker.get(capacity=1024)) == [0, 1, 2]
+            assert broker.stats_snapshot()["lease_batch"] == 3
+            worker.close()
+
+    def test_lease_takes_only_the_head_key_and_keeps_skipped_order(self):
+        l2 = _tiny_tasks(4)
+        elm = SweepSpec(designs=("ELM",), n_seeds=4, n_hidden=8,
+                        training=TrainingConfig(max_episodes=3),
+                        root_seed=99).tasks()
+        interleaved = [task for pair in zip(l2, elm) for task in pair]
+        with SweepBroker(interleaved, fleet_size=2) as broker:
+            worker = _ScriptedWorker(broker)
+            leases = [self._indices(worker.get(capacity=1024)) for _ in range(4)]
+            assert leases == [[0, 2], [1, 3], [4, 6], [5, 7]]
+            worker.close()
+
+    def test_without_a_fleet_size_the_default_lease_is_one_task_frame(self):
+        with SweepBroker(_tiny_tasks(16)) as broker:
+            worker = _ScriptedWorker(broker)
+            kind, (index, _task) = worker.get(capacity=1024)
+            assert kind == protocol.TASK and index == 0
+            snap = broker.stats_snapshot()
+            assert snap["lease_batch"] is None
+            text = format_fleet_status(snap)
+            assert "lease_batch=auto" in text
+            assert "leases: issued=1 tasks=1 mean_size=1.00" in text
+            worker.close()
+
+    def test_fleet_of_two_leases_a_single_key_grid_in_two(self, monkeypatch):
+        """End to end: 16 same-key trials on 2 spawned workers go out as two
+        leases of 8, and `repro fleet status` reports the mean size."""
+        from repro.distributed import coordinator
+
+        brokers = []
+
+        class RecordingBroker(SweepBroker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                brokers.append(self)
+
+        monkeypatch.setattr(coordinator, "SweepBroker", RecordingBroker)
+        pairs = run_distributed_sweep(_tiny_tasks(16), n_workers=2, timeout=120)
+        assert {backend for _, backend in pairs} == {"distributed"}
+        snap = brokers[0].stats_snapshot()
+        counters = snap["counters"]
+        assert counters["requeued_tasks"] == 0
+        assert (counters["leases_issued"], counters["tasks_leased"]) == (2, 16)
+        assert "leases: issued=2 tasks=16 mean_size=8.00" in format_fleet_status(snap)
+
     def test_end_to_end_lease_batched_sweep_matches_serial(self):
         """Real worker fleet pulling k=2 task batches converges to the
         bit-identical serial outcome (the worker trains each lease

@@ -2,6 +2,7 @@
 
 import socket
 import struct
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -9,19 +10,26 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.clipping import q_learning_target, shaped_cartpole_reward
-from repro.core.designs import make_design
+from repro.core.designs import DESIGN_NAMES, make_design
 from repro.core.elm import ELM
 from repro.core.os_elm import OSELM
 from repro.core.qfunction import QFunction
 from repro.core.regularization import RegularizationConfig
 from repro.distributed import protocol
+from repro.envs.registry import registry as env_registry
 from repro.fpga.accelerator import FPGAAcceleratedOSELM
 from repro.fixedpoint.qformat import Q20, QFormat
 from repro.linalg.incremental import sherman_morrison_update
 from repro.linalg.spectral import spectral_norm, spectral_normalize
-from repro.parallel.sweep import SweepSpec, execute_tasks
+from repro.parallel.sweep import (
+    SweepSpec,
+    SweepTask,
+    _lockstep_groups,
+    execute_tasks,
+    lockstep_key,
+)
 from repro.serving import PolicyClient, PolicyServer
-from repro.training import Trainer, TrainingConfig
+from repro.training import Trainer, TrainingConfig, supports_lockstep
 from repro.utils.metrics import MovingAverage, RunningStats
 
 # Keep hypothesis fast and deterministic for CI-style runs.
@@ -234,6 +242,44 @@ class TestExecutorContract:
                     seen.append(positions[index])
                     assert _trial_bits(result) == _serial_bits(positions[index])
         assert sorted(seen) == list(range(len(_EXECUTOR_GRID)))
+
+
+_TASK_CELLS = st.tuples(st.sampled_from(DESIGN_NAMES),
+                        st.sampled_from(sorted(env_registry)),
+                        st.sampled_from((4, 8, 16)))
+
+
+def _cell_task(design, env_id, n_hidden, seed=0):
+    return SweepTask(design=design, env_id=env_id, n_hidden=n_hidden,
+                     gamma=0.99, seed=seed, trial=seed,
+                     training=TrainingConfig(max_episodes=1, env_id=env_id,
+                                             seed=seed))
+
+
+class TestLockstepKeyContract:
+    """The broker leases by ``lockstep_key`` without building agents, so the
+    key must agree with the agent-level predicate and with the groups the
+    executor trains."""
+
+    @_SETTINGS
+    @given(cell=_TASK_CELLS)
+    def test_key_agrees_with_supports_lockstep(self, cell):
+        task = _cell_task(*cell)
+        assert (lockstep_key(task) is not None) == supports_lockstep(
+            task.make_agent())
+
+    @settings(max_examples=25, deadline=None)
+    @given(cells=st.lists(_TASK_CELLS, min_size=1, max_size=8))
+    def test_groups_partition_tasks_by_key(self, cells):
+        tasks = [_cell_task(*cell, seed=i) for i, cell in enumerate(cells)]
+        expected = defaultdict(list)
+        for position, task in enumerate(tasks):
+            expected[(task.env_id, lockstep_key(task))].append(position)
+        groups = _lockstep_groups(tasks)
+        assert [[position for position, _ in group] for _, group in groups] == list(
+            expected.values())
+        assert [strategy for strategy, _ in groups] == [
+            "generic" if key is None else "batched" for _env, key in expected]
 
 
 class TestMetricProperties:
