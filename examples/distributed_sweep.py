@@ -63,11 +63,20 @@ def main() -> None:
     broker.start()
     host, port = broker.address
     workers = spawn_local_workers(host, port, 2)
-    deadline = time.monotonic() + 30.0  # let the fleet connect and lease tasks
-    while broker.active_connections < 2 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    time.sleep(0.05)
-    workers[0].terminate()              # one worker dies mid-trial...
+    # Kill a worker right after it takes a lease: a trial runs for ~100 ms,
+    # so the lease is still unfinished when the kill lands.
+    victim = None
+    deadline = time.monotonic() + 30.0
+    while victim is None and time.monotonic() < deadline:
+        for worker_id, row in broker.stats_snapshot()["workers"].items():
+            if row["leases"] >= 1 and row["oldest_lease_age"] < 0.02:
+                victim = workers[int(worker_id.rsplit("-", 1)[1])]
+                # SIGKILL, not SIGTERM: a terminated worker drains gracefully
+                # (it finishes and delivers its lease), so only a kill
+                # leaves a lease behind.
+                victim.kill()               # one worker dies mid-trial...
+                break
+        time.sleep(0.002)
     broker.join(timeout=120.0)          # ...the survivor absorbs the requeue
     results = broker.results()
     broker.close()
@@ -76,6 +85,7 @@ def main() -> None:
     for (_, serial_result), (dist_result, _) in zip(serial.entries, results):
         np.testing.assert_array_equal(serial_result.curve.steps,
                                       dist_result.curve.steps)
+    assert broker.requeued_tasks >= 1, "the killed worker's lease was not requeued"
     print(f"worker killed mid-sweep: {broker.requeued_tasks} task(s) requeued, "
           f"results still identical")
 

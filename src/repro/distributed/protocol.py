@@ -107,9 +107,14 @@ client sends            server replies              meaning
 ``(HELLO, client_id)``  ``(WELCOME, info)``         registration; ``info``
                                                     carries designs/limits
 ``(ACT, (design, state))``  ``(ACTION, action)``    one greedy action for one
-                                                    observation (the server
-                                                    batches the requests one
-                                                    loop tick reads)
+                                                    observation; ``state`` is
+                                                    any 1-D float sequence
+                                                    (clients send a list of
+                                                    floats; an ndarray row is
+                                                    served the same).  The
+                                                    server batches the
+                                                    requests one loop tick
+                                                    reads
 ``(SWAP, (design, blob))``  ``(SWAPPED, info)``     hot-swap the design's
                                                     policy to the pickled
                                                     agent in ``blob``
@@ -183,7 +188,7 @@ SHUTDOWN = "shutdown"
 ACK = "ack"
 
 #: Serving kinds (PolicyClient <-> PolicyServer, 1.6+).
-ACT = "act"              #: client -> server: ``(design, state)``
+ACT = "act"              #: client -> server: ``(design, 1-D float sequence)``
 ACTION = "action"        #: server -> client: the greedy action
 SWAP = "swap"            #: client -> server: ``(design, pickled agent blob)``
 SWAPPED = "swapped"      #: server -> client: swap acknowledged (+ generation)

@@ -5,13 +5,21 @@ negotiate (refusing politely when the peer is a sweep broker rather than a
 serving daemon), then
 
 * :meth:`PolicyClient.act` — one observation, one greedy action;
-* :meth:`PolicyClient.act_many` — *pipelined*: all ``ACT`` frames are
-  written before any reply is read, so one server tick reads many of them
-  and answers them with a few ``act_batch`` calls instead of serializing
-  on round trips;
+* :meth:`PolicyClient.act_many` — *pipelined*: every ``ACT`` frame of the
+  call goes out in one write before any reply is read, so one server tick
+  reads many of them and answers them with a few ``act_batch`` calls
+  instead of serializing on round trips.  Each state travels as a list of
+  Python floats (exact float64 in pickle's ``BINFLOAT``), which encodes,
+  decodes and frames smaller than an ndarray row;
 * :meth:`PolicyClient.swap` — push a (pickled) trained agent into the live
   server, the transport under :class:`~repro.serving.WeightPushCallback`;
 * :meth:`PolicyClient.stats` — the server's counters + latency histograms.
+
+Replies are read through a per-client inbox: one ``recv`` of up to 64 KiB
+and :func:`~repro.distributed.protocol.read_frames` cut out every reply it
+completed, each length header checked against
+:func:`~repro.distributed.protocol.default_max_frame_bytes` before its body
+is buffered.
 
 The connection opens through :func:`repro.distributed.protocol.dial`, like
 every other client of the framing; errors surface as :class:`ServingError`
@@ -23,12 +31,16 @@ from __future__ import annotations
 import pickle
 import socket
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from collections import deque
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.distributed import protocol
 from repro.utils.retry import RetryPolicy
+
+#: The most bytes one ``recv`` of replies takes.
+_RECV_BYTES = 1 << 16
 
 
 class ServingError(RuntimeError):
@@ -85,6 +97,9 @@ class PolicyClient:
             message = (f"cannot reach policy server at {host}:{port}: {error}"
                        if error.transient else str(error))
             raise ServingError(message, transient=error.transient) from error
+        self._max_frame_bytes = protocol.default_max_frame_bytes()
+        self._inbox = bytearray()     #: bytes of a reply not yet complete
+        self._frames: deque = deque()  #: decoded replies not yet consumed
         self.server_info: Dict[str, Any] = info
         self.designs: List[str] = list(info.get("designs", []))
         if design is None and len(self.designs) == 1:
@@ -114,27 +129,46 @@ class PolicyClient:
         return resolved
 
     def _send(self, kind: str, payload: Any) -> None:
+        self._sendall(protocol.encode_frame(kind, payload))
+
+    def _sendall(self, data: bytes) -> None:
         try:
-            protocol.send_message(self._sock, kind, payload)
+            self._sock.sendall(data)
         except OSError as error:
             raise ServingError(f"server connection lost: {error}",
                                transient=True) from error
 
-    def _reply(self, request: str, expected: str) -> Any:
-        """The payload of the next reply, which must be of kind ``expected``."""
+    def _next_frame(self) -> Tuple[str, Any]:
+        """The next ``(kind, payload)`` reply, reading more bytes if needed."""
         try:
-            kind, payload = protocol.recv_message(self._sock)
+            while not self._frames:
+                chunk = self._sock.recv(_RECV_BYTES)
+                if not chunk:
+                    raise ConnectionError("peer closed the connection mid-frame")
+                self._inbox += chunk
+                self._frames.extend(protocol.read_frames(
+                    self._inbox, max_frame_bytes=self._max_frame_bytes))
         except OSError as error:
             raise ServingError(
                 f"server connection lost: {error}",
                 transient=not isinstance(error, protocol.ProtocolError),
             ) from error
+        return self._frames.popleft()
+
+    @staticmethod
+    def _payload(reply: Tuple[str, Any], request: str, expected: str) -> Any:
+        """The payload of ``reply``, which must be of kind ``expected``."""
+        kind, payload = reply
         if kind == protocol.ERROR:
             raise ServingError(str(payload))
         if kind != expected:
             raise ServingError(
                 f"unexpected {kind!r} reply to {request.upper()}")
         return payload
+
+    def _reply(self, request: str, expected: str) -> Any:
+        """The payload of the next reply, which must be of kind ``expected``."""
+        return self._payload(self._next_frame(), request, expected)
 
     def act(self, state: Sequence[float], *,
             design: Optional[str] = None) -> int:
@@ -145,9 +179,11 @@ class PolicyClient:
                  design: Optional[str] = None) -> np.ndarray:
         """Greedy actions for many observations, pipelined.
 
-        All ``ACT`` frames are sent before any ``ACTION`` is read; the
-        server answers each connection in request order, so the returned
-        array lines up with ``states`` row for row.
+        All ``ACT`` frames go out in one write before any ``ACTION`` is
+        read; the server answers each connection in request order, so the
+        returned array lines up with ``states`` row for row.  Every reply
+        is read before a rejected row raises, so the connection stays in
+        step for the next call.
         """
         resolved = self._design(design)
         matrix = np.asarray(states, dtype=np.float64)
@@ -156,12 +192,11 @@ class PolicyClient:
         if matrix.ndim != 2:
             raise ValueError(
                 f"states must be (batch, n_states), got shape {matrix.shape}")
-        for row in matrix:
-            self._send(protocol.ACT, (resolved, row))
-        actions = np.empty(matrix.shape[0], dtype=np.int64)
-        for index in range(matrix.shape[0]):
-            actions[index] = int(self._reply(protocol.ACT, protocol.ACTION))
-        return actions
+        self._sendall(b"".join(protocol.encode_frame(protocol.ACT, (resolved, row))
+                               for row in matrix.tolist()))
+        replies = [self._next_frame() for _ in range(matrix.shape[0])]
+        return np.array([self._payload(reply, protocol.ACT, protocol.ACTION)
+                         for reply in replies], dtype=np.int64)
 
     def swap(self, agent: Any, *, design: Optional[str] = None) -> Dict[str, Any]:
         """Hot-swap the live policy for ``design`` to ``agent``.

@@ -9,12 +9,17 @@ connection through a :mod:`selectors` selector.  Each *tick* of the loop:
    complete frame (:func:`~repro.distributed.protocol.read_frames` checks
    each length header against ``max_frame_bytes`` before buffering a body);
 2. **orders** the frames round-robin across connections, FIFO within one.
-   ``ACT`` frames collect into pending groups; any other frame first
-   dispatches the pending groups, so a ``SWAP`` lands between groups;
-3. **dispatches** the pending ``ACT`` frames grouped by design, one
-   ``agent.act_batch(states, explore=False)`` call per ``max_batch`` of
-   them.  No request waits for a batch to fill, and greedy selection is
-   RNG-free, so served actions are byte-identical to offline greedy
+   ``ACT`` frames collect into pending groups, one per design, after the
+   only per-frame checks (a ``(design, state)`` pair naming a hosted
+   design); any other frame first dispatches the pending groups, so a
+   ``SWAP`` lands between groups;
+3. **dispatches** each design group: its states become one float64 matrix
+   whose width and finiteness are checked once (any group that fails that
+   is checked row by row to find the offenders; each bad row gets its own
+   ``ERROR``), then one
+   ``agent.act_batch(states, explore=False)`` call per ``max_batch`` of the
+   good rows.  No request waits for a batch to fill, and greedy selection
+   is RNG-free, so served actions are byte-identical to offline greedy
    evaluation;
 4. **writes** the replies to each connection in request order (so clients
    may pipeline) with non-blocking ``send``.
@@ -34,7 +39,7 @@ import socket
 import threading
 import time
 from itertools import zip_longest
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -281,14 +286,16 @@ class PolicyServer:
         order = [frame for rank in zip_longest(*inbound) for frame in rank
                  if frame is not None]
         self._queued = sum(kind == protocol.ACT for _, kind, _ in order)
-        pending: Dict[str, List[Tuple[_Connection, int, np.ndarray]]] = {}
+        pending: Dict[str, List[Tuple[_Connection, int, Any]]] = {}
         act_seconds = 0.0
+        designs = self._design_set()
         for conn, kind, payload in order:
             if kind == protocol.ACT:
-                self._queue_act(conn, payload, pending)
+                self._queue_act(conn, payload, designs, pending)
             else:
                 act_seconds += self._dispatch(pending, started)
                 conn.replies.append(self._answer(conn, kind, payload))
+                designs = self._design_set()  # a SWAP may add a design
         act_seconds += self._dispatch(pending, started)
         self._stages["act_batch"].observe(act_seconds)
 
@@ -366,45 +373,71 @@ class PolicyServer:
             self._selector.modify(conn.sock, events, conn)
 
     # ------------------------------------------------------------------ frames
-    def _queue_act(self, conn: _Connection, payload: Any,
-                   pending: Dict[str, List[Tuple[_Connection, int, np.ndarray]]]
+    def _design_set(self) -> frozenset:
+        with self._policy_lock:
+            return frozenset(self._policies)
+
+    def _queue_act(self, conn: _Connection, payload: Any, designs: frozenset,
+                   pending: Dict[str, List[Tuple[_Connection, int, Any]]]
                    ) -> None:
-        """Check one ``ACT``; queue it on its design's group, or answer ERROR."""
+        """Queue one ``ACT`` on its design's group, or answer ERROR.
+
+        Only the payload's shape and its design are checked per frame; the
+        state is checked with the rest of its group in :meth:`_dispatch`.
+        """
         try:
             design, state = payload
             design = str(design)
-            state = np.asarray(state, dtype=np.float64)
-            if state.ndim != 1:
-                raise ValueError(
-                    f"state must be 1-D (one observation per ACT frame), "
-                    f"got shape {state.shape}")
-            with self._policy_lock:
-                entry = self._policies.get(design)
-                expected = entry.n_states if entry is not None else None
-            if entry is None:
+            if design not in designs:
                 raise KeyError(
                     f"unknown design {design!r}; serving {self.designs()}")
-            if expected is not None and state.shape[0] != expected:
-                raise ValueError(
-                    f"design {design!r} expects {expected} state dims, "
-                    f"got {state.shape[0]}")
-            if not np.isfinite(state).all():
-                raise ValueError("state contains NaN or Inf values")
         except Exception as error:  # noqa: BLE001 - any bad request -> ERROR
             self._errors.inc()
             self._queued -= 1
             conn.replies.append((protocol.ERROR, str(error)))
             return
-        self._requests.inc()
         pending.setdefault(design, []).append((conn, len(conn.replies), state))
         conn.replies.append(None)
 
-    def _dispatch(self, pending: Dict[str, List[Tuple[_Connection, int, np.ndarray]]],
+    def _check_group(self, design: str, states: List[Any]
+                     ) -> Tuple[Sequence[Any], Dict[int, str]]:
+        """One design group's good rows, and the reason each bad row (by
+        index into ``states``) fails.
+
+        A group of good rows becomes one float64 matrix, checked for width
+        and finiteness once; any other group is checked row by row by
+        :func:`_check_rows`, which words each bad row's reason.
+        """
+        with self._policy_lock:
+            expected = self._policies[design].n_states
+        try:
+            matrix = np.array(states, dtype=np.float64)
+        except Exception:  # noqa: BLE001 - any unbuildable group -> per row
+            return _check_rows(design, states, expected)
+        if (matrix.ndim == 2
+                and (expected is None or matrix.shape[1] == expected)
+                and np.isfinite(matrix).all()):
+            return matrix, {}
+        return _check_rows(design, states, expected)
+
+    def _dispatch(self, pending: Dict[str, List[Tuple[_Connection, int, Any]]],
                   started: float) -> float:
-        """Answer the pending ``ACT`` frames, one ``act_batch`` per chunk of
-        ``max_batch`` (a failure answers its chunk); returns its seconds."""
+        """Answer the pending ``ACT`` frames: check each design group once,
+        then one ``act_batch`` per chunk of ``max_batch`` good rows (a
+        failure answers its chunk); returns the ``act_batch`` seconds."""
         seconds = 0.0
         for design, requests in pending.items():
+            rows, errors = self._check_group(
+                design, [state for _, _, state in requests])
+            if errors:
+                for index, reason in errors.items():
+                    conn, slot, _state = requests[index]
+                    conn.replies[slot] = (protocol.ERROR, reason)
+                self._errors.inc(len(errors))
+                self._queued -= len(errors)
+                requests = [request for index, request in enumerate(requests)
+                            if index not in errors]
+            self._requests.inc(len(requests))
             for first in range(0, len(requests), self.max_batch):
                 chunk = requests[first:first + self.max_batch]
                 # Read under the swap lock, so an in-process swap_policy from
@@ -415,7 +448,11 @@ class PolicyServer:
                     entry.requests += len(chunk)
                 began = time.perf_counter()
                 try:
-                    states = np.stack([state for _, _, state in chunk])
+                    # A no-op view on a checked matrix; a stack of the rows
+                    # _check_rows passed (which may differ in width when the
+                    # design states none, failing only this chunk).
+                    states = np.asarray(rows[first:first + self.max_batch],
+                                        dtype=np.float64)
                     actions = np.asarray(agent.act_batch(states, explore=False),
                                          dtype=np.int64)
                     if actions.shape != (len(chunk),):
@@ -429,10 +466,10 @@ class PolicyServer:
                     replies = [(protocol.ERROR, f"dispatch failed: {error}")] * len(chunk)
                 else:
                     self._batch_sizes.observe(len(chunk))
-                    replies = [(protocol.ACTION, int(action)) for action in actions]
-                    latency = time.perf_counter() - started  # since its tick began
-                    for _ in chunk:
-                        self._latency.observe(latency)
+                    replies = [(protocol.ACTION, action) for action in actions.tolist()]
+                    # Every row of the chunk has waited since its tick began.
+                    self._latency.observe(time.perf_counter() - started,
+                                          count=len(chunk))
                 seconds += time.perf_counter() - began
                 for (conn, slot, _state), reply in zip(chunk, replies):
                     conn.replies[slot] = reply
@@ -462,6 +499,32 @@ class PolicyServer:
             return protocol.STATS, self.stats_snapshot()
         self._errors.inc()
         return protocol.ERROR, f"unknown frame kind {kind!r}"
+
+
+def _check_rows(design: str, states: List[Any], expected: Optional[int]
+                ) -> Tuple[List[np.ndarray], Dict[int, str]]:
+    """:meth:`PolicyServer._check_group` one row at a time, for a group
+    that is not all good rows of one matrix."""
+    rows: List[np.ndarray] = []
+    errors: Dict[int, str] = {}
+    for index, state in enumerate(states):
+        try:
+            row = np.asarray(state, dtype=np.float64)
+            if row.ndim != 1:
+                raise ValueError(
+                    f"state must be 1-D (one observation per ACT frame), "
+                    f"got shape {row.shape}")
+            if expected is not None and row.shape[0] != expected:
+                raise ValueError(
+                    f"design {design!r} expects {expected} state dims, "
+                    f"got {row.shape[0]}")
+            if not np.isfinite(row).all():
+                raise ValueError("state contains NaN or Inf values")
+        except Exception as error:  # noqa: BLE001 - any bad row -> ERROR
+            errors[index] = str(error)
+        else:
+            rows.append(row)
+    return rows, errors
 
 
 __all__ = ["PolicyServer", "SERVING_MAX_FRAME_BYTES"]

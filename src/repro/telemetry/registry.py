@@ -114,13 +114,16 @@ class Histogram:
         self.min = float("inf")
         self.max = float("-inf")
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times (one lock for a whole batch)."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
         value = float(value)
         index = bisect.bisect_left(self.buckets, value)
         with self._lock:
-            self._counts[index] += 1
-            self.count += 1
-            self.sum += value
+            self._counts[index] += count
+            self.count += count
+            self.sum += value * count
             if value < self.min:
                 self.min = value
             if value > self.max:

@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Trainer, TrainingConfig, make_design
 from repro.distributed import protocol
@@ -478,6 +479,208 @@ class TestTick:
             for client in clients:
                 client.close()
         assert threading.active_count() == before
+
+
+# ------------------------------------------------------------------ wire payloads
+#: Float64 values whose bits a lossy encoding would change: signed zero,
+#: subnormals and the edges of the finite range.
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1e308, -1e308, np.finfo(np.float64).max)
+
+_rows = st.lists(
+    st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(_EDGE_FLOATS)),
+             min_size=4, max_size=4),
+    min_size=1, max_size=20)
+
+
+class _RecordingAgent:
+    """Answers 0 and keeps every batch it was asked about."""
+
+    def __init__(self):
+        self.config = type("Config", (), {"n_states": 4})()
+        self.seen = []
+
+    def act_batch(self, states, explore=False):
+        self.seen.append(np.array(states, copy=True))
+        return np.zeros(len(states), dtype=np.int64)
+
+
+@pytest.fixture(scope="module")
+def recording_server():
+    agent = _RecordingAgent()
+    with PolicyServer({"d": agent}) as server:
+        with PolicyClient(*server.address) as client:
+            yield agent, client
+
+
+@pytest.fixture(scope="module")
+def oselm_server(agents):
+    agent = agents["OS-ELM"]
+    with PolicyServer({"OS-ELM": _clone(agent)}) as server:
+        with PolicyClient(*server.address) as client:
+            yield agent, client
+
+
+class TestWirePayloads:
+    @settings(max_examples=50, deadline=None)
+    @given(rows=_rows)
+    def test_list_payloads_reach_act_batch_bit_exact(self, recording_server,
+                                                     rows):
+        agent, client = recording_server
+        sent = np.array(rows, dtype=np.float64)
+        agent.seen.clear()
+        client.act_many(sent)
+        received = np.concatenate(agent.seen)
+        assert received.dtype == np.float64
+        assert received.tobytes() == sent.tobytes()
+
+    # Rows near the float64 range overflow inside the network, in the
+    # server thread as much as offline; the actions must still agree.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=50, deadline=None)
+    @given(rows=_rows)
+    def test_served_equals_offline_on_edge_floats(self, oselm_server, rows):
+        agent, client = oselm_server
+        states = np.array(rows, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            offline = _offline_greedy(agent, states)
+        np.testing.assert_array_equal(client.act_many(states), offline)
+
+    def test_ndarray_and_list_payloads_get_the_same_action(self, agents):
+        """A client that sends ndarray rows is served like one sending lists."""
+        agent = agents["OS-ELM"]
+        state = _probe_states(agent, 1, seed=9)[0]
+        expected = (protocol.ACTION, agent.act(state, explore=False))
+        with PolicyServer({"OS-ELM": _clone(agent)}) as server:
+            raw = _RawClient(server)
+            raw.send_many([(protocol.ACT, ("OS-ELM", state)),
+                           (protocol.ACT, ("OS-ELM", state.tolist()))])
+            assert raw.recv() == expected
+            assert raw.recv() == expected
+            raw.close()
+
+    def test_bad_rows_in_a_group_fail_alone_and_in_order(self):
+        """NaN, wrong-width and ragged rows each get their own ERROR; the
+        good rows of the same group are batched and answered in place."""
+        echo = _EchoAgent()
+        with PolicyServer({"d": echo}) as server:
+            raw = _RawClient(server)
+            raw.send_many([_act(0),
+                           (protocol.ACT, ("d", [1.0, np.nan, 0.0, 0.0])),
+                           (protocol.ACT, ("d", [2.0, 0.0, 0.0])),
+                           (protocol.ACT, ("d", [3.0, [0.0, 1.0], 0.0, 0.0])),
+                           _act(4)])
+            replies = [raw.recv() for _ in range(5)]
+            raw.close()
+        assert replies[0] == (protocol.ACTION, 0)
+        assert replies[1] == (protocol.ERROR, "state contains NaN or Inf values")
+        assert replies[2] == (protocol.ERROR,
+                              "design 'd' expects 4 state dims, got 3")
+        assert replies[3][0] == protocol.ERROR
+        assert replies[4] == (protocol.ACTION, 4)
+        assert echo.batches == [[0, 4]]
+
+    def test_unconvertible_row_fails_alone_and_the_loop_serves_on(self):
+        """A row NumPy cannot hold as float64 (an int past its range raises
+        OverflowError) answers ERROR; the loop keeps serving other clients."""
+        echo = _EchoAgent()
+        with PolicyServer({"d": echo}) as server:
+            raw = _RawClient(server)
+            raw.send_many([(protocol.ACT, ("d", [10 ** 400, 0.0, 0.0, 0.0])),
+                           _act(1)])
+            replies = [raw.recv() for _ in range(2)]
+            raw.close()
+            other = _RawClient(server, client_id="other")
+            other.send(*_act(2))
+            later = other.recv()
+            other.close()
+        assert replies[0][0] == protocol.ERROR
+        assert replies[1] == (protocol.ACTION, 1)
+        assert later == (protocol.ACTION, 2)
+
+    def test_ragged_group_without_a_design_width_fails_only_its_chunk(self):
+        """With no ``config.n_states`` to check against, rows of two widths
+        in one chunk fail that chunk at dispatch; the loop serves on."""
+        echo = _EchoAgent()
+        del echo.config
+        with PolicyServer({"d": echo}, max_batch=2) as server:
+            raw = _RawClient(server)
+            raw.send_many([(protocol.ACT, ("d", [0.0, 0.0, 0.0])),
+                           (protocol.ACT, ("d", [1.0, 0.0, 0.0, 0.0])),
+                           _act(2), _act(3)])
+            replies = [raw.recv() for _ in range(4)]
+            raw.send(*_act(4))
+            later = raw.recv()
+            raw.close()
+        assert [kind for kind, _ in replies[:2]] == [protocol.ERROR] * 2
+        assert replies[0][1].startswith("dispatch failed")
+        assert replies[2:] == [(protocol.ACTION, 2), (protocol.ACTION, 3)]
+        assert later == (protocol.ACTION, 4)
+
+
+# ------------------------------------------------------------------ client I/O
+class _CountingSocket:
+    """A socket proxy counting ``sendall`` calls."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sendalls = 0
+
+    def sendall(self, data):
+        self.sendalls += 1
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestClientIO:
+    def test_act_many_makes_one_write(self):
+        sockets = []
+
+        def connect(host, port, timeout):
+            sockets.append(_CountingSocket(
+                socket.create_connection((host, port), timeout=timeout)))
+            return sockets[0]
+
+        with PolicyServer({"d": _EchoAgent()}) as server:
+            with PolicyClient(*server.address, connect_factory=connect) as client:
+                sockets[0].sendalls = 0
+                states = np.zeros((64, 4))
+                states[:, 0] = np.arange(64)
+                np.testing.assert_array_equal(client.act_many(states),
+                                              np.arange(64))
+                assert sockets[0].sendalls == 1
+
+    def test_rejected_row_leaves_the_connection_in_step(self):
+        """``act_many`` reads every reply of the call before it raises, so
+        the next call does not read a stale reply."""
+        with PolicyServer({"d": _EchoAgent()}) as server:
+            with PolicyClient(*server.address) as client:
+                states = [[0.0, 0.0, 0.0, 0.0], [1.0, np.inf, 0.0, 0.0],
+                          [2.0, 0.0, 0.0, 0.0]]
+                with pytest.raises(ServingError, match="NaN or Inf"):
+                    client.act_many(states)
+                assert client.act([7.0, 0.0, 0.0, 0.0]) == 7
+
+    def test_oversized_reply_is_refused_before_buffering(self, scripted_peer):
+        def server(connection):
+            protocol.recv_message(connection)                   # HELLO
+            protocol.send_message(connection, protocol.WELCOME,
+                                  {"serving": True, "designs": ["d"]})
+            protocol.recv_message(connection)                   # ACT
+            connection.sendall(struct.pack(">Q", 1 << 40) + b"x" * 1024)
+            connection.recv(1)              # hold the line until the client hangs up
+
+        peer = scripted_peer(server)
+        with PolicyClient(*peer.address, timeout=30.0) as client:
+            began = time.perf_counter()
+            with pytest.raises(ServingError, match="exceeds") as caught:
+                client.act([0.0, 0.0, 0.0, 0.0])
+            assert not caught.value.transient
+            assert time.perf_counter() - began < 10.0
+            assert len(client._inbox) <= 8 + 1024
 
 
 # ------------------------------------------------------------------ byte identity

@@ -82,6 +82,28 @@ class TestHistogram:
         with pytest.raises(ValueError, match="q must be"):
             Histogram("h").percentile(1.5)
 
+    @pytest.mark.parametrize("observations", [
+        [(0.25, 8)],
+        [(0.5, 1), (1.5, 3), (3.0, 2), (7.0, 1)],
+        [(1e-4, 64), (0.02, 5), (9.0, 3)],
+    ])
+    def test_observe_count_equals_repeated_observe(self, observations):
+        batched, single = Histogram("b"), Histogram("s")
+        for value, count in observations:
+            batched.observe(value, count=count)
+            for _ in range(count):
+                single.observe(value)
+        assert batched.count == single.count
+        assert batched.sum == pytest.approx(single.sum, rel=1e-12)
+        assert batched._counts == single._counts
+        assert (batched.min, batched.max) == (single.min, single.max)
+        for q in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0):
+            assert batched.percentile(q) == single.percentile(q)
+
+    def test_observe_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            Histogram("h").observe(1.0, count=0)
+
     def test_percentiles_track_a_known_distribution(self):
         hist = Histogram("h", buckets=COUNT_BUCKETS)
         values = list(range(1, 101))        # 1..100, uniform
