@@ -202,8 +202,8 @@ class FaultySocket:
     forwards everything else to the wrapped socket.  "Frames" are
     ``sendall`` calls: :func:`~repro.distributed.protocol.send_message`
     writes each frame with a single ``sendall``, so outbound frame counts
-    are exact.  :meth:`~repro.serving.PolicyClient.act_many` writes all of a
-    call's ``ACT`` frames in one ``sendall``, so there one "frame" is one call.
+    are exact.  :meth:`~repro.serving.PolicyClient.act_many` writes one
+    ``ACT_BATCH`` frame per call, so there too one "frame" is one call.
     """
 
     def __init__(self, sock: socket.socket, plan: FaultPlan, *,

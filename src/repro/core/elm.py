@@ -114,6 +114,13 @@ class ELM:
         """``(B, n_outputs)`` outputs of a fitted network for trusted rows."""
         return self._hidden_rows(rows) @ self.beta
 
+    def _predict_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """``(B, k, n_outputs)`` outputs for a stack of trusted ``(k, n_inputs)``
+        row blocks.  Each block is multiplied on its own, so its outputs are
+        bit for bit ``_predict_rows(block)``; one ``(B * k, n_inputs)``
+        multiply is not, since BLAS may round a taller matrix differently."""
+        return self.activation.forward(blocks @ self.alpha + self.bias) @ self.beta
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.predict(x)
 

@@ -191,8 +191,10 @@ class QFunction:
         """Q(state, a) for every action ``a``.
 
         Accepts one state ``(n_states,)`` -> ``(n_actions,)`` or a batch
-        ``(B, n_states)`` -> ``(B, n_actions)``; the batched form evaluates
-        all ``B * n_actions`` pairs in a single network forward pass.
+        ``(B, n_states)`` -> ``(B, n_actions)``.  The batched form evaluates
+        each state's ``(n_actions, input_size)`` block as the one-state form
+        does, so row ``i`` is bit for bit ``q_values(state[i])`` and a
+        batched greedy action never differs from a single-state one.
         """
         state = self.check_states(state)
         single = state.ndim == 1
@@ -200,9 +202,10 @@ class QFunction:
         if not self.is_trained:
             out = np.full((batch, self.n_actions), self.default_value)
             return out[0] if single else out
-        rows = self.encode_all_actions(state).reshape(batch * self.n_actions, -1)
-        out = self.model._predict_rows(rows).reshape(batch, self.n_actions)
-        return out[0] if single else out
+        blocks = self.encode_all_actions(state)
+        if single:
+            return self.model._predict_rows(blocks[0]).reshape(self.n_actions)
+        return self.model._predict_blocks(blocks).reshape(batch, self.n_actions)
 
     def greedy_action(self, state: np.ndarray):
         """``argmax_a Q(state, a)`` (Algorithm 1, line 11).

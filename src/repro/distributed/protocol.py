@@ -101,28 +101,41 @@ broker (a serving daemon advertises ``"serving": True`` plus its design
 list, so a client that connects to a broker — or vice versa — fails with
 one clear error instead of a pickle surprise):
 
-=====================  ==========================  =========================
-client sends            server replies              meaning
-=====================  ==========================  =========================
-``(HELLO, client_id)``  ``(WELCOME, info)``         registration; ``info``
-                                                    carries designs/limits
-``(ACT, (design, state))``  ``(ACTION, action)``    one greedy action for one
-                                                    observation; ``state`` is
-                                                    any 1-D float sequence
-                                                    (clients send a list of
-                                                    floats; an ndarray row is
-                                                    served the same).  The
-                                                    server batches the
-                                                    requests one loop tick
-                                                    reads
-``(SWAP, (design, blob))``  ``(SWAPPED, info)``     hot-swap the design's
-                                                    policy to the pickled
-                                                    agent in ``blob``
-``(STATS, None)``       ``(STATS, snapshot)``       request counters + latency
-                                                    histograms (p50/p90/p99)
-*anything invalid*      ``(ERROR, reason)``         unknown design, bad state
-                                                    shape, undecodable blob...
-=====================  ==========================  =========================
+===========================================  =========================  ===================
+client sends                                 server replies             meaning
+===========================================  =========================  ===================
+``(HELLO, client_id)``                       ``(WELCOME, info)``        registration;
+                                                                        ``info`` carries
+                                                                        designs/limits
+``(ACT_BATCH, (design, n_cols, rows))``      ``(ACTIONS, [a, ...])``    one greedy action
+                                                                        per row (below)
+``(ACT, (design, state))``                   ``(ACTION, action)``       one greedy action
+                                                                        for one
+                                                                        observation: the
+                                                                        2.0 client form
+``(SWAP, (design, blob))``                   ``(SWAPPED, info)``        hot-swap the
+                                                                        design's policy to
+                                                                        the pickled agent
+                                                                        in ``blob``
+``(STATS, None)``                            ``(STATS, snapshot)``      request counters +
+                                                                        latency histograms
+                                                                        (p50/p90/p99)
+*anything invalid*                           ``(ERROR, reason)``        unknown design,
+                                                                        bad state shape,
+                                                                        undecodable blob
+===========================================  =========================  ===================
+
+``ACT_BATCH`` carries a ``(B, n_cols)`` float64 matrix as ``rows``, its
+C-order little-endian (``'<f8'``) bytes, and is answered by one
+``ACTIONS`` frame holding the B actions in row order; a frame with any bad
+row is answered by one ``ERROR`` naming the first bad row.  A server that
+accepts it advertises ``"act_batch": True`` in its ``WELCOME`` info, and
+:class:`~repro.serving.PolicyClient` requires the flag, so a client meets
+an older server at connect time, not at its first request.  ``ACT`` (a
+1-D float sequence as ``state``) is the single-row form 2.0 clients send:
+it is still answered, one ``ACTION`` or ``ERROR`` per frame, but
+``PolicyClient`` no longer sends it.  The server batches every request
+one loop tick reads.
 
 Opening a connection
 --------------------
@@ -147,7 +160,10 @@ transient failures on its schedule; definitive ones raise at once.
 Security note: frames are pickles, so the broker must only be bound to
 interfaces you trust (the default is loopback).  This mirrors the stdlib
 ``multiprocessing`` connection model the in-process backends already rely
-on.  :func:`recv_message` and :func:`read_frames` additionally refuse
+on.  That holds for ``ACT_BATCH`` too: its envelope is a pickle, and only
+the rows inside it are plain float64 bytes, read with ``np.frombuffer``
+(the ``ACT`` that 2.0 clients send pickles its float sequence).
+:func:`recv_message` and :func:`read_frames` additionally refuse
 frames larger than ``max_frame_bytes`` (for :func:`recv_message` the
 default is :data:`MAX_FRAME_BYTES`, overridable per call or via
 ``$REPRO_MAX_FRAME_BYTES``) *before* allocating, so a corrupt or hostile
@@ -188,8 +204,12 @@ SHUTDOWN = "shutdown"
 ACK = "ack"
 
 #: Serving kinds (PolicyClient <-> PolicyServer, 1.6+).
+#: client -> server: ``(design, n_cols, rows)``, ``rows`` the C-order
+#: ``'<f8'`` bytes of a ``(B, n_cols)`` matrix (``"act_batch"`` servers).
+ACT_BATCH = "act_batch"
+ACTIONS = "actions"      #: server -> client: a list of B greedy actions
 ACT = "act"              #: client -> server: ``(design, 1-D float sequence)``
-ACTION = "action"        #: server -> client: the greedy action
+ACTION = "action"        #: server -> client: the greedy action for an ``ACT``
 SWAP = "swap"            #: client -> server: ``(design, pickled agent blob)``
 SWAPPED = "swapped"      #: server -> client: swap acknowledged (+ generation)
 ERROR = "error"          #: server -> client: request rejected, payload = reason
@@ -458,7 +478,8 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 
 __all__ = [
-    "ACK", "ACT", "ACTION", "DRAIN", "ERROR", "GET", "HEARTBEAT", "HELLO",
+    "ACK", "ACT", "ACTION", "ACTIONS", "ACT_BATCH", "DRAIN", "ERROR", "GET",
+    "HEARTBEAT", "HELLO",
     "HandshakeError", "MAX_FRAME_BYTES", "MAX_FRAME_ENV_VAR",
     "OBSERVER_PREFIX", "ProtocolError", "RESULT", "SHUTDOWN", "STATS",
     "SWAP", "SWAPPED", "TASK", "TASKS", "TransportCounters", "WAIT",

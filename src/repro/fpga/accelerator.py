@@ -117,6 +117,11 @@ class FPGAAcceleratedOSELM(OSELM):
             outputs[row] = self.core.predict(rows[row])[0]
         return outputs
 
+    def _predict_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """The core predicts one row at a time, so stacking changes nothing."""
+        rows = self._predict_rows(blocks.reshape(-1, blocks.shape[-1]))
+        return rows.reshape(blocks.shape[0], blocks.shape[1], self.n_outputs)
+
     # ------------------------------------------------------------------ diagnostics
     def quantization_report(self) -> dict:
         """Divergence between the fixed-point state and the float recursive state."""

@@ -4,14 +4,17 @@ The paper's pitch is cheap *online* sequential learning — policies that
 are usable the moment they are trained.  This package closes the loop:
 
 * :class:`PolicyServer` (``server.py``) — a TCP daemon on the distributed
-  backend's framing that answers ``ACT`` frames with greedy actions from
-  one ``selectors`` loop thread.  Natural batching: each tick groups the
-  ``ACT`` frames it read by design, up to ``max_batch``, into one call of
-  the already-vectorized ``act_batch`` predict path, with no timer;
-  greedy selection is RNG-free, so served actions are byte-identical to
-  offline greedy evaluation;
-* :class:`PolicyClient` (``client.py``) — ``act``/pipelined ``act_many``/
-  ``swap``/``stats``;
+  backend's framing that answers action requests with greedy actions from
+  one ``selectors`` loop thread: ``ACT_BATCH`` frames (a matrix of rows as
+  raw float64 bytes, one ``ACTIONS`` reply) and the single-row ``ACT``
+  frames of 2.0 clients.  Natural batching: each tick lays the rows it
+  read end to end per design and cuts them into calls of at most
+  ``max_batch`` rows on the already-vectorized ``act_batch`` predict path,
+  with no timer; greedy selection is RNG-free and a batch's Q-values are
+  bit for bit its single-state ones, so served actions are byte-identical
+  to offline greedy evaluation;
+* :class:`PolicyClient` (``client.py``) — ``act``/``act_many`` (one
+  ``ACT_BATCH`` frame per call)/``swap``/``stats``;
 * :class:`WeightPushCallback` (``callback.py``) — a Trainer lifecycle hook
   that hot-swaps the in-training agent into a live server every N episodes;
 * :func:`load_spec_policies` — discover trained ``policy.pkl`` artifacts

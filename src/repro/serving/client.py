@@ -5,12 +5,11 @@ negotiate (refusing politely when the peer is a sweep broker rather than a
 serving daemon), then
 
 * :meth:`PolicyClient.act` — one observation, one greedy action;
-* :meth:`PolicyClient.act_many` — *pipelined*: every ``ACT`` frame of the
-  call goes out in one write before any reply is read, so one server tick
-  reads many of them and answers them with a few ``act_batch`` calls
-  instead of serializing on round trips.  Each state travels as a list of
-  Python floats (exact float64 in pickle's ``BINFLOAT``), which encodes,
-  decodes and frames smaller than an ndarray row;
+* :meth:`PolicyClient.act_many` — many observations in one ``ACT_BATCH``
+  frame, the ``(B, n_states)`` matrix as raw little-endian float64 bytes,
+  answered by one ``ACTIONS`` frame, so framing costs per call, not per
+  row, and the server never parses a float.  One server tick answers it
+  with ``act_batch`` calls of up to ``max_batch`` rows;
 * :meth:`PolicyClient.swap` — push a (pickled) trained agent into the live
   server, the transport under :class:`~repro.serving.WeightPushCallback`;
 * :meth:`PolicyClient.stats` — the server's counters + latency histograms.
@@ -22,8 +21,11 @@ completed, each length header checked against
 is buffered.
 
 The connection opens through :func:`repro.distributed.protocol.dial`, like
-every other client of the framing; errors surface as :class:`ServingError`
-with the reason the server gave, never a raw pickle traceback.
+every other client of the framing, and requires the server's
+``"act_batch"`` capability, so an older server is refused at connect with a
+non-transient error.  The client never sends the single-row ``ACT`` frame.
+Errors surface as :class:`ServingError` with the reason the server gave,
+never a raw pickle traceback.
 """
 
 from __future__ import annotations
@@ -92,7 +94,10 @@ class PolicyClient:
                 connect_factory=connect_factory,
                 require={"serving": f"peer at {host}:{port} is not a policy "
                                     "server (a sweep broker?); point the "
-                                    "client at `repro serve`"})
+                                    "client at `repro serve`",
+                         "act_batch": f"policy server at {host}:{port} does "
+                                      "not accept ACT_BATCH frames; upgrade "
+                                      "it to this version of repro"})
         except protocol.HandshakeError as error:
             message = (f"cannot reach policy server at {host}:{port}: {error}"
                        if error.transient else str(error))
@@ -129,11 +134,8 @@ class PolicyClient:
         return resolved
 
     def _send(self, kind: str, payload: Any) -> None:
-        self._sendall(protocol.encode_frame(kind, payload))
-
-    def _sendall(self, data: bytes) -> None:
         try:
-            self._sock.sendall(data)
+            self._sock.sendall(protocol.encode_frame(kind, payload))
         except OSError as error:
             raise ServingError(f"server connection lost: {error}",
                                transient=True) from error
@@ -155,20 +157,15 @@ class PolicyClient:
             ) from error
         return self._frames.popleft()
 
-    @staticmethod
-    def _payload(reply: Tuple[str, Any], request: str, expected: str) -> Any:
-        """The payload of ``reply``, which must be of kind ``expected``."""
-        kind, payload = reply
+    def _reply(self, request: str, expected: str) -> Any:
+        """The payload of the next reply, which must be of kind ``expected``."""
+        kind, payload = self._next_frame()
         if kind == protocol.ERROR:
             raise ServingError(str(payload))
         if kind != expected:
             raise ServingError(
                 f"unexpected {kind!r} reply to {request.upper()}")
         return payload
-
-    def _reply(self, request: str, expected: str) -> Any:
-        """The payload of the next reply, which must be of kind ``expected``."""
-        return self._payload(self._next_frame(), request, expected)
 
     def act(self, state: Sequence[float], *,
             design: Optional[str] = None) -> int:
@@ -177,26 +174,32 @@ class PolicyClient:
 
     def act_many(self, states: Sequence[Sequence[float]], *,
                  design: Optional[str] = None) -> np.ndarray:
-        """Greedy actions for many observations, pipelined.
+        """Greedy actions for many observations, in one request.
 
-        All ``ACT`` frames go out in one write before any ``ACTION`` is
-        read; the server answers each connection in request order, so the
-        returned array lines up with ``states`` row for row.  Every reply
-        is read before a rejected row raises, so the connection stays in
-        step for the next call.
+        The rows go out as one ``ACT_BATCH`` frame and come back as one
+        ``ACTIONS`` frame, lined up with ``states`` row for row.  A
+        rejected row raises :class:`ServingError` naming it; no action of
+        that call is served.  No rows (``[]`` or a ``(0, n)`` array)
+        return an empty array without touching the connection.
         """
         resolved = self._design(design)
         matrix = np.asarray(states, dtype=np.float64)
-        if matrix.ndim == 1:
+        if matrix.ndim == 1 and matrix.size:  # one observation
             matrix = matrix.reshape(1, -1)
-        if matrix.ndim != 2:
+        if matrix.ndim not in (1, 2):
             raise ValueError(
                 f"states must be (batch, n_states), got shape {matrix.shape}")
-        self._sendall(b"".join(protocol.encode_frame(protocol.ACT, (resolved, row))
-                               for row in matrix.tolist()))
-        replies = [self._next_frame() for _ in range(matrix.shape[0])]
-        return np.array([self._payload(reply, protocol.ACT, protocol.ACTION)
-                         for reply in replies], dtype=np.int64)
+        if not len(matrix):  # ``[]`` or a ``(0, n)`` array
+            return np.empty(0, dtype=np.int64)
+        self._send(protocol.ACT_BATCH,
+                   (resolved, matrix.shape[1],
+                    matrix.astype("<f8", copy=False).tobytes()))
+        actions = np.array(self._reply(protocol.ACT_BATCH, protocol.ACTIONS),
+                           dtype=np.int64)
+        if actions.shape != (len(matrix),):
+            raise ServingError(f"ACTIONS reply of shape {actions.shape} to "
+                               f"{len(matrix)} rows")
+        return actions
 
     def swap(self, agent: Any, *, design: Optional[str] = None) -> Dict[str, Any]:
         """Hot-swap the live policy for ``design`` to ``agent``.

@@ -2,32 +2,39 @@
 
 A TCP daemon on the distributed backend's length-prefixed pickle framing
 (:mod:`repro.distributed.protocol`) that hosts one trained agent per design
-and answers ``ACT`` frames with greedy actions.  One loop thread serves every
-connection through a :mod:`selectors` selector.  Each *tick* of the loop:
+and answers action requests with greedy actions: an ``ACT_BATCH`` frame (a
+``(B, n_states)`` matrix as raw float64 bytes, answered by one ``ACTIONS``
+frame) or a 2.0 client's single-row ``ACT`` frame (answered by one
+``ACTION``).  One loop thread serves every connection through a
+:mod:`selectors` selector.  Each *tick* of the loop:
 
 1. **reads** one bounded ``recv`` per ready socket and cuts out every
    complete frame (:func:`~repro.distributed.protocol.read_frames` checks
    each length header against ``max_frame_bytes`` before buffering a body);
 2. **orders** the frames round-robin across connections, FIFO within one.
-   ``ACT`` frames collect into pending groups, one per design, after the
-   only per-frame checks (a ``(design, state)`` pair naming a hosted
-   design); any other frame first dispatches the pending groups, so a
-   ``SWAP`` lands between groups;
-3. **dispatches** each design group: its states become one float64 matrix
-   whose width and finiteness are checked once (any group that fails that
-   is checked row by row to find the offenders; each bad row gets its own
-   ``ERROR``), then one
-   ``agent.act_batch(states, explore=False)`` call per ``max_batch`` of the
-   good rows.  No request waits for a batch to fill, and greedy selection
-   is RNG-free, so served actions are byte-identical to offline greedy
-   evaluation;
+   Each request becomes a *block* of float64 rows on its design's pending
+   group (an ``ACT``'s state one row; an ``ACT_BATCH``'s bytes its matrix,
+   through ``np.frombuffer``, so no float is parsed), after the only
+   per-frame checks: the payload's shape and a hosted design.  Any other
+   frame first dispatches the pending groups, so a ``SWAP`` lands between
+   groups;
+3. **dispatches** each design group: each block's width and finiteness are
+   checked (a bad ``ACT`` row gets its own ``ERROR``; an ``ACT_BATCH``
+   with a bad row gets one ``ERROR`` naming it), the good blocks are laid
+   end to end and cut into one ``agent.act_batch(states, explore=False)``
+   call per ``max_batch`` rows, and each block is answered from its own
+   rows' actions.  No request waits for a batch to fill, and greedy
+   selection is RNG-free, so served actions are byte-identical to offline
+   greedy evaluation;
 4. **writes** the replies to each connection in request order (so clients
    may pipeline) with non-blocking ``send``.
 
 A peer whose unsent replies exceed ``max_frame_bytes`` is dropped with a
-warning, so the loop never waits on one peer.  Counters, latency and
-per-stage (``serving.stage.{read,act_batch,write}_seconds``) histograms ride
-a :class:`~repro.telemetry.registry.MetricsRegistry`, surfaced through the
+warning, so the loop never waits on one peer.  Counters (``serving.requests``
+and ``serving.errors`` count rows; a frame refused before its rows are read
+counts one error), latency and per-stage
+(``serving.stage.{read,act_batch,write}_seconds``) histograms ride a
+:class:`~repro.telemetry.registry.MetricsRegistry`, surfaced through the
 ``STATS`` frame with interpolated p50/p90/p99.
 """
 
@@ -39,7 +46,7 @@ import socket
 import threading
 import time
 from itertools import zip_longest
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +64,9 @@ SERVING_MAX_FRAME_BYTES = 64 << 20
 
 #: The most bytes one connection's ``recv`` takes per tick.
 _RECV_BYTES = 1 << 16
+
+#: Frames that ask for actions; every other kind is answered on its own.
+_REQUEST_KINDS = frozenset((protocol.ACT, protocol.ACT_BATCH))
 
 
 class _PolicyEntry:
@@ -89,8 +99,22 @@ class _Connection:
         self.inbox = bytearray()      #: bytes of a frame not yet complete
         self.outbox = bytearray()     #: reply bytes not yet sent
         #: This tick's ``(kind, payload)`` replies in request order; an
-        #: ``ACT`` holds a ``None`` slot until its chunk is dispatched.
+        #: action request holds a ``None`` slot until its group is dispatched.
         self.replies: List[Optional[Tuple[str, Any]]] = []
+
+
+class _Block:
+    """One pending ``ACT`` or ``ACT_BATCH`` request: its ``(B, n)`` float64
+    rows (one row for an ``ACT``), and the reply slot they answer."""
+
+    __slots__ = ("conn", "slot", "rows", "single")
+
+    def __init__(self, conn: _Connection, slot: int, rows: Any,
+                 single: bool) -> None:
+        self.conn = conn
+        self.slot = slot
+        self.rows = rows
+        self.single = single     #: an ``ACT``: answered by one ``ACTION``
 
 
 class PolicyServer:
@@ -107,8 +131,8 @@ class PolicyServer:
         Bind address; port 0 (default) picks an ephemeral port, published
         through :attr:`address` after :meth:`start`.
     max_batch:
-        The most ``ACT`` requests one ``act_batch`` call takes; a tick's
-        longer group for one design splits into several calls.
+        The most rows one ``act_batch`` call takes; a tick's longer group
+        for one design splits into several calls.
     max_frame_bytes:
         Frame-size ceiling enforced on every client frame before its body
         is buffered (default :data:`SERVING_MAX_FRAME_BYTES`); also the most
@@ -151,7 +175,7 @@ class PolicyServer:
         self._thread: Optional[threading.Thread] = None
         self._connections: set = set()
         self._closing = False
-        #: ``ACT`` frames decoded but not yet answered (``STATS`` mid-tick).
+        #: Action requests decoded but not yet answered (``STATS`` mid-tick).
         self._queued = 0
         self._started_at = time.monotonic()
 
@@ -285,13 +309,13 @@ class PolicyServer:
 
         order = [frame for rank in zip_longest(*inbound) for frame in rank
                  if frame is not None]
-        self._queued = sum(kind == protocol.ACT for _, kind, _ in order)
-        pending: Dict[str, List[Tuple[_Connection, int, Any]]] = {}
+        self._queued = sum(kind in _REQUEST_KINDS for _, kind, _ in order)
+        pending: Dict[str, List[_Block]] = {}
         act_seconds = 0.0
         designs = self._design_set()
         for conn, kind, payload in order:
-            if kind == protocol.ACT:
-                self._queue_act(conn, payload, designs, pending)
+            if kind in _REQUEST_KINDS:
+                self._queue(conn, kind, payload, designs, pending)
             else:
                 act_seconds += self._dispatch(pending, started)
                 conn.replies.append(self._answer(conn, kind, payload))
@@ -377,113 +401,127 @@ class PolicyServer:
         with self._policy_lock:
             return frozenset(self._policies)
 
-    def _queue_act(self, conn: _Connection, payload: Any, designs: frozenset,
-                   pending: Dict[str, List[Tuple[_Connection, int, Any]]]
-                   ) -> None:
-        """Queue one ``ACT`` on its design's group, or answer ERROR.
+    def _queue(self, conn: _Connection, kind: str, payload: Any,
+               designs: frozenset, pending: Dict[str, List[_Block]]) -> None:
+        """Queue one ``ACT`` or ``ACT_BATCH`` on its design's group as a
+        block of rows, or answer ERROR.
 
-        Only the payload's shape and its design are checked per frame; the
-        state is checked with the rest of its group in :meth:`_dispatch`.
+        Per frame, the payload's shape and its design are checked and its
+        rows become a float64 matrix (an ``ACT_BATCH``'s bytes without a
+        copy); the rows' width and values are checked in :meth:`_dispatch`.
         """
         try:
-            design, state = payload
+            if kind == protocol.ACT:
+                design, state = payload
+            else:
+                design, n_cols, state = payload
             design = str(design)
             if design not in designs:
                 raise KeyError(
                     f"unknown design {design!r}; serving {self.designs()}")
+            rows = (_state_row(state) if kind == protocol.ACT
+                    else _batch_matrix(n_cols, state))
         except Exception as error:  # noqa: BLE001 - any bad request -> ERROR
             self._errors.inc()
             self._queued -= 1
             conn.replies.append((protocol.ERROR, str(error)))
             return
-        pending.setdefault(design, []).append((conn, len(conn.replies), state))
+        pending.setdefault(design, []).append(
+            _Block(conn, len(conn.replies), rows, kind == protocol.ACT))
         conn.replies.append(None)
 
-    def _check_group(self, design: str, states: List[Any]
-                     ) -> Tuple[Sequence[Any], Dict[int, str]]:
-        """One design group's good rows, and the reason each bad row (by
-        index into ``states``) fails.
-
-        A group of good rows becomes one float64 matrix, checked for width
-        and finiteness once; any other group is checked row by row by
-        :func:`_check_rows`, which words each bad row's reason.
-        """
+    def _check_blocks(self, design: str, blocks: List[_Block]) -> List[_Block]:
+        """The blocks of one design group whose rows are all good; every
+        other block is answered ERROR (an ``ACT_BATCH``'s names its first
+        bad row)."""
         with self._policy_lock:
             expected = self._policies[design].n_states
-        try:
-            matrix = np.array(states, dtype=np.float64)
-        except Exception:  # noqa: BLE001 - any unbuildable group -> per row
-            return _check_rows(design, states, expected)
-        if (matrix.ndim == 2
-                and (expected is None or matrix.shape[1] == expected)
-                and np.isfinite(matrix).all()):
-            return matrix, {}
-        return _check_rows(design, states, expected)
+        kept = []
+        for block in blocks:
+            bad = _first_bad_row(design, block.rows, expected)
+            if bad is None:
+                kept.append(block)
+                continue
+            index, reason = bad
+            self._reply_error(block, reason if block.single
+                              else f"row {index}: {reason}")
+        return kept
 
-    def _dispatch(self, pending: Dict[str, List[Tuple[_Connection, int, Any]]],
+    def _reply_error(self, block: _Block, reason: str) -> None:
+        """Answer ``block`` ERROR, counting each of its rows as an error."""
+        block.conn.replies[block.slot] = (protocol.ERROR, reason)
+        self._errors.inc(len(block.rows))
+        self._queued -= 1
+
+    def _dispatch(self, pending: Dict[str, List[_Block]],
                   started: float) -> float:
-        """Answer the pending ``ACT`` frames: check each design group once,
-        then one ``act_batch`` per chunk of ``max_batch`` good rows (a
-        failure answers its chunk); returns the ``act_batch`` seconds."""
+        """Answer the pending requests: check each design group's blocks,
+        then run one ``act_batch`` per ``max_batch`` rows of the good blocks
+        laid end to end, and answer each block from its rows' actions (a
+        failed call fails every block with a row in it); returns the
+        ``act_batch`` seconds."""
         seconds = 0.0
-        for design, requests in pending.items():
-            rows, errors = self._check_group(
-                design, [state for _, _, state in requests])
-            if errors:
-                for index, reason in errors.items():
-                    conn, slot, _state = requests[index]
-                    conn.replies[slot] = (protocol.ERROR, reason)
-                self._errors.inc(len(errors))
-                self._queued -= len(errors)
-                requests = [request for index, request in enumerate(requests)
-                            if index not in errors]
-            self._requests.inc(len(requests))
-            for first in range(0, len(requests), self.max_batch):
-                chunk = requests[first:first + self.max_batch]
+        for design, blocks in pending.items():
+            blocks = self._check_blocks(design, blocks)
+            self._requests.inc(sum(len(block.rows) for block in blocks))
+            actions: List[int] = []
+            failed: List[Tuple[int, int, str]] = []
+            for pieces in _chunks(blocks, self.max_batch):
+                size = sum(len(piece) for piece in pieces)
                 # Read under the swap lock, so an in-process swap_policy from
                 # another thread lands between chunks, never inside one.
                 with self._policy_lock:
                     entry = self._policies[design]
                     agent = entry.agent
-                    entry.requests += len(chunk)
+                    entry.requests += size
                 began = time.perf_counter()
                 try:
-                    # A no-op view on a checked matrix; a stack of the rows
-                    # _check_rows passed (which may differ in width when the
-                    # design states none, failing only this chunk).
-                    states = np.asarray(rows[first:first + self.max_batch],
-                                        dtype=np.float64)
-                    actions = np.asarray(agent.act_batch(states, explore=False),
-                                         dtype=np.int64)
-                    if actions.shape != (len(chunk),):
+                    # Raises when the rows of a design that states no width
+                    # differ in width, failing only this chunk.
+                    states = (pieces[0] if len(pieces) == 1
+                              else np.concatenate(pieces))
+                    chunk = np.asarray(agent.act_batch(states, explore=False),
+                                       dtype=np.int64)
+                    if chunk.shape != (size,):
                         raise RuntimeError(
-                            f"act_batch returned shape {actions.shape}, "
-                            f"expected ({len(chunk)},)")
+                            f"act_batch returned shape {chunk.shape}, "
+                            f"expected ({size},)")
                 except Exception as error:  # noqa: BLE001 - forwarded to the chunk
                     _LOGGER.warning("batch dispatch failed", design=design,
-                                    size=len(chunk), error=repr(error))
-                    self._errors.inc(len(chunk))
-                    replies = [(protocol.ERROR, f"dispatch failed: {error}")] * len(chunk)
+                                    size=size, error=repr(error))
+                    failed.append((len(actions), len(actions) + size,
+                                   f"dispatch failed: {error}"))
+                    actions += [0] * size
                 else:
-                    self._batch_sizes.observe(len(chunk))
-                    replies = [(protocol.ACTION, action) for action in actions.tolist()]
+                    actions += chunk.tolist()
+                    self._batch_sizes.observe(size)
                     # Every row of the chunk has waited since its tick began.
                     self._latency.observe(time.perf_counter() - started,
-                                          count=len(chunk))
+                                          count=size)
                 seconds += time.perf_counter() - began
-                for (conn, slot, _state), reply in zip(chunk, replies):
-                    conn.replies[slot] = reply
-                self._queued -= len(chunk)
+            stop = 0
+            for block in blocks:
+                start, stop = stop, stop + len(block.rows)
+                reason = next((reason for low, high, reason in failed
+                               if low < stop and start < high), None)
+                if reason is not None:
+                    self._reply_error(block, reason)
+                    continue
+                block.conn.replies[block.slot] = (
+                    (protocol.ACTION, actions[start]) if block.single
+                    else (protocol.ACTIONS, actions[start:stop]))
+                self._queued -= 1
         pending.clear()
         return seconds
 
     def _answer(self, conn: _Connection, kind: str, payload: Any) -> Tuple[str, Any]:
-        """The reply to one non-``ACT`` frame."""
+        """The reply to one frame that is not an action request."""
         import repro
 
         if kind == protocol.HELLO:
             conn.client_id = str(payload)
             return protocol.WELCOME, {"serving": True, "stats": True,
+                                      "act_batch": True,
                                       "repro_version": repro.__version__,
                                       "designs": self.designs(),
                                       "max_batch": self.max_batch}
@@ -501,30 +539,62 @@ class PolicyServer:
         return protocol.ERROR, f"unknown frame kind {kind!r}"
 
 
-def _check_rows(design: str, states: List[Any], expected: Optional[int]
-                ) -> Tuple[List[np.ndarray], Dict[int, str]]:
-    """:meth:`PolicyServer._check_group` one row at a time, for a group
-    that is not all good rows of one matrix."""
-    rows: List[np.ndarray] = []
-    errors: Dict[int, str] = {}
-    for index, state in enumerate(states):
-        try:
-            row = np.asarray(state, dtype=np.float64)
-            if row.ndim != 1:
-                raise ValueError(
-                    f"state must be 1-D (one observation per ACT frame), "
-                    f"got shape {row.shape}")
-            if expected is not None and row.shape[0] != expected:
-                raise ValueError(
-                    f"design {design!r} expects {expected} state dims, "
-                    f"got {row.shape[0]}")
-            if not np.isfinite(row).all():
-                raise ValueError("state contains NaN or Inf values")
-        except Exception as error:  # noqa: BLE001 - any bad row -> ERROR
-            errors[index] = str(error)
-        else:
-            rows.append(row)
-    return rows, errors
+def _state_row(state: Any) -> np.ndarray:
+    """An ``ACT`` state as a ``(1, n)`` float64 block."""
+    row = np.asarray(state, dtype=np.float64)
+    if row.ndim != 1:
+        raise ValueError(
+            f"state must be 1-D (one observation per ACT frame), "
+            f"got shape {row.shape}")
+    return row[None]
+
+
+def _batch_matrix(n_cols: Any, rows: Any) -> np.ndarray:
+    """An ``ACT_BATCH``'s ``(B, n_cols)`` rows: a read-only view of its
+    bytes, so no float is parsed or copied (a chunk that is one block's
+    rows reaches ``act_batch`` as that view)."""
+    if type(n_cols) is not int or n_cols < 1:
+        raise ValueError(f"n_cols must be a positive int, got {n_cols!r}")
+    if type(rows) is not bytes:
+        raise TypeError(f"rows must be bytes, got {type(rows).__name__}")
+    if len(rows) % (8 * n_cols):
+        raise ValueError(f"{len(rows)} bytes of rows do not hold whole rows "
+                         f"of {n_cols} float64 values")
+    return np.frombuffer(rows, dtype="<f8").reshape(-1, n_cols)
+
+
+def _first_bad_row(design: str, rows: np.ndarray, expected: Optional[int]
+                   ) -> Optional[Tuple[int, str]]:
+    """The index of the first row of ``rows`` that cannot be served, and
+    why; ``None`` when every row is good."""
+    if not len(rows):
+        return None
+    if expected is not None and rows.shape[1] != expected:
+        return 0, (f"design {design!r} expects {expected} state dims, "
+                   f"got {rows.shape[1]}")
+    if np.isfinite(rows).all():
+        return None
+    return (int(np.isfinite(rows).all(axis=1).argmin()),
+            "state contains NaN or Inf values")
+
+
+def _chunks(blocks: List[_Block], max_batch: int) -> Iterator[List[np.ndarray]]:
+    """The rows of ``blocks`` laid end to end and cut into runs of at most
+    ``max_batch`` rows, each run as the list of its slices of the blocks."""
+    pieces: List[np.ndarray] = []
+    size = 0
+    for block in blocks:
+        rows = block.rows
+        while len(rows):
+            piece = rows[:max_batch - size]
+            pieces.append(piece)
+            size += len(piece)
+            rows = rows[len(piece):]
+            if size == max_batch:
+                yield pieces
+                pieces, size = [], 0
+    if pieces:
+        yield pieces
 
 
 __all__ = ["PolicyServer", "SERVING_MAX_FRAME_BYTES"]

@@ -11,11 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 # Allow running the tests from a source checkout without installation.
 _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+#: ``--hypothesis-profile ci-deep``: a deeper search for CI's serving
+#: contract step.  It deepens every property test that does not pin its own
+#: ``max_examples``; the tier-1 run keeps Hypothesis's default profile.
+settings.register_profile("ci-deep", max_examples=500)
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import Trainer, TrainingConfig, make_design
 from repro.distributed import protocol
@@ -367,8 +368,9 @@ class TestServerProtocol:
                 connection.sendall(struct.pack(">Q", len(garbage)) + garbage)
                 return
             protocol.send_message(connection, protocol.WELCOME,
-                                  {"serving": True, "designs": ["OS-ELM"]})
-            protocol.recv_message(connection)                   # ACT
+                                  {"serving": True, "act_batch": True,
+                                   "designs": ["OS-ELM"]})
+            protocol.recv_message(connection)                   # ACT_BATCH
             connection.sendall(struct.pack(">Q", len(garbage)) + garbage)
 
         peer = scripted_peer(server)
@@ -619,6 +621,134 @@ class TestWirePayloads:
         assert later == (protocol.ACTION, 4)
 
 
+def _batch(values, design="d", width=4):
+    """An ``ACT_BATCH`` frame of rows ``[value, 0, ...]``, one per value."""
+    rows = np.zeros((len(values), width))
+    rows[:, 0] = values
+    return protocol.ACT_BATCH, (design, width, rows.tobytes())
+
+
+@pytest.fixture(scope="module")
+def recording_raw_server():
+    agent = _RecordingAgent()
+    with PolicyServer({"d": agent}) as server:
+        raw = _RawClient(server)
+        yield agent, raw
+        raw.close()
+
+
+class TestWireBatchFrames:
+    @settings(deadline=None)
+    @given(rows=_rows)
+    def test_batch_and_single_rows_reach_act_batch_bit_exact(
+            self, recording_raw_server, rows):
+        """The same rows sent as one ``ACT_BATCH`` frame and as ``ACT``
+        frames reach ``act_batch`` with every bit intact."""
+        agent, raw = recording_raw_server
+        sent = np.array(rows, dtype=np.float64)
+        received = []
+        for frames in ([(protocol.ACT_BATCH, ("d", 4, sent.tobytes()))],
+                       [(protocol.ACT, ("d", row)) for row in rows]):
+            agent.seen.clear()
+            raw.send_many(frames)
+            replies = [raw.recv() for _ in frames]
+            assert all(kind in (protocol.ACTION, protocol.ACTIONS)
+                       for kind, _ in replies)
+            received.append(np.concatenate(agent.seen))
+        batched, single = received
+        assert batched.dtype == single.dtype == np.float64
+        assert batched.tobytes() == single.tobytes() == sent.tobytes()
+
+    @pytest.mark.parametrize("payload, reason", [
+        (("nope", 4, bytes(32)), "unknown design"),
+        (("d", 0, bytes(32)), "n_cols must be a positive int"),
+        (("d", -4, bytes(32)), "n_cols must be a positive int"),
+        (("d", 4.0, bytes(32)), "n_cols must be a positive int"),
+        (("d", "4", bytes(32)), "n_cols must be a positive int"),
+        (("d", True, bytes(8)), "n_cols must be a positive int"),
+        (("d", 4, bytes(33)), "do not hold whole rows"),
+        (("d", 4, [0.0] * 4), "rows must be bytes"),
+        (("d", 4, bytearray(32)), "rows must be bytes"),
+        (("d", 3, bytes(48)), "row 0: design 'd' expects 4 state dims, got 3"),
+        (("d", 4, np.array([[0.0] * 4, [1.0, np.nan, 0.0, 0.0]]).tobytes()),
+         "row 1: state contains NaN or Inf values"),
+        (("d", 4), "not enough values to unpack"),
+    ])
+    def test_malformed_batch_gets_one_error_and_others_are_served(
+            self, payload, reason):
+        echo = _EchoAgent()
+        with PolicyServer({"d": echo}) as server:
+            raw = _RawClient(server)
+            raw.send_many([_batch([1, 2]), (protocol.ACT_BATCH, payload),
+                           _batch([3])])
+            assert raw.recv() == (protocol.ACTIONS, [1, 2])
+            kind, message = raw.recv()
+            assert kind == protocol.ERROR and reason in message
+            assert raw.recv() == (protocol.ACTIONS, [3])
+            raw.close()
+            with PolicyClient(*server.address) as other:
+                assert other.act([4.0, 0.0, 0.0, 0.0]) == 4
+        assert echo.batches == [[1, 2, 3], [4]]
+
+    def test_act_and_act_batch_interleave_in_fifo_order(self):
+        echo = _EchoAgent()
+        with PolicyServer({"d": echo}, max_batch=4) as server:
+            raw = _RawClient(server)
+            raw.send_many([_act(0), _batch([1, 2, 3]), _act(4), _batch([]),
+                           _batch([5, 6]), _act(7)])
+            assert [raw.recv() for _ in range(6)] == [
+                (protocol.ACTION, 0), (protocol.ACTIONS, [1, 2, 3]),
+                (protocol.ACTION, 4), (protocol.ACTIONS, []),
+                (protocol.ACTIONS, [5, 6]), (protocol.ACTION, 7)]
+            raw.close()
+        # The blocks are laid end to end, then cut per max_batch rows.
+        assert echo.batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+    def test_a_failed_chunk_fails_each_block_with_a_row_in_it(self):
+        with PolicyServer({"d": _EchoAgent(fail_on=5)}, max_batch=4) as server:
+            raw = _RawClient(server)
+            # Chunks [0, 1, 2, 3], [4, 5, 6, 7] (fails) and [8, 9].
+            raw.send_many([_batch([0, 1, 2]), _batch([3, 4, 5]), _act(6),
+                           _act(7), _batch([8, 9])])
+            assert raw.recv() == (protocol.ACTIONS, [0, 1, 2])
+            failure = (protocol.ERROR, "dispatch failed: model exploded")
+            assert [raw.recv() for _ in range(3)] == [failure] * 3
+            assert raw.recv() == (protocol.ACTIONS, [8, 9])
+            raw.send(protocol.STATS)
+            _kind, stats = raw.recv()
+            raw.close()
+        assert stats["metrics"]["counters"]["serving.errors"] == 5
+
+    def test_swap_between_batches_answers_the_first_with_old_weights(
+            self, agents):
+        old = agents["OS-ELM"]
+        new = make_design("OS-ELM", n_hidden=8, seed=321)
+        states = _probe_states(old, 8, seed=4)
+        with PolicyServer({"OS-ELM": _clone(old)}) as server:
+            raw = _RawClient(server)
+            raw.send_many([
+                (protocol.ACT_BATCH, ("OS-ELM", 4, states[:4].tobytes())),
+                (protocol.SWAP, ("OS-ELM", pickle.dumps(new))),
+                (protocol.ACT_BATCH, ("OS-ELM", 4, states[4:].tobytes()))])
+            assert raw.recv() == (protocol.ACTIONS,
+                                  _offline_greedy(old, states[:4]).tolist())
+            assert raw.recv() == (protocol.SWAPPED,
+                                  {"design": "OS-ELM", "generation": 1})
+            assert raw.recv() == (protocol.ACTIONS,
+                                  _offline_greedy(new, states[4:]).tolist())
+            raw.close()
+
+    def test_requests_and_errors_count_rows(self):
+        with PolicyServer({"d": _EchoAgent()}, max_batch=4) as server:
+            with PolicyClient(*server.address) as client:
+                client.act_many(np.zeros((12, 4)))
+                with pytest.raises(ServingError, match="row 2: state contains"):
+                    client.act_many([[0.0] * 4, [0.0] * 4, [np.inf] + [0.0] * 3])
+                counters = client.stats()["metrics"]["counters"]
+        assert counters["serving.requests"] == 12
+        assert counters["serving.errors"] == 3
+
+
 # ------------------------------------------------------------------ client I/O
 class _CountingSocket:
     """A socket proxy counting ``sendall`` calls."""
@@ -668,8 +798,9 @@ class TestClientIO:
         def server(connection):
             protocol.recv_message(connection)                   # HELLO
             protocol.send_message(connection, protocol.WELCOME,
-                                  {"serving": True, "designs": ["d"]})
-            protocol.recv_message(connection)                   # ACT
+                                  {"serving": True, "act_batch": True,
+                                   "designs": ["d"]})
+            protocol.recv_message(connection)                   # ACT_BATCH
             connection.sendall(struct.pack(">Q", 1 << 40) + b"x" * 1024)
             connection.recv(1)              # hold the line until the client hangs up
 
@@ -681,6 +812,81 @@ class TestClientIO:
             assert not caught.value.transient
             assert time.perf_counter() - began < 10.0
             assert len(client._inbox) <= 8 + 1024
+
+
+class _RecordingSocket(_CountingSocket):
+    """A :class:`_CountingSocket` that also keeps every byte it sends."""
+
+    def __init__(self, sock):
+        super().__init__(sock)
+        self.sent = bytearray()
+
+    def sendall(self, data):
+        self.sent += data
+        super().sendall(data)
+
+
+def _recording_connect(sockets):
+    def connect(host, port, timeout):
+        sockets.append(_RecordingSocket(
+            socket.create_connection((host, port), timeout=timeout)))
+        return sockets[-1]
+    return connect
+
+
+class TestClientBatchFrames:
+    def test_client_sends_one_act_batch_per_call_and_never_act(self):
+        sockets = []
+        with PolicyServer({"d": _EchoAgent()}) as server:
+            with PolicyClient(*server.address,
+                              connect_factory=_recording_connect(sockets)) as client:
+                assert client.act([3.0, 0.0, 0.0, 0.0]) == 3
+                np.testing.assert_array_equal(
+                    client.act_many(np.eye(4) * 2.0), [2, 0, 0, 0])
+        frames = list(protocol.read_frames(sockets[0].sent,
+                                           max_frame_bytes=1 << 20))
+        assert [kind for kind, _ in frames] == [protocol.HELLO,
+                                                protocol.ACT_BATCH,
+                                                protocol.ACT_BATCH]
+        design, n_cols, rows = frames[2][1]
+        assert (design, n_cols, rows) == ("d", 4, (np.eye(4) * 2.0).tobytes())
+
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 4)), ()])
+    def test_act_many_on_no_rows_does_no_io(self, empty):
+        sockets = []
+        with PolicyServer({"d": _EchoAgent()}) as server:
+            with PolicyClient(*server.address,
+                              connect_factory=_recording_connect(sockets)) as client:
+                sockets[0].sendalls = 0
+                actions = client.act_many(empty)
+                assert sockets[0].sendalls == 0
+                assert actions.dtype == np.int64 and actions.shape == (0,)
+                assert client.stats()["metrics"]["counters"]["serving.errors"] == 0
+
+    def test_server_without_act_batch_is_refused_at_connect(self, scripted_peer):
+        def server(connection):
+            protocol.recv_message(connection)                   # HELLO
+            protocol.send_message(connection, protocol.WELCOME,
+                                  {"serving": True, "designs": ["d"]})
+
+        peer = scripted_peer(server)
+        with pytest.raises(ServingError, match="ACT_BATCH") as caught:
+            PolicyClient(*peer.address, timeout=5.0)
+        assert not caught.value.transient
+
+    def test_short_actions_reply_is_an_error(self, scripted_peer):
+        def server(connection):
+            protocol.recv_message(connection)                   # HELLO
+            protocol.send_message(connection, protocol.WELCOME,
+                                  {"serving": True, "act_batch": True,
+                                   "designs": ["d"]})
+            protocol.recv_message(connection)                   # ACT_BATCH
+            protocol.send_message(connection, protocol.ACTIONS, [0])
+
+        peer = scripted_peer(server)
+        with PolicyClient(*peer.address, timeout=5.0) as client:
+            with pytest.raises(ServingError, match="2 rows"):
+                client.act_many(np.zeros((2, 4)))
 
 
 # ------------------------------------------------------------------ byte identity
@@ -718,6 +924,32 @@ class TestByteIdentity:
                 assert info["generation"] == 1
                 np.testing.assert_array_equal(client.act_many(states),
                                               _offline_greedy(fresh, states))
+
+
+#: Heavy-tailed observations: ordinary floats, the edge values above and
+#: magnitudes up to 1e16, where a differently blocked matmul rounds apart.
+_heavy_rows = st.integers(1, 64).flatmap(lambda n: hnp.arrays(
+    np.float64, (n, 4), elements=st.one_of(
+        st.floats(-1e16, 1e16), st.sampled_from(_EDGE_FLOATS[:4]),
+        st.integers(-10 ** 16, 10 ** 16).map(float))))
+
+
+class TestBatchQValueIdentity:
+    """A batch of states is evaluated state by state: batched Q-values are
+    bit for bit the single-state ones, so served == offline greedy holds
+    for any rows a server groups together."""
+
+    @settings(deadline=None)
+    @given(design=st.sampled_from(["ELM", "OS-ELM"]), states=_heavy_rows)
+    def test_batched_q_values_equal_single_state_bits(self, agents, design,
+                                                      states):
+        agent = agents[design]
+        q = agent.q_online
+        batched = q.q_values(states)
+        for i, state in enumerate(states):
+            assert batched[i].tobytes() == q.q_values(state).tobytes()
+        np.testing.assert_array_equal(agent.act_batch(states, explore=False),
+                                      _offline_greedy(agent, states))
 
 
 # ------------------------------------------------------------------ weight pushes
