@@ -210,7 +210,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.distributed import WorkerOptions, parse_address, run_worker
+    from repro.parallel.pool import limit_blas_threads
     from repro.utils.retry import RetryPolicy
+
+    limit_blas_threads()    # this process is one lane of a fleet
 
     host, port = parse_address(args.connect)
     reconnect = None

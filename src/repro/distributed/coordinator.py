@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.distributed.broker import SweepBroker
 from repro.distributed.protocol import parse_address
 from repro.distributed.worker import WorkerOptions, run_worker
-from repro.parallel.pool import default_max_workers
+from repro.parallel.pool import default_max_workers, limit_blas_threads
 from repro.parallel.sweep import SweepTask
 from repro.training.records import TrainingResult
 from repro.utils.logging import get_logger
@@ -41,7 +41,11 @@ DEFAULT_HEARTBEAT_TIMEOUT = 30.0
 
 def _local_worker_main(host: str, port: int, worker_id: str,
                        heartbeat_interval: float) -> None:
-    """Module-level target so worker processes start under fork *and* spawn."""
+    """Module-level target so worker processes start under fork *and* spawn.
+
+    Each worker is one lane of the fleet, so it runs BLAS on one thread.
+    """
+    limit_blas_threads()
     run_worker(host, port, WorkerOptions(worker_id=worker_id,
                                          heartbeat_interval=heartbeat_interval))
 

@@ -61,6 +61,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.distributed import protocol
+from repro.parallel.pool import blas_threads
 from repro.parallel.sweep import SweepTask, execute_tasks
 from repro.training.records import TrainingResult
 from repro.utils.logging import get_logger
@@ -235,8 +236,10 @@ def run_worker(host: str, port: int,
                 signal.signal(signum, previous)
             except (ValueError, OSError, TypeError):  # pragma: no cover
                 pass
+    # After training, so scipy's BLAS is loaded and the count is the live one.
     _LOGGER.info("worker exiting", worker=worker_id,
-                 completed=state.completed, reconnects=state.reconnects)
+                 completed=state.completed, reconnects=state.reconnects,
+                 blas_threads=blas_threads())
     return state.completed
 
 

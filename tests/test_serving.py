@@ -525,7 +525,7 @@ def oselm_server(agents):
 
 
 class TestWirePayloads:
-    @settings(max_examples=50, deadline=None)
+    @settings(deadline=None)
     @given(rows=_rows)
     def test_list_payloads_reach_act_batch_bit_exact(self, recording_server,
                                                      rows):
@@ -540,7 +540,7 @@ class TestWirePayloads:
     # Rows near the float64 range overflow inside the network, in the
     # server thread as much as offline; the actions must still agree.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @settings(max_examples=50, deadline=None)
+    @settings(deadline=None)
     @given(rows=_rows)
     def test_served_equals_offline_on_edge_floats(self, oselm_server, rows):
         agent, client = oselm_server
