@@ -48,9 +48,10 @@ Subcommands
     in a single command.
 ``repro serve <name|spec.json> [--ci] [--store DIR] [--bind HOST:PORT]``
     Host the spec's trained policies (written by ``repro run
-    --save-policy``) as an online action service: ``ACT`` requests are
-    batched onto the vectorized greedy predict path (each dispatch takes
-    whatever is queued, up to ``--max-batch``), weights hot-swap via ``SWAP``
+    --save-policy``) as an online action service: the rows of the
+    ``ACT_BATCH`` requests one loop tick reads are batched onto the
+    vectorized greedy predict path (at most ``--max-batch`` rows per
+    call), weights hot-swap via ``SWAP``
     frames from a live trainer, and a ``STATS`` frame reports request
     counters plus p50/p90/p99 latency.  A bad launch (occupied port,
     unreadable store, missing policy) exits 2 with one aggregated
@@ -555,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: all of them)")
     server.add_argument("--max-batch", type=int, default=8, metavar="N",
                         help="batch size: one act_batch call takes at most "
-                             "N of the requests one loop tick read for a "
+                             "N of the rows one loop tick read for a "
                              "design; none waits for a batch to fill "
                              "(default 8)")
     server.add_argument("--max-seconds", type=float, default=0.0, metavar="S",

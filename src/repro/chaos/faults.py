@@ -197,10 +197,10 @@ class FaultyConnectionError(ConnectionError):
 class FaultySocket:
     """A socket proxy that executes one connection's fault schedule.
 
-    Implements exactly the surface :mod:`repro.distributed.protocol` uses
-    (``sendall``/``recv``/``settimeout``/``close`` + context manager) and
-    forwards everything else to the wrapped socket.  "Frames" are
-    ``sendall`` calls: :func:`~repro.distributed.protocol.send_message`
+    Implements exactly the surface :mod:`repro.distributed.protocol` and
+    the broker use (``sendall``/``recv``/``settimeout``/``close``/
+    ``shutdown`` + context manager).  "Frames" are ``sendall`` calls:
+    :func:`~repro.distributed.protocol.send_message`
     writes each frame with a single ``sendall``, so outbound frame counts
     are exact.  :meth:`~repro.serving.PolicyClient.act_many` writes one
     ``ACT_BATCH`` frame per call, so there too one "frame" is one call.
@@ -262,6 +262,9 @@ class FaultySocket:
 
     def close(self) -> None:
         self._sock.close()
+
+    def shutdown(self, how: int) -> None:
+        self._sock.shutdown(how)
 
     def fileno(self) -> int:
         return self._sock.fileno()

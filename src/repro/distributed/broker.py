@@ -103,17 +103,11 @@ class SweepBroker:
         workers))``, and a non-batchable head (key ``None``) leases alone;
         the default ``None`` applies the share uncapped.  Without a
         ``fleet_size`` there is no share: a lease holds up to
-        ``lease_batch`` tasks, or 1 by default.  A lease of more than one
-        is one ``TASKS`` frame, otherwise a classic ``TASK`` frame.
-        Leases, heartbeat extension, requeue-on-death and result dedup are
-        per *task* either way — a worker dying mid-batch requeues only its
-        unfinished tasks.
-
-        Batching is *negotiated per worker*: a ``GET`` frame's payload
-        advertises how many tasks the sender can accept (pre-1.4 workers
-        send ``None``), which caps that worker's leases too — so a mixed
-        fleet of old and new workers serves one batching broker safely,
-        old workers simply receiving classic ``TASK`` frames.
+        ``lease_batch`` tasks, or 1 by default.  Every lease is one
+        ``TASKS`` frame, capped further by the capacity the worker's
+        ``GET`` names.  Leases, heartbeat extension, requeue-on-death and
+        result dedup are per *task* — a worker dying mid-batch requeues
+        only its unfinished tasks.
     fleet_size:
         Workers the coordinator spawned for a fixed fleet (the share's
         denominator, see ``lease_batch``).  Counting spawned rather than
@@ -186,12 +180,12 @@ class SweepBroker:
         self.wait_replies = 0
         self.leases_issued = 0
         self.tasks_leased = 0
-        #: Crash-safety accounting (1.8+): results restored from the journal
+        #: Crash-safety accounting: results restored from the journal
         #: at construction, and HELLOs from worker ids the broker already
         #: knew (a worker that reconnected instead of dying).
         self.journal_replayed_results = 0
         self.worker_reconnections = 0
-        #: Drain accounting (1.7+): how many workers were marked for drain,
+        #: Drain accounting: how many workers were marked for drain,
         #: how many closed their connection with no live lease (a *graceful*
         #: drain), and how many tasks had to be requeued from a draining
         #: worker anyway (dying mid-drain) — the elastic-fleet contract is
@@ -202,20 +196,22 @@ class SweepBroker:
         #: Seconds each completed drain took (marked -> clean disconnect).
         self.drain_durations: List[float] = []
         self.workers_seen: Set[str] = set()
-        #: Currently connected worker connections (registered or not) — lets
-        #: the coordinator distinguish "fleet crashed" from "externals serving".
-        self.active_connections = 0
         #: Per-worker liveness/accounting behind the STATS channel:
-        #: ``worker_id -> {connected, last_seen (monotonic), completed}``.
+        #: ``worker_id -> {connected, last_seen (monotonic), completed,
+        #: connection (its latest socket)}``.
         #: Observer connections (``repro fleet status``) never appear here.
         self._workers: Dict[str, Dict[str, object]] = {}
         #: Workers marked for drain: ``worker_id -> monotonic mark time``.
-        #: Marked workers get a ``DRAIN`` reply to their next ``GET`` (if
-        #: they negotiated the capability) instead of new leases.
+        #: Marked workers get a ``DRAIN`` reply to their next ``GET``
+        #: instead of new leases.
         self._draining: Dict[str, float] = {}
 
         self._server: Optional[socket.socket] = None
+        #: The accept and monitor threads, plus one per live connection
+        #: (finished ones are pruned at each accept).
         self._threads: List[threading.Thread] = []
+        #: Every open connection's socket, so :meth:`close` can shut it.
+        self._connections: Set[socket.socket] = set()
         self._closing = threading.Event()
 
         #: ``task index -> journal key`` (the store's content address);
@@ -291,6 +287,12 @@ class SweepBroker:
         return self._server.getsockname()[:2]
 
     @property
+    def active_connections(self) -> int:
+        """Open connections (registered or not) — lets the coordinator
+        tell "fleet crashed" from "externals serving"."""
+        return len(self._connections)
+
+    @property
     def completed_count(self) -> int:
         with self._lock:
             return len(self._results)
@@ -310,13 +312,22 @@ class SweepBroker:
 
     def close(self) -> None:
         """Stop accepting, drop connections, release the port (idempotent)."""
-        self._closing.set()
+        with self._lock:
+            self._closing.set()
+            sockets = list(self._connections)
+            threads = list(self._threads)
         if self._server is not None:
+            sockets.append(self._server)
+        for sock in sockets:
             try:
-                self._server.close()
-            except OSError:  # pragma: no cover - already closed
+                # Wakes the thread blocked in this socket's accept or recv;
+                # a peer sees EOF.
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed or never connected
                 pass
-        for thread in self._threads:
+        if self._server is not None:
+            self._server.close()
+        for thread in threads:
             thread.join(timeout=2.0)
         if self.journal is not None:
             self.journal.close()
@@ -341,8 +352,14 @@ class SweepBroker:
             thread = threading.Thread(target=self._serve_worker,
                                       args=(connection,), daemon=True,
                                       name="broker-conn")
-            thread.start()
-            self._threads.append(thread)
+            with self._lock:
+                if self._closing.is_set():
+                    connection.close()
+                    return
+                self._connections.add(connection)
+                self._threads = [t for t in self._threads if t.is_alive()]
+                self._threads.append(thread)
+                thread.start()   # under the lock: close() joins started threads
 
     def _monitor_loop(self) -> None:
         """Requeue tasks whose lease deadline passed (hung/silent workers)."""
@@ -374,124 +391,113 @@ class SweepBroker:
 
     # ------------------------------------------------------------------ protocol
     def _serve_worker(self, connection: socket.socket) -> None:
-        """Per-connection loop: answer GET/RESULT, absorb heartbeats."""
+        """Per-connection loop: the handshake, then one reply per frame.
+
+        A malformed frame drops this connection alone, with a warning.
+        """
         worker_id = "<unregistered>"
-        is_observer = False
         held: Set[int] = set()          # leases owned by this connection
-        # Whether this connection negotiated the DRAIN capability (a 1.7+
-        # worker upgrades its GET payload to a dict after seeing our
-        # "drain" WELCOME flag); only such connections ever receive a
-        # DRAIN frame — a legacy worker marked for drain keeps being
-        # served normally and is retired by its supervisor via SIGTERM.
-        conn_state = {"drain_capable": False}
-        with self._lock:
-            self.active_connections += 1
         try:
             with connection:
+                worker_id = self._handshake(connection)
                 while not self._closing.is_set():
-                    try:
-                        kind, payload = protocol.recv_message(
-                            connection, max_frame_bytes=self.max_frame_bytes)
-                    except (ConnectionError, OSError):
-                        break
-                    if kind == protocol.HELLO:
-                        worker_id = str(payload)
-                        is_observer = worker_id.startswith(
-                            protocol.OBSERVER_PREFIX)
-                        if not is_observer:
-                            reconnected = False
-                            with self._lock:
-                                known = worker_id in self.workers_seen
-                                self.workers_seen.add(worker_id)
-                                info = self._workers.get(worker_id)
-                                if info is None:
-                                    self._workers[worker_id] = {
-                                        "connected": True,
-                                        "last_seen": time.monotonic(),
-                                        "completed": 0,
-                                    }
-                                else:
-                                    # A worker we already know re-HELLOed:
-                                    # it reconnected after an outage.  Keep
-                                    # its completed count so fleet stats
-                                    # reconcile across the gap.
-                                    info["connected"] = True
-                                    info["last_seen"] = time.monotonic()
-                                if known:
-                                    self.worker_reconnections += 1
-                                    reconnected = True
-                            if reconnected:
-                                _LOGGER.info("worker reconnected",
-                                             worker=worker_id)
-                        # "stats"/"drain": True advertise the respective
-                        # channels; pre-1.5 workers only read info["tasks"]
-                        # and ignore the rest.
-                        protocol.send_message(connection, protocol.WELCOME,
-                                              {"tasks": len(self.tasks),
-                                               "stats": True,
-                                               "drain": True})
-                        continue
-                    if not is_observer and worker_id in self._workers:
-                        self._workers[worker_id]["last_seen"] = time.monotonic()
-                    if kind == protocol.HEARTBEAT:
-                        self._extend_leases(held)
-                    elif kind == protocol.GET:
-                        self._handle_get(connection, worker_id, held, payload,
-                                         conn_state)
-                    elif kind == protocol.RESULT:
-                        self._handle_result(connection, payload, held, worker_id)
-                    elif kind == protocol.STATS:
-                        protocol.send_message(connection, protocol.STATS,
-                                              self.stats_snapshot())
-                    elif kind == protocol.DRAIN:
-                        if isinstance(payload, (list, tuple, set)):
-                            # Control form (observer/autoscaler): mark the
-                            # listed workers for retirement and report back.
-                            info = self.mark_draining(list(payload))
-                            protocol.send_message(connection, protocol.DRAIN,
-                                                  info)
-                        else:
-                            # A worker announcing a self-initiated drain
-                            # (SIGTERM landed): unsolicited, no reply — the
-                            # worker may disconnect right after sending it.
-                            self.mark_draining([worker_id])
-                    else:
-                        raise protocol.ProtocolError(
-                            f"unexpected frame {kind!r} from worker")
+                    kind, payload = protocol.recv_message(
+                        connection, max_frame_bytes=self.max_frame_bytes)
+                    self._handle(connection, worker_id, held, kind, payload)
+        except protocol.ProtocolError as error:
+            _LOGGER.warning("bad frame; connection dropped", worker=worker_id,
+                            error=str(error))
+        except OSError:     # the peer hung up, or close() shut the socket
+            pass
         finally:
             with self._lock:
-                self.active_connections -= 1
+                self._connections.discard(connection)
                 info = self._workers.get(worker_id)
-                if info is not None:
+                # A worker that already reconnected stays connected.
+                if info is not None and info["connection"] is connection:
                     info["connected"] = False
             requeued = self._requeue_held(held, worker_id)
             self._finish_drain(worker_id, requeued)
 
+    def _handshake(self, connection: socket.socket) -> str:
+        """Read the ``HELLO``, register the sender and ``WELCOME`` it.
+
+        Any other first frame is answered ``ERROR`` and raises
+        :class:`~repro.distributed.protocol.ProtocolError`.
+        """
+        kind, payload = protocol.recv_message(
+            connection, max_frame_bytes=self.max_frame_bytes)
+        try:
+            if kind != protocol.HELLO:
+                raise protocol.ProtocolError(f"expected HELLO, got {kind!r}")
+            worker_id = protocol.check_hello(payload)
+        except protocol.ProtocolError as error:
+            protocol.send_message(connection, protocol.ERROR, str(error))
+            raise
+        if not worker_id.startswith(protocol.OBSERVER_PREFIX):
+            with self._lock:
+                known = worker_id in self.workers_seen
+                self.workers_seen.add(worker_id)
+                # A known id re-HELLOed: the worker reconnected after an
+                # outage.  Its completed count carries over, so fleet stats
+                # reconcile across the gap.
+                info = self._workers.setdefault(worker_id, {"completed": 0})
+                info.update(connected=True, last_seen=time.monotonic(),
+                            connection=connection)
+                if known:
+                    self.worker_reconnections += 1
+            if known:
+                _LOGGER.info("worker reconnected", worker=worker_id)
+        protocol.send_message(connection, protocol.WELCOME,
+                              protocol.welcome_info("broker",
+                                                    tasks=len(self.tasks)))
+        return worker_id
+
+    def _handle(self, connection: socket.socket, worker_id: str,
+                held: Set[int], kind: str, payload: object) -> None:
+        """Answer one frame after the handshake."""
+        info = self._workers.get(worker_id)     # None for an observer
+        if info is not None:
+            info["last_seen"] = time.monotonic()
+        if kind == protocol.HEARTBEAT:
+            self._extend_leases(held)
+        elif kind == protocol.GET:
+            self._handle_get(connection, worker_id, held, payload)
+        elif kind == protocol.RESULT:
+            self._handle_result(connection, payload, held, worker_id)
+        elif kind == protocol.STATS:
+            protocol.send_message(connection, protocol.STATS,
+                                  self.stats_snapshot())
+        elif kind == protocol.DRAIN and payload is None:
+            # A worker announcing a self-initiated drain (SIGTERM landed):
+            # unsolicited, no reply — it may disconnect right after.
+            self.mark_draining([worker_id])
+        elif kind == protocol.DRAIN and isinstance(payload, (list, tuple)):
+            # Control form (observer/autoscaler): mark the listed workers
+            # for retirement and report back.
+            protocol.send_message(connection, protocol.DRAIN,
+                                  self.mark_draining(payload))
+        else:
+            raise protocol.ProtocolError(
+                f"unexpected {kind!r} frame carrying {type(payload).__name__}")
+
     def _handle_get(self, connection: socket.socket, worker_id: str,
-                    held: Set[int], capacity: object = None,
-                    conn_state: Optional[Dict[str, bool]] = None) -> None:
-        # `capacity` is the worker's advertised max lease batch.  Pre-1.4
-        # workers send GET with a None payload and can only parse TASK
-        # frames, so they cap the lease at 1 regardless of lease_batch.
-        # 1.7+ workers that saw our "drain" WELCOME flag send a capability
-        # dict {"capacity": k, "drain": True} instead of the bare integer.
-        if isinstance(capacity, dict):
-            if conn_state is not None and capacity.get("drain"):
-                conn_state["drain_capable"] = True
-            capacity = capacity.get("capacity")
-        advertised = capacity if isinstance(capacity, int) and capacity >= 1 else 1
-        drain_capable = bool(conn_state and conn_state.get("drain_capable"))
+                    held: Set[int], capacity: object) -> None:
+        # `capacity` caps the lease: the most tasks the worker will take.
+        if type(capacity) is not int or capacity < 1:
+            raise protocol.ProtocolError(
+                f"GET capacity must be an int >= 1, got {capacity!r}")
         leased: List[Tuple[int, SweepTask]] = []
         with self._lock:
             if len(self._results) == len(self.tasks):
                 reply = (protocol.SHUTDOWN, None)
-            elif drain_capable and worker_id in self._draining:
+            elif worker_id in self._draining:
                 # Marked for retirement: no new leases.  The worker delivered
                 # every in-flight result before this GET (batch boundary), so
                 # it disconnects holding nothing — a graceful drain.
                 reply = (protocol.DRAIN, None)
             elif self._pending:
-                limit = min(self._lease_limit(), advertised)
+                limit = min(self._lease_limit(), capacity)
                 now = time.monotonic()
                 deadline = now + self.heartbeat_timeout
                 for index in self._take_pending(limit):
@@ -501,10 +507,7 @@ class SweepBroker:
                     leased.append((index, self.tasks[index]))
                 self.leases_issued += 1
                 self.tasks_leased += len(leased)
-                if limit == 1:
-                    reply = (protocol.TASK, leased[0])
-                else:
-                    reply = (protocol.TASKS, leased)
+                reply = (protocol.TASKS, leased)
             else:
                 reply = (protocol.WAIT, WAIT_HINT_SECONDS)
                 self.wait_replies += 1
@@ -544,14 +547,18 @@ class SweepBroker:
         self._pending = kept
         return taken
 
-    def _handle_result(self, connection: socket.socket, payload, held: Set[int],
-                       worker_id: str = "<unregistered>") -> None:
+    def _handle_result(self, connection: socket.socket, payload: object,
+                       held: Set[int], worker_id: str) -> None:
+        if not (isinstance(payload, tuple) and len(payload) == 3):
+            raise protocol.ProtocolError(
+                "RESULT must carry (index, result, backend), got "
+                f"{type(payload).__name__}")
         index, result, backend_used = payload
+        if type(index) is not int or not 0 <= index < len(self.tasks):
+            raise protocol.ProtocolError(f"result for unknown task {index!r}")
         fresh = False
         task: Optional[SweepTask] = None
         with self._lock:
-            if not (0 <= index < len(self.tasks)):
-                raise protocol.ProtocolError(f"result for unknown task {index}")
             lease = self._leases.get(index)
             if lease is not None and lease.owner is held:
                 del self._leases[index]       # never someone else's re-issued lease
@@ -595,8 +602,7 @@ class SweepBroker:
         """Mark workers for graceful retirement; returns what happened.
 
         A marked worker stops receiving leases: its next ``GET`` is answered
-        with a ``DRAIN`` frame (if it negotiated the capability) and it
-        disconnects once its in-flight results are delivered.  Ids that are
+        with a ``DRAIN`` frame and it disconnects once its in-flight results are delivered.  Ids that are
         unknown, already draining, or belong to an already-disconnected
         worker are reported rather than silently dropped, so the autoscaler
         can tell a drain that will happen from one that cannot.

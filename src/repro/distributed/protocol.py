@@ -1,148 +1,58 @@
-"""Wire protocol of the distributed sweep backend: framed pickle messages.
+"""Wire protocol of the sweep broker and the policy server: framed pickles.
 
-The broker and its workers exchange Python objects over a TCP stream as
-length-prefixed pickle frames — an 8-byte big-endian payload size followed
-by the pickled message.  Every message is a ``(kind, payload)`` tuple with
-``kind`` one of the module constants below; keeping the frame format this
-small means the protocol needs no third-party dependency and any object the
-sweep already pickles for the process backend (``SweepTask``,
-``TrainingResult``) travels unchanged.
+Peers exchange Python objects over a TCP stream as length-prefixed pickle
+frames — an 8-byte big-endian payload size followed by the pickled
+message.  Every message is a ``(kind, payload)`` tuple with ``kind`` one of
+the module constants below; keeping the frame format this small means the
+protocol needs no third-party dependency and any object the sweep already
+pickles for the process backend (``SweepTask``, ``TrainingResult``)
+travels unchanged.
 
-Message flow
-------------
-The conversation is strictly client-driven: the broker only ever writes in
-*response* to a worker frame, so the worker can interleave unsolicited
-``HEARTBEAT`` frames (which get no reply) from a background thread without
-desynchronizing the request/response pairing.
+There is one wire version, :data:`WIRE_VERSION`.  Every connection opens
+with ``HELLO``; a daemon answers ``WELCOME`` naming the wire version, its
+role (``"broker"`` or ``"serving"``) and, from a broker, the sweep size
+(``tasks``) or, from a server, its ``designs`` and ``max_batch``.  Any
+other ``HELLO`` (a bare id string, another wire version) gets ``ERROR``
+and a closed connection.  Daemons only ever write in reply to a client
+frame, so a worker can send ``HEARTBEAT`` frames (which get no reply) from
+a background thread without desynchronizing the request/response pairing.
 
-===================  =======================  ================================
-worker sends          broker replies           meaning
-===================  =======================  ================================
-``(HELLO, worker_id)``  ``(WELCOME, info)``     registration; ``info`` carries
-                                                the sweep size
-``(GET, capacity)``     ``(TASK, (idx, task))``  a leased task to execute.
-                                                 ``capacity`` advertises the
-                                                 worker's max lease batch
-                                                 (pre-1.4 workers send
-                                                 ``None`` = 1; brokers
-                                                 ignore unknown payloads)
-..                      ``(TASKS, [(idx, task), ...])``  a *batch* of leased
-                                                 tasks sharing one lock-step
-                                                 key, at most the worker's
-                                                 capacity (see
-                                                 ``SweepBroker``) — sent
-                                                 only to workers that
-                                                 advertised capacity > 1
-..                      ``(WAIT, seconds)``      nothing free right now — every
-                                                 remaining task is leased to
-                                                 another worker; poll again
-..                      ``(SHUTDOWN, None)``     all tasks complete, disconnect
-``(RESULT, (idx, result, backend))``  ``(ACK, fresh)``  result received;
-                                                 ``fresh`` is False for a
-                                                 duplicate delivery
-``(HEARTBEAT, None)``   *(no reply)*             lease keep-alive mid-trial
-``(STATS, None)``       ``(STATS, snapshot)``    fleet observability snapshot
-                                                 (tasks queued/leased/done,
-                                                 per-worker liveness, counters)
-``(DRAIN, None)``       *(no reply)*             worker announces it is
-                                                 draining itself (SIGTERM):
-                                                 it will deliver its in-flight
-                                                 results and disconnect
-..                      ``(DRAIN, None)``        broker's reply to ``GET``
-                                                 from a worker marked for
-                                                 retirement: deliver nothing
-                                                 more, disconnect gracefully
-``(DRAIN, [ids])``      ``(DRAIN, info)``        control request (observer/
-                                                 autoscaler): mark workers
-                                                 for drain; ``info`` lists
-                                                 ``marked``/``unknown`` ids
-===================  =======================  ================================
+====================================  ==========================  ============================
+client sends                          daemon replies              meaning
+====================================  ==========================  ============================
+``(HELLO, {"id", "wire"})``           ``(WELCOME, info)``         handshake
+``(GET, capacity)``                   ``(TASKS, [(idx, task)])``  a lease of <= ``capacity``
+                                                                  tasks of one lock-step key
+..                                    ``(WAIT, seconds)``         all leased out; poll again
+..                                    ``(DRAIN, None)``           retired: disconnect
+..                                    ``(SHUTDOWN, None)``        every task is done
+``(RESULT, (idx, result, backend))``  ``(ACK, fresh)``            False for a duplicate
+``(HEARTBEAT, None)``                 *(no reply)*                lease keep-alive mid-trial
+``(DRAIN, None)``                     *(no reply)*                the worker drains itself
+``(DRAIN, [ids])``                    ``(DRAIN, info)``           an observer marks workers
+``(STATS, None)``                     ``(STATS, snapshot)``       either daemon's counters
+``(ACT_BATCH, (design, n, rows))``    ``(ACTIONS, [a, ...])``     a greedy action per row
+``(SWAP, (design, blob))``            ``(SWAPPED, info)``         hot-swap a served policy
+*a bad request to a server*           ``(ERROR, reason)``         why it was rejected
+====================================  ==========================  ============================
 
-``STATS`` is negotiated exactly like lease batching: a 1.5+ broker
-advertises ``"stats": True`` in its ``WELCOME`` info, and only clients that
-saw the flag send the frame — pre-1.5 workers never request stats and
-pre-1.5 brokers never see one, so mixed fleets stay wire-compatible.  The
-``repro fleet status`` observer registers with a worker id prefixed
-:data:`OBSERVER_PREFIX` so brokers keep it out of the worker accounting.
-
-Drain frames (1.7+)
--------------------
-``DRAIN`` is the graceful half of elastic scaling (:mod:`repro.fleet`):
-retiring a worker must never lose a lease.  It is double-negotiated
-through the existing capability dicts, so every mixed-version pairing
-degrades to pre-1.7 behaviour instead of erroring:
-
-* a 1.7+ **broker** advertises ``"drain": True`` in its ``WELCOME`` info
-  (alongside ``"stats"``); a pre-1.7 worker reads only ``info["tasks"]``
-  and never sees a ``DRAIN`` frame, because...
-* ...a 1.7+ **worker** that saw the flag upgrades its ``GET`` payload from
-  the bare capacity integer to ``{"capacity": k, "drain": True}``, and the
-  broker only ever answers ``DRAIN`` on connections that advertised it.
-  A 1.7+ worker on a pre-1.7 broker keeps sending the bare integer (the
-  old broker would misread the dict as capacity 1), so the old wire
-  protocol is preserved bit-for-bit in every legacy pairing.
-
-The retirement choreography: the autoscaler marks a worker through the
-control form ``(DRAIN, [worker_ids])`` on an observer connection; the
-broker stops leasing to it and answers its next ``GET`` with
-``(DRAIN, None)``; the worker — which by then has delivered every result
-of its in-flight lease batch, since ``GET`` only happens at batch
-boundaries — disconnects cleanly and exits.  A worker retired by SIGTERM
-instead finishes its in-flight batch, delivers the results, announces
-``(DRAIN, None)`` and disconnects.  Either way the broker observes a
-draining worker close its connection with no live leases: a *graceful*
-drain, counted (with its duration) in the ``STATS`` snapshot.
-
-Serving frames (1.6+)
----------------------
-The :class:`~repro.serving.PolicyServer` daemon speaks the same framing
-with its own kinds, negotiated through ``WELCOME`` info exactly like the
-broker (a serving daemon advertises ``"serving": True`` plus its design
-list, so a client that connects to a broker — or vice versa — fails with
-one clear error instead of a pickle surprise):
-
-===========================================  =========================  ===================
-client sends                                 server replies             meaning
-===========================================  =========================  ===================
-``(HELLO, client_id)``                       ``(WELCOME, info)``        registration;
-                                                                        ``info`` carries
-                                                                        designs/limits
-``(ACT_BATCH, (design, n_cols, rows))``      ``(ACTIONS, [a, ...])``    one greedy action
-                                                                        per row (below)
-``(ACT, (design, state))``                   ``(ACTION, action)``       one greedy action
-                                                                        for one
-                                                                        observation: the
-                                                                        2.0 client form
-``(SWAP, (design, blob))``                   ``(SWAPPED, info)``        hot-swap the
-                                                                        design's policy to
-                                                                        the pickled agent
-                                                                        in ``blob``
-``(STATS, None)``                            ``(STATS, snapshot)``      request counters +
-                                                                        latency histograms
-                                                                        (p50/p90/p99)
-*anything invalid*                           ``(ERROR, reason)``        unknown design,
-                                                                        bad state shape,
-                                                                        undecodable blob
-===========================================  =========================  ===================
-
-``ACT_BATCH`` carries a ``(B, n_cols)`` float64 matrix as ``rows``, its
-C-order little-endian (``'<f8'``) bytes, and is answered by one
-``ACTIONS`` frame holding the B actions in row order; a frame with any bad
-row is answered by one ``ERROR`` naming the first bad row.  A server that
-accepts it advertises ``"act_batch": True`` in its ``WELCOME`` info, and
-:class:`~repro.serving.PolicyClient` requires the flag, so a client meets
-an older server at connect time, not at its first request.  ``ACT`` (a
-1-D float sequence as ``state``) is the single-row form 2.0 clients send:
-it is still answered, one ``ACTION`` or ``ERROR`` per frame, but
-``PolicyClient`` no longer sends it.  The server batches every request
-one loop tick reads.
+``GET``, ``RESULT``, ``HEARTBEAT`` and ``DRAIN`` go to a broker;
+``ACT_BATCH`` and ``SWAP`` go to a policy server.  ``ACT_BATCH`` carries a
+``(B, n)`` float64 matrix as ``rows``, its C-order little-endian
+(``'<f8'``) bytes, and is answered by one ``ACTIONS`` frame holding the B
+actions in row order; a frame with any bad row is answered by one ``ERROR``
+naming the first bad row.  A broker drops a connection that sends anything
+else (an unknown kind, a malformed payload), and only that connection.
+Observers (``repro fleet status``, drain requests) say ``HELLO`` with an
+id prefixed :data:`OBSERVER_PREFIX`, which keeps them out of the broker's
+worker accounting.
 
 Opening a connection
 --------------------
 Every client (worker, :class:`~repro.serving.PolicyClient`, ``repro fleet
 status``, drain requests) opens its session with :func:`dial`: connect,
-``(HELLO, client_id)``, expect ``(WELCOME, dict)`` advertising every
-required capability.  Each failure is one :class:`HandshakeError`:
+``HELLO``, expect a ``WELCOME`` of this wire version from a daemon of the
+role it asked for.  Each failure is one :class:`HandshakeError`:
 
 =======================================================  =========
 failure                                                  transient
@@ -151,18 +61,17 @@ connect refused, unreachable or timed out                yes
 EOF, reset or timeout before ``WELCOME``                 yes
 reply is not ``WELCOME``, or its info is not a dict      no
 malformed or oversized frame                             no
-a required capability is not advertised                  no
+another wire version, or a daemon of another role        no
 =======================================================  =========
 
 Given a :class:`~repro.utils.retry.RetryPolicy`, :func:`dial` retries the
 transient failures on its schedule; definitive ones raise at once.
 
-Security note: frames are pickles, so the broker must only be bound to
+Security note: frames are pickles, so the daemons must only be bound to
 interfaces you trust (the default is loopback).  This mirrors the stdlib
 ``multiprocessing`` connection model the in-process backends already rely
 on.  That holds for ``ACT_BATCH`` too: its envelope is a pickle, and only
-the rows inside it are plain float64 bytes, read with ``np.frombuffer``
-(the ``ACT`` that 2.0 clients send pickles its float sequence).
+the rows inside it are plain float64 bytes, read with ``np.frombuffer``.
 :func:`recv_message` and :func:`read_frames` additionally refuse
 frames larger than ``max_frame_bytes`` (for :func:`recv_message` the
 default is :data:`MAX_FRAME_BYTES`, overridable per call or via
@@ -177,42 +86,46 @@ import pickle
 import socket
 import struct
 import threading
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.utils.retry import RetryPolicy
 
-#: Message kinds (worker -> broker unless noted).
+#: The one wire version this package speaks, sent in every ``HELLO`` and
+#: ``WELCOME``.  Independent of ``repro.__version__``: bump it when a frame
+#: changes shape, and peers of the old shape are refused at the handshake.
+WIRE_VERSION = 3
+
+#: The daemon roles a ``WELCOME`` names, and how errors describe them.
+ROLES = {"broker": "sweep broker", "serving": "policy server"}
+
+#: Message kinds (client -> daemon unless noted).
 HELLO = "hello"
 GET = "get"
 RESULT = "result"
 HEARTBEAT = "heartbeat"
-#: Bidirectional (1.5+): request payload ``None``, reply payload the snapshot.
+#: Bidirectional: request payload ``None``, reply payload the snapshot.
 STATS = "stats"
-#: Bidirectional (1.7+), negotiated via the WELCOME/GET capability dicts:
-#: worker -> broker with payload ``None`` announces a self-initiated drain
-#: (no reply, like HEARTBEAT); broker -> worker as the reply to a ``GET``
-#: from a worker marked for retirement; observer -> broker with a payload
-#: list of worker ids marks those workers for drain (replied with a DRAIN
-#: info frame).
+#: Bidirectional: worker -> broker with payload ``None`` announces a
+#: self-initiated drain (no reply, like HEARTBEAT); broker -> worker as the
+#: reply to a ``GET`` from a worker marked for retirement; observer ->
+#: broker with a list of worker ids marks those workers for drain (replied
+#: with a DRAIN info frame).
 DRAIN = "drain"
-#: Broker -> worker kinds.
+#: Daemon -> client kinds.
 WELCOME = "welcome"
-TASK = "task"
-TASKS = "tasks"          #: multi-task lease batch (one lock-step key)
+TASKS = "tasks"          #: a lease: ``[(idx, task), ...]`` of one lock-step key
 WAIT = "wait"
 SHUTDOWN = "shutdown"
 ACK = "ack"
 
-#: Serving kinds (PolicyClient <-> PolicyServer, 1.6+).
+#: Serving kinds (PolicyClient <-> PolicyServer).
 #: client -> server: ``(design, n_cols, rows)``, ``rows`` the C-order
-#: ``'<f8'`` bytes of a ``(B, n_cols)`` matrix (``"act_batch"`` servers).
+#: ``'<f8'`` bytes of a ``(B, n_cols)`` matrix.
 ACT_BATCH = "act_batch"
 ACTIONS = "actions"      #: server -> client: a list of B greedy actions
-ACT = "act"              #: client -> server: ``(design, 1-D float sequence)``
-ACTION = "action"        #: server -> client: the greedy action for an ``ACT``
 SWAP = "swap"            #: client -> server: ``(design, pickled agent blob)``
 SWAPPED = "swapped"      #: server -> client: swap acknowledged (+ generation)
-ERROR = "error"          #: server -> client: request rejected, payload = reason
+ERROR = "error"          #: daemon -> client: request rejected, payload = reason
 
 #: HELLO ids starting with this mark observer connections (``repro fleet
 #: status``): they may request STATS but never lease tasks, and brokers
@@ -403,24 +316,50 @@ class HandshakeError(ConnectionError):
         self.connected = connected
 
 
-def dial(host: str, port: int, client_id: str, *,
-         require: Mapping[str, str], timeout: Optional[float],
-         retry: Optional[RetryPolicy] = None,
+
+def check_hello(payload: Any) -> str:
+    """The client id in a ``HELLO`` payload of this wire version.
+
+    Both daemons check every ``HELLO`` here; anything but
+    ``{"id": str, "wire": WIRE_VERSION}`` raises :class:`ProtocolError`
+    with the reason the daemon sends back in its ``ERROR`` reply.
+    """
+    if not isinstance(payload, dict):
+        raise ProtocolError(
+            f"HELLO must carry {{'id', 'wire'}} of wire version "
+            f"{WIRE_VERSION}, got {type(payload).__name__}; upgrade the client")
+    if payload.get("wire") != WIRE_VERSION:
+        raise ProtocolError(f"client speaks wire version {payload.get('wire')!r},"
+                            f" this daemon speaks {WIRE_VERSION}")
+    client_id = payload.get("id")
+    if not isinstance(client_id, str):
+        raise ProtocolError(
+            f"HELLO id must be a str, got {type(client_id).__name__}")
+    return client_id
+
+
+def welcome_info(role: str, **info: Any) -> Dict[str, Any]:
+    """A daemon's ``WELCOME`` payload: the wire version, ``role`` and ``info``."""
+    return {"wire": WIRE_VERSION, "role": role, **info}
+
+
+def dial(host: str, port: int, client_id: str, *, role: str,
+         timeout: Optional[float], retry: Optional[RetryPolicy] = None,
          connect_factory: Optional[Callable[[str, int, Optional[float]],
                                             socket.socket]] = None,
          ) -> Tuple[socket.socket, Dict[str, Any]]:
     """Connect, ``HELLO`` and check the ``WELCOME``; ``(socket, info)``.
 
-    ``require`` maps each capability the ``WELCOME`` info must advertise
-    to the error message used when it does not.  ``timeout`` bounds the
-    connect and the handshake.  ``connect_factory(host, port, timeout)``
-    replaces ``socket.create_connection`` (the
-    :class:`~repro.chaos.FaultPlan` seam).  An exhausted ``retry`` raises
+    ``role`` (a key of :data:`ROLES`) is the daemon the caller expects.
+    ``timeout`` bounds the connect and the handshake.
+    ``connect_factory(host, port, timeout)`` replaces
+    ``socket.create_connection`` (the :class:`~repro.chaos.FaultPlan`
+    seam).  An exhausted ``retry`` raises
     :class:`~repro.utils.retry.RetryError`.
     """
     if retry is not None:
         return _retry_transient(retry, lambda: dial(
-            host, port, client_id, require=require, timeout=timeout,
+            host, port, client_id, role=role, timeout=timeout,
             connect_factory=connect_factory))
     try:
         if connect_factory is not None:
@@ -432,7 +371,7 @@ def dial(host: str, port: int, client_id: str, *,
                              connected=False) from error
     try:
         try:
-            send_message(sock, HELLO, client_id)
+            send_message(sock, HELLO, {"id": client_id, "wire": WIRE_VERSION})
             kind, info = recv_message(sock)
         except ProtocolError as error:
             raise HandshakeError(
@@ -440,15 +379,24 @@ def dial(host: str, port: int, client_id: str, *,
         except OSError as error:
             raise HandshakeError(f"connection lost before WELCOME: {error}",
                                  transient=True) from error
+        if kind == ERROR:
+            raise HandshakeError(f"{host}:{port} refused HELLO: {info}")
         if kind != WELCOME:
             raise HandshakeError(
                 f"unexpected {kind!r} reply to HELLO from {host}:{port}")
         if not isinstance(info, dict):
             raise HandshakeError(f"malformed WELCOME from {host}:{port}: "
                                  f"{type(info).__name__}, not a dict")
-        for flag, message in require.items():
-            if not info.get(flag):
-                raise HandshakeError(message)
+        if info.get("wire") != WIRE_VERSION:
+            raise HandshakeError(
+                f"peer at {host}:{port} speaks wire version "
+                f"{info.get('wire')!r}, not {WIRE_VERSION}; run the same "
+                f"repro version on both ends")
+        if info.get("role") != role:
+            raise HandshakeError(
+                f"peer at {host}:{port} is a "
+                f"{ROLES.get(info.get('role'), repr(info.get('role')))}, "
+                f"not a {ROLES.get(role, repr(role))}")
     except HandshakeError:
         sock.close()
         raise
@@ -478,12 +426,11 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 
 __all__ = [
-    "ACK", "ACT", "ACTION", "ACTIONS", "ACT_BATCH", "DRAIN", "ERROR", "GET",
-    "HEARTBEAT", "HELLO",
-    "HandshakeError", "MAX_FRAME_BYTES", "MAX_FRAME_ENV_VAR",
-    "OBSERVER_PREFIX", "ProtocolError", "RESULT", "SHUTDOWN", "STATS",
-    "SWAP", "SWAPPED", "TASK", "TASKS", "TransportCounters", "WAIT",
-    "WELCOME", "default_max_frame_bytes", "dial", "encode_frame",
-    "parse_address", "read_frames", "recv_message", "send_message",
-    "transport_counters",
+    "ACK", "ACTIONS", "ACT_BATCH", "DRAIN", "ERROR", "GET", "HEARTBEAT",
+    "HELLO", "HandshakeError", "MAX_FRAME_BYTES", "MAX_FRAME_ENV_VAR",
+    "OBSERVER_PREFIX", "ProtocolError", "RESULT", "ROLES", "SHUTDOWN",
+    "STATS", "SWAP", "SWAPPED", "TASKS", "TransportCounters", "WAIT",
+    "WELCOME", "WIRE_VERSION", "check_hello", "default_max_frame_bytes",
+    "dial", "encode_frame", "parse_address", "read_frames", "recv_message",
+    "send_message", "transport_counters", "welcome_info",
 ]

@@ -14,20 +14,17 @@ arbitrarily long trials; if this process dies instead, the dropped
 connection (or, for a hang, the lease timeout) makes the broker requeue
 them: only the group in training is lost work.
 
-Graceful retirement (1.7+): the worker installs SIGTERM/SIGINT handlers
-(main thread only) that request a *drain* instead of killing the process —
-the in-flight lease batch finishes, every result is delivered and acked,
-the broker is told ``DRAIN`` (when it negotiated the capability), and only
-then does the loop exit.  A second signal skips the grace and dies
-immediately (the broker's lease requeue covers the abandoned tasks).  The
-broker can also retire the worker from its side: a ``DRAIN`` reply to
-``GET`` — negotiated through the ``WELCOME`` capability dict, so pre-1.7
-brokers never send one and pre-1.7 workers never see one — makes the loop
-exit at the same clean batch boundary.  Either way, retiring a worker
-loses no leases: this is the actuation primitive of
-:class:`repro.fleet.FleetAutoscaler`.
+Graceful retirement: the worker installs SIGTERM/SIGINT handlers (main
+thread only) that request a *drain* instead of killing the process — the
+in-flight lease batch finishes, every result is delivered and acked, the
+broker is told ``DRAIN``, and only then does the loop exit.  A second
+signal skips the grace and dies immediately (the broker's lease requeue
+covers the abandoned tasks).  The broker can also retire the worker from
+its side: a ``DRAIN`` reply to ``GET`` makes the loop exit at the same
+clean batch boundary.  Either way, retiring a worker loses no leases: this
+is the actuation primitive of :class:`repro.fleet.FleetAutoscaler`.
 
-Reconnect (1.8+): with ``WorkerOptions(reconnect=RetryPolicy(...))`` a
+Reconnect: with ``WorkerOptions(reconnect=RetryPolicy(...))`` a
 lost broker connection no longer ends the worker — it backs off on the
 policy's deterministic schedule, reconnects, sends ``HELLO`` again under the
 *same* worker id (so broker accounting reconciles the gap as a
@@ -72,10 +69,9 @@ _LOGGER = get_logger("repro.distributed.worker")
 #: ``backend_used`` recorded for trials executed by the worker fleet.
 DISTRIBUTED_BACKEND = "distributed"
 
-#: Max lease batch this worker advertises in every ``GET`` payload.  The
-#: broker caps this worker's leases (a lock-step key share, or an explicit
-#: ``lease_batch``) at it, so mixed fleets are safe: pre-1.4 workers send
-#: ``None`` and keep getting classic single-``TASK`` frames.
+#: Max lease batch this worker names in every ``GET`` payload; the broker
+#: caps this worker's leases (a lock-step key share, or an explicit
+#: ``lease_batch``) at it.
 LEASE_CAPACITY = 1024
 
 
@@ -194,7 +190,7 @@ def run_worker(host: str, port: int,
         while not drain.is_set():
             try:
                 sock, info = protocol.dial(
-                    host, port, worker_id, require={},
+                    host, port, worker_id, role="broker",
                     timeout=options.connect_timeout,
                     connect_factory=options.connect_factory)
             except protocol.HandshakeError as error:
@@ -257,19 +253,6 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
         with send_lock:
             protocol.send_message(sock, kind, payload)
 
-    def announce_drain(negotiated: bool) -> None:
-        # Tell a drain-capable broker this disconnect is deliberate — it
-        # retires the worker as a *graceful* drain instead of a death.  A
-        # pre-1.7 broker never learns, which is fine: all leases were
-        # delivered, so the disconnect requeues nothing either way.
-        telemetry.count("distributed.worker.drains")
-        if not negotiated:
-            return
-        try:
-            send(protocol.DRAIN)
-        except (ConnectionError, OSError):
-            pass
-
     def deliver(outcomes: List[Tuple[int, TrainingResult, bool]]) -> int:
         """RESULT -> ACK each ``(index, result, was_cached)``; how many landed.
 
@@ -303,12 +286,8 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
         # connection to a dead broker times out into the reconnect path
         # instead of hanging the worker forever.
         sock.settimeout(options.idle_timeout)
-        # 1.7+ brokers advertise "drain" in WELCOME; only then may the GET
-        # payload be upgraded to a capability dict (an old broker would
-        # misread the dict, so the flag gates the whole exchange).
-        drain_negotiated = bool(info.get("drain"))
         _LOGGER.info("worker registered", worker=worker_id,
-                     tasks=info.get("tasks"), drain=drain_negotiated)
+                     tasks=info.get("tasks"))
         # Flush results stranded by a previous outage before asking for new
         # work — the broker requeued those leases when the old connection
         # dropped, so each redelivery is acked fresh (it beat the requeued
@@ -323,14 +302,19 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
             if drain.is_set():
                 _LOGGER.info("drain requested; exiting cleanly",
                              worker=worker_id, completed=state.completed)
-                announce_drain(drain_negotiated)
+                # Tell the broker this disconnect is deliberate — it retires
+                # the worker as a *graceful* drain instead of a death.
+                telemetry.count("distributed.worker.drains")
+                try:
+                    send(protocol.DRAIN)
+                except OSError:
+                    pass
                 return "drain"
             # The whole lease is delivered before max_tasks is checked again.
             capacity = (LEASE_CAPACITY if options.max_tasks is None else
                         min(LEASE_CAPACITY, options.max_tasks - state.completed))
             try:
-                send(protocol.GET, {"capacity": capacity, "drain": True}
-                     if drain_negotiated else capacity)
+                send(protocol.GET, capacity)
                 kind, payload = protocol.recv_message(sock)
             except protocol.ProtocolError:
                 raise
@@ -350,13 +334,10 @@ def _serve_connection(sock: socket.socket, info: dict, worker_id: str, store,
                 telemetry.count("distributed.worker.wait_frames")
                 time.sleep(float(payload))
                 continue
-            if kind == protocol.TASK:
-                batch = [payload]
-            elif kind == protocol.TASKS:
-                batch = list(payload)
-            else:
-                raise protocol.ProtocolError(f"expected TASK/TASKS/WAIT/SHUTDOWN, "
-                                             f"got {kind!r}")
+            if kind != protocol.TASKS:
+                raise protocol.ProtocolError(
+                    f"expected TASKS/WAIT/DRAIN/SHUTDOWN, got {kind!r}")
+            batch = payload
             # One RESULT/ACK pair per trial keeps per-task requeue and dedup;
             # each lock-step group is delivered as soon as it has trained.
             with telemetry.span("worker.lease"), \

@@ -5,13 +5,13 @@
 
 1. fetches a ``STATS`` snapshot from the broker over the same observer
    channel as ``repro fleet status`` (nothing in-process — the loop works
-   against any reachable 1.7+ broker, local or remote);
+   against any reachable broker, local or remote);
 2. reaps exited worker processes and records their lifetimes;
 3. feeds the distilled :class:`~repro.fleet.policy.FleetObservation` to
    its :class:`~repro.fleet.policy.ScalingPolicy`;
 4. actuates the decision — spawns through its
    :class:`~repro.fleet.supervisor.WorkerSupervisor`, retires through the
-   broker's negotiated ``DRAIN`` channel (falling back to SIGTERM for
+   broker's ``DRAIN`` channel (falling back to SIGTERM for
    workers the broker reports it cannot drain).
 
 Every action is recorded twice: as ``fleet.*`` telemetry (counters,
@@ -172,10 +172,9 @@ class FleetAutoscaler:
             alive = self.supervisor.alive_ids()
             if alive:
                 # Mark the remaining fleet as draining so even shutdown
-                # retirement rides the negotiated protocol (the broker
-                # counts each clean exit in ``drains_completed``).  A gone
-                # or pre-1.7 broker just means stop_all's signal path
-                # takes over.
+                # retirement rides the DRAIN protocol (the broker counts
+                # each clean exit in ``drains_completed``).  A gone broker
+                # just means stop_all's signal path takes over.
                 try:
                     disposition = request_drain(self.host, self.port, alive)
                 except (FleetControlError, OSError):
@@ -276,8 +275,8 @@ class FleetAutoscaler:
         try:
             disposition = request_drain(self.host, self.port, decision.retire)
         except FleetControlError as error:
-            # Pre-1.7 broker (or it vanished mid-tick): retire our own
-            # processes by signal — the 1.7+ worker loop drains on SIGTERM.
+            # The broker vanished mid-tick: retire our own processes by
+            # signal — the worker loop drains on SIGTERM.
             _LOGGER.warning("broker drain unavailable; falling back to "
                             "SIGTERM", error=str(error))
             signalled = self.supervisor.signal(

@@ -6,8 +6,8 @@ workers through a short-lived observer connection, the same observer
 exchange :func:`repro.telemetry.fleet.fetch_fleet_stats` makes: dial the
 broker (:func:`repro.distributed.protocol.dial`) with an
 :data:`~repro.distributed.protocol.OBSERVER_PREFIX` id, so the connection
-never enters worker accounting, requiring the ``drain`` capability; send
-``(DRAIN, [ids])`` and read back the broker's disposition report::
+never enters worker accounting; send ``(DRAIN, [ids])`` and read back the
+broker's disposition report::
 
     {"marked": [...], "already_draining": [...],
      "unknown": [...], "gone": [...]}
@@ -27,7 +27,7 @@ from repro.utils.retry import RetryPolicy
 
 
 class FleetControlError(FleetStatusError):
-    """The broker could not be asked to drain (unreachable or pre-1.7)."""
+    """The broker could not be asked to drain (unreachable, or not a broker)."""
 
 
 def request_drain(host: str, port: int, worker_ids: Sequence[str], *,
@@ -36,26 +36,21 @@ def request_drain(host: str, port: int, worker_ids: Sequence[str], *,
     """Ask the broker at ``host:port`` to gracefully drain ``worker_ids``.
 
     Returns the broker's disposition dict (see module docstring).  Raises
-    :class:`FleetControlError` when the broker is unreachable or predates
-    the negotiated ``DRAIN`` capability (repro < 1.7) — the caller should
-    fall back to SIGTERM-ing the worker processes it owns, which on 1.7+
-    workers triggers the same finish-then-exit drain from the other side.
+    :class:`FleetControlError` when the broker cannot be asked — the
+    caller should fall back to SIGTERM-ing the worker processes it owns,
+    which triggers the same finish-then-exit drain from the other side.
 
     With ``retry`` set, transient failures are retried on the policy's
     schedule (marking an already-draining worker twice is answered, not
     compounded — the broker reports ``already_draining`` — so a retried
-    drain request is idempotent).  Capability errors raise immediately.
+    drain request is idempotent).  Definitive errors raise immediately.
     """
     ids = [str(worker_id) for worker_id in worker_ids]
     if not ids:
         return {"marked": [], "already_draining": [], "unknown": [],
                 "gone": []}
-    report = _observe(
-        host, port, protocol.DRAIN, ids, timeout=timeout, retry=retry,
-        require={"drain": f"broker at {host}:{port} does not advertise the "
-                          "DRAIN capability (repro < 1.7); retire its "
-                          "workers by signal instead"},
-        error_type=FleetControlError)
+    report = _observe(host, port, protocol.DRAIN, ids, timeout=timeout,
+                      retry=retry, error_type=FleetControlError)
     return {key: list(report.get(key, []))
             for key in ("marked", "already_draining", "unknown", "gone")}
 

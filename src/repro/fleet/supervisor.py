@@ -8,9 +8,9 @@ them.  Retirement is layered, gentlest first:
 1. the autoscaler asks the *broker* to ``DRAIN`` the worker (see
    :mod:`repro.fleet.control`) — the worker finishes its lease batch,
    delivers every result, and exits on its own;
-2. :meth:`WorkerSupervisor.signal` sends SIGTERM, which the 1.7+ worker's
+2. :meth:`WorkerSupervisor.signal` sends SIGTERM, which the worker's
    signal handler turns into the same finish-then-exit drain from the
-   process side (also the path for workers on brokers without DRAIN);
+   process side (also the path when the broker cannot be asked);
 3. :meth:`WorkerSupervisor.stop_all` escalates to ``kill()`` only for
    processes that ignored both within the timeout.
 
@@ -101,7 +101,7 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------ retire
     def signal(self, worker_ids: Iterable[str]) -> List[str]:
-        """SIGTERM the given owned workers (graceful drain on 1.7+ loops)."""
+        """SIGTERM the given owned workers (a graceful drain)."""
         signalled: List[str] = []
         for worker_id in worker_ids:
             process = self._processes.get(worker_id)
@@ -141,7 +141,7 @@ class WorkerSupervisor:
         ``natural_grace`` seconds to exit on their own before any signal
         is sent: a SIGTERM racing start-up or teardown kills the process
         un-gracefully (exitcode ``-15``) even though no work is lost.
-        Stragglers are then SIGTERMed (which the 1.7+ loop turns into a
+        Stragglers are then SIGTERMed (which the worker loop turns into a
         graceful drain) and killed only if they ignore that too.
         """
         grace_deadline = time.monotonic() + max(0.0, natural_grace)

@@ -5,9 +5,9 @@ are usable the moment they are trained.  This package closes the loop:
 
 * :class:`PolicyServer` (``server.py``) — a TCP daemon on the distributed
   backend's framing that answers action requests with greedy actions from
-  one ``selectors`` loop thread: ``ACT_BATCH`` frames (a matrix of rows as
-  raw float64 bytes, one ``ACTIONS`` reply) and the single-row ``ACT``
-  frames of 2.0 clients.  Natural batching: each tick lays the rows it
+  one ``selectors`` loop thread: each ``ACT_BATCH`` frame (a matrix of
+  rows as raw float64 bytes) gets one ``ACTIONS`` reply.  Natural
+  batching: each tick lays the rows it
   read end to end per design and cuts them into calls of at most
   ``max_batch`` rows on the already-vectorized ``act_batch`` predict path,
   with no timer; greedy selection is RNG-free and a batch's Q-values are

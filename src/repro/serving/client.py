@@ -1,10 +1,11 @@
 """``PolicyClient``: talk to a :class:`~repro.serving.server.PolicyServer`.
 
 The client side of the serving frames: connect, ``HELLO``/``WELCOME``
-negotiate (refusing politely when the peer is a sweep broker rather than a
-serving daemon), then
+(refusing politely when the peer is a sweep broker rather than a serving
+daemon), then
 
-* :meth:`PolicyClient.act` — one observation, one greedy action;
+* :meth:`PolicyClient.act` — one observation, one greedy action (a
+  one-row ``act_many``);
 * :meth:`PolicyClient.act_many` — many observations in one ``ACT_BATCH``
   frame, the ``(B, n_states)`` matrix as raw little-endian float64 bytes,
   answered by one ``ACTIONS`` frame, so framing costs per call, not per
@@ -21,9 +22,8 @@ completed, each length header checked against
 is buffered.
 
 The connection opens through :func:`repro.distributed.protocol.dial`, like
-every other client of the framing, and requires the server's
-``"act_batch"`` capability, so an older server is refused at connect with a
-non-transient error.  The client never sends the single-row ``ACT`` frame.
+every other client of the framing, with ``role="serving"``, so a server of
+another wire version is refused at connect with a non-transient error.
 Errors surface as :class:`ServingError` with the reason the server gave,
 never a raw pickle traceback.
 """
@@ -90,14 +90,8 @@ class PolicyClient:
         self.client_id = client_id or f"client-{uuid.uuid4().hex[:8]}"
         try:
             self._sock, info = protocol.dial(
-                host, port, self.client_id, timeout=timeout, retry=retry,
-                connect_factory=connect_factory,
-                require={"serving": f"peer at {host}:{port} is not a policy "
-                                    "server (a sweep broker?); point the "
-                                    "client at `repro serve`",
-                         "act_batch": f"policy server at {host}:{port} does "
-                                      "not accept ACT_BATCH frames; upgrade "
-                                      "it to this version of repro"})
+                host, port, self.client_id, role="serving", timeout=timeout,
+                retry=retry, connect_factory=connect_factory)
         except protocol.HandshakeError as error:
             message = (f"cannot reach policy server at {host}:{port}: {error}"
                        if error.transient else str(error))

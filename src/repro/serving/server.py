@@ -2,10 +2,9 @@
 
 A TCP daemon on the distributed backend's length-prefixed pickle framing
 (:mod:`repro.distributed.protocol`) that hosts one trained agent per design
-and answers action requests with greedy actions: an ``ACT_BATCH`` frame (a
-``(B, n_states)`` matrix as raw float64 bytes, answered by one ``ACTIONS``
-frame) or a 2.0 client's single-row ``ACT`` frame (answered by one
-``ACTION``).  One loop thread serves every connection through a
+and answers action requests with greedy actions: each ``ACT_BATCH`` frame
+(a ``(B, n_states)`` matrix as raw float64 bytes) is answered by one
+``ACTIONS`` frame.  One loop thread serves every connection through a
 :mod:`selectors` selector.  Each *tick* of the loop:
 
 1. **reads** one bounded ``recv`` per ready socket and cuts out every
@@ -13,23 +12,23 @@ frame) or a 2.0 client's single-row ``ACT`` frame (answered by one
    each length header against ``max_frame_bytes`` before buffering a body);
 2. **orders** the frames round-robin across connections, FIFO within one.
    Each request becomes a *block* of float64 rows on its design's pending
-   group (an ``ACT``'s state one row; an ``ACT_BATCH``'s bytes its matrix,
-   through ``np.frombuffer``, so no float is parsed), after the only
-   per-frame checks: the payload's shape and a hosted design.  Any other
-   frame first dispatches the pending groups, so a ``SWAP`` lands between
-   groups;
+   group (its bytes read as a matrix through ``np.frombuffer``, so no
+   float is parsed), after the only per-frame checks: the payload's shape
+   and a hosted design.  Any other frame first dispatches the pending
+   groups, so a ``SWAP`` lands between groups;
 3. **dispatches** each design group: each block's width and finiteness are
-   checked (a bad ``ACT`` row gets its own ``ERROR``; an ``ACT_BATCH``
-   with a bad row gets one ``ERROR`` naming it), the good blocks are laid
-   end to end and cut into one ``agent.act_batch(states, explore=False)``
-   call per ``max_batch`` rows, and each block is answered from its own
-   rows' actions.  No request waits for a batch to fill, and greedy
-   selection is RNG-free, so served actions are byte-identical to offline
-   greedy evaluation;
+   checked (a block with a bad row gets one ``ERROR`` naming the row), the
+   good blocks are laid end to end and cut into one
+   ``agent.act_batch(states, explore=False)`` call per ``max_batch``
+   rows, and each block is answered from its own rows' actions.  No
+   request waits for a batch to fill, and greedy selection is RNG-free, so
+   served actions are byte-identical to offline greedy evaluation;
 4. **writes** the replies to each connection in request order (so clients
    may pipeline) with non-blocking ``send``.
 
-A peer whose unsent replies exceed ``max_frame_bytes`` is dropped with a
+A ``HELLO`` goes through :func:`~repro.distributed.protocol.check_hello`:
+any other wire version is answered ``ERROR`` and the connection closed.  A
+peer whose unsent replies exceed ``max_frame_bytes`` is dropped with a
 warning, so the loop never waits on one peer.  Counters (``serving.requests``
 and ``serving.errors`` count rows; a frame refused before its rows are read
 counts one error), latency and per-stage
@@ -65,9 +64,6 @@ SERVING_MAX_FRAME_BYTES = 64 << 20
 #: The most bytes one connection's ``recv`` takes per tick.
 _RECV_BYTES = 1 << 16
 
-#: Frames that ask for actions; every other kind is answered on its own.
-_REQUEST_KINDS = frozenset((protocol.ACT, protocol.ACT_BATCH))
-
 
 class _PolicyEntry:
     """One hosted design: its live agent + swap bookkeeping."""
@@ -91,11 +87,12 @@ def _state_width(agent: Any) -> Optional[int]:
 class _Connection:
     """One client socket and its buffers."""
 
-    __slots__ = ("sock", "client_id", "inbox", "outbox", "replies")
+    __slots__ = ("sock", "client_id", "inbox", "outbox", "replies", "refused")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.client_id = "<unregistered>"
+        self.refused = False          #: a bad HELLO: closed after this tick
         self.inbox = bytearray()      #: bytes of a frame not yet complete
         self.outbox = bytearray()     #: reply bytes not yet sent
         #: This tick's ``(kind, payload)`` replies in request order; an
@@ -104,17 +101,15 @@ class _Connection:
 
 
 class _Block:
-    """One pending ``ACT`` or ``ACT_BATCH`` request: its ``(B, n)`` float64
-    rows (one row for an ``ACT``), and the reply slot they answer."""
+    """One pending ``ACT_BATCH`` request: its ``(B, n)`` float64 rows and
+    the reply slot they answer."""
 
-    __slots__ = ("conn", "slot", "rows", "single")
+    __slots__ = ("conn", "slot", "rows")
 
-    def __init__(self, conn: _Connection, slot: int, rows: Any,
-                 single: bool) -> None:
+    def __init__(self, conn: _Connection, slot: int, rows: Any) -> None:
         self.conn = conn
         self.slot = slot
         self.rows = rows
-        self.single = single     #: an ``ACT``: answered by one ``ACTION``
 
 
 class PolicyServer:
@@ -309,13 +304,13 @@ class PolicyServer:
 
         order = [frame for rank in zip_longest(*inbound) for frame in rank
                  if frame is not None]
-        self._queued = sum(kind in _REQUEST_KINDS for _, kind, _ in order)
+        self._queued = sum(kind == protocol.ACT_BATCH for _, kind, _ in order)
         pending: Dict[str, List[_Block]] = {}
         act_seconds = 0.0
         designs = self._design_set()
         for conn, kind, payload in order:
-            if kind in _REQUEST_KINDS:
-                self._queue(conn, kind, payload, designs, pending)
+            if kind == protocol.ACT_BATCH:
+                self._queue(conn, payload, designs, pending)
             else:
                 act_seconds += self._dispatch(pending, started)
                 conn.replies.append(self._answer(conn, kind, payload))
@@ -330,6 +325,8 @@ class PolicyServer:
                                     for reply in conn.replies)
             conn.replies.clear()
             self._flush(conn)
+            if conn.refused:
+                self._drop(conn)
         self._stages["write"].observe(time.perf_counter() - write_started)
 
     def _accept(self) -> None:
@@ -401,39 +398,34 @@ class PolicyServer:
         with self._policy_lock:
             return frozenset(self._policies)
 
-    def _queue(self, conn: _Connection, kind: str, payload: Any,
-               designs: frozenset, pending: Dict[str, List[_Block]]) -> None:
-        """Queue one ``ACT`` or ``ACT_BATCH`` on its design's group as a
-        block of rows, or answer ERROR.
+    def _queue(self, conn: _Connection, payload: Any, designs: frozenset,
+               pending: Dict[str, List[_Block]]) -> None:
+        """Queue one ``ACT_BATCH`` on its design's group as a block of rows,
+        or answer ERROR.
 
         Per frame, the payload's shape and its design are checked and its
-        rows become a float64 matrix (an ``ACT_BATCH``'s bytes without a
-        copy); the rows' width and values are checked in :meth:`_dispatch`.
+        bytes become a float64 matrix without a copy; the rows' width and
+        values are checked in :meth:`_dispatch`.
         """
         try:
-            if kind == protocol.ACT:
-                design, state = payload
-            else:
-                design, n_cols, state = payload
+            design, n_cols, state = payload
             design = str(design)
             if design not in designs:
                 raise KeyError(
                     f"unknown design {design!r}; serving {self.designs()}")
-            rows = (_state_row(state) if kind == protocol.ACT
-                    else _batch_matrix(n_cols, state))
+            rows = _batch_matrix(n_cols, state)
         except Exception as error:  # noqa: BLE001 - any bad request -> ERROR
             self._errors.inc()
             self._queued -= 1
             conn.replies.append((protocol.ERROR, str(error)))
             return
         pending.setdefault(design, []).append(
-            _Block(conn, len(conn.replies), rows, kind == protocol.ACT))
+            _Block(conn, len(conn.replies), rows))
         conn.replies.append(None)
 
     def _check_blocks(self, design: str, blocks: List[_Block]) -> List[_Block]:
         """The blocks of one design group whose rows are all good; every
-        other block is answered ERROR (an ``ACT_BATCH``'s names its first
-        bad row)."""
+        other block is answered ERROR naming its first bad row."""
         with self._policy_lock:
             expected = self._policies[design].n_states
         kept = []
@@ -443,8 +435,7 @@ class PolicyServer:
                 kept.append(block)
                 continue
             index, reason = bad
-            self._reply_error(block, reason if block.single
-                              else f"row {index}: {reason}")
+            self._reply_error(block, f"row {index}: {reason}")
         return kept
 
     def _reply_error(self, block: _Block, reason: str) -> None:
@@ -507,9 +498,8 @@ class PolicyServer:
                 if reason is not None:
                     self._reply_error(block, reason)
                     continue
-                block.conn.replies[block.slot] = (
-                    (protocol.ACTION, actions[start]) if block.single
-                    else (protocol.ACTIONS, actions[start:stop]))
+                block.conn.replies[block.slot] = (protocol.ACTIONS,
+                                                  actions[start:stop])
                 self._queued -= 1
         pending.clear()
         return seconds
@@ -519,12 +509,16 @@ class PolicyServer:
         import repro
 
         if kind == protocol.HELLO:
-            conn.client_id = str(payload)
-            return protocol.WELCOME, {"serving": True, "stats": True,
-                                      "act_batch": True,
-                                      "repro_version": repro.__version__,
-                                      "designs": self.designs(),
-                                      "max_batch": self.max_batch}
+            try:
+                conn.client_id = protocol.check_hello(payload)
+            except protocol.ProtocolError as error:
+                _LOGGER.warning("client refused", error=str(error))
+                self._errors.inc()
+                conn.refused = True
+                return protocol.ERROR, str(error)
+            return protocol.WELCOME, protocol.welcome_info(
+                "serving", repro_version=repro.__version__,
+                designs=self.designs(), max_batch=self.max_batch)
         if kind == protocol.SWAP:
             try:
                 design, blob = payload
@@ -537,16 +531,6 @@ class PolicyServer:
             return protocol.STATS, self.stats_snapshot()
         self._errors.inc()
         return protocol.ERROR, f"unknown frame kind {kind!r}"
-
-
-def _state_row(state: Any) -> np.ndarray:
-    """An ``ACT`` state as a ``(1, n)`` float64 block."""
-    row = np.asarray(state, dtype=np.float64)
-    if row.ndim != 1:
-        raise ValueError(
-            f"state must be 1-D (one observation per ACT frame), "
-            f"got shape {row.shape}")
-    return row[None]
 
 
 def _batch_matrix(n_cols: Any, rows: Any) -> np.ndarray:

@@ -4,8 +4,7 @@
 live :class:`~repro.distributed.broker.SweepBroker` through
 :func:`~repro.distributed.protocol.dial` (with an id prefixed
 :data:`~repro.distributed.protocol.OBSERVER_PREFIX` so the broker keeps
-it out of the worker accounting, requiring the ``STATS`` capability) and
-returns one JSON-ready snapshot::
+it out of the worker accounting) and returns one JSON-ready snapshot::
 
     {
       "tasks":   {"total": N, "queued": q, "leased": l, "done": d},
@@ -21,7 +20,7 @@ returns one JSON-ready snapshot::
       "drain_seconds": [...],
       "transport": {"frames_sent": ..., "bytes_sent": ..., ...},
       "lease_batch": int or null, "heartbeat_timeout": float,
-      "repro_version": "1.7.0"
+      "repro_version": "2.0.0"
     }
 
 with ``queued + leased + done == total`` guaranteed by the broker.
@@ -40,11 +39,12 @@ from repro.utils.tables import format_table
 
 
 class FleetStatusError(ConnectionError):
-    """The broker could not be queried (unreachable, or predates STATS).
+    """The broker could not be queried (unreachable, or not a broker of
+    this wire version).
 
     ``transient`` distinguishes failures worth retrying (broker briefly
     unreachable, connection dropped mid-query) from definitive answers
-    (capability missing, malformed reply) that no amount of retrying will
+    (wrong peer, malformed reply) that no amount of retrying will
     change — the ``retry=`` path of the fleet clients backs off only on
     the former.
     """
@@ -65,20 +65,15 @@ def fetch_fleet_stats(host: str, port: int, *, timeout: float = 5.0,
 
     With ``retry`` set, transient failures (broker unreachable or dropping
     the query — e.g. mid-restart from its journal) are retried on the
-    policy's backoff schedule; definitive failures (no STATS capability,
-    wrong peer, malformed reply) raise immediately either way.
+    policy's backoff schedule; definitive failures (wrong peer or wire
+    version, malformed reply) raise immediately either way.
     """
-    return _observe(
-        host, port, protocol.STATS, None, timeout=timeout, retry=retry,
-        require={"stats": f"broker at {host}:{port} does not advertise the "
-                          "STATS channel (repro < 1.5); upgrade the broker "
-                          "to use `repro fleet status`"},
-        error_type=FleetStatusError)
+    return _observe(host, port, protocol.STATS, None, timeout=timeout,
+                    retry=retry, error_type=FleetStatusError)
 
 
 def _observe(host: str, port: int, kind: str, payload: object, *,
-             require: Dict[str, str], timeout: float,
-             retry: Optional[RetryPolicy],
+             timeout: float, retry: Optional[RetryPolicy],
              error_type: Type[FleetStatusError]) -> Dict[str, object]:
     """Dial as an observer, send ``(kind, payload)``, return the dict reply.
 
@@ -88,7 +83,7 @@ def _observe(host: str, port: int, kind: str, payload: object, *,
     def attempt() -> Dict[str, object]:
         try:
             sock, _info = protocol.dial(host, port, observer_id(),
-                                        require=require, timeout=timeout)
+                                        role="broker", timeout=timeout)
         except protocol.HandshakeError as error:
             message = (f"cannot reach broker at {host}:{port}: {error}"
                        if error.transient else str(error))
@@ -137,8 +132,6 @@ def format_fleet_status(snapshot: Dict[str, object]) -> str:
                            "active_connections")}),
         "leases: issued={} tasks={} mean_size={:.2f}".format(
             leases, leased, leased / leases if leases else 0.0),
-        # Pre-1.7 brokers have no drain counters; render zeros either way
-        # so `repro fleet status` output stays line-stable for scripts.
         "drains: requested={drains_requested} completed={drains_completed} "
         "lost_leases={drain_requeued_tasks}".format(
             **{key: counters.get(key, 0)

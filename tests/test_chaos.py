@@ -220,7 +220,8 @@ class TestWorkerReconnect:
             hold.append(connection)          # keep it open, answer HELLO only
             kind, _payload = protocol.recv_message(connection)
             assert kind == protocol.HELLO
-            protocol.send_message(connection, protocol.WELCOME, {"tasks": 1})
+            protocol.send_message(connection, protocol.WELCOME,
+                                  protocol.welcome_info("broker", tasks=1))
 
         thread = threading.Thread(target=silent_broker, daemon=True)
         thread.start()
@@ -272,7 +273,7 @@ class TestLostLease:
         def broker(connection):
             recv(connection)                                 # HELLO
             protocol.send_message(connection, protocol.WELCOME,
-                                  {"tasks": 3, "drain": True})
+                                  protocol.welcome_info("broker", tasks=3))
             if not seen:
                 assert recv(connection)[0] == protocol.GET
                 protocol.send_message(connection, protocol.TASKS,
@@ -312,7 +313,7 @@ class TestLostLease:
         def broker(connection):
             kind, _ = protocol.recv_message(connection)      # HELLO
             protocol.send_message(connection, protocol.WELCOME,
-                                  {"tasks": 3, "drain": True})
+                                  protocol.welcome_info("broker", tasks=3))
             while True:
                 kind, payload = protocol.recv_message(connection)
                 if kind == protocol.HEARTBEAT:
@@ -377,26 +378,65 @@ class TestWorkerHandshake:
 
 
 class TestDial:
-    def test_missing_capability_raises_the_callers_message(self,
-                                                            scripted_peer):
-        peer = scripted_peer(_welcome({"tasks": 1}))
+    def test_another_role_is_definitive(self, scripted_peer):
+        peer = scripted_peer(_welcome(protocol.welcome_info("broker", tasks=1)))
         with pytest.raises(protocol.HandshakeError,
-                           match="no serving channel here") as caught:
-            protocol.dial(*peer.address, "probe",
-                          require={"serving": "no serving channel here"},
-                          timeout=5.0)
+                           match="is a sweep broker, not a policy server"
+                           ) as caught:
+            protocol.dial(*peer.address, "probe", role="serving",
+                          timeout=5.0,
+                          retry=RetryPolicy(max_attempts=3, base_delay=0.0))
         assert not caught.value.transient
+        assert peer.connections == 1
+
+    @pytest.mark.parametrize("info", [
+        {"role": "broker", "tasks": 1},
+        {"wire": protocol.WIRE_VERSION - 1, "role": "broker", "tasks": 1},
+    ], ids=["no-wire", "older-wire"])
+    def test_another_wire_version_is_definitive(self, scripted_peer, info):
+        peer = scripted_peer(_welcome(info))
+        with pytest.raises(protocol.HandshakeError,
+                           match="wire version") as caught:
+            protocol.dial(*peer.address, "probe", role="broker", timeout=5.0)
+        assert not caught.value.transient
+
+    def test_refused_hello_is_definitive(self, scripted_peer):
+        def refuse(connection):
+            protocol.recv_message(connection)
+            protocol.send_message(connection, protocol.ERROR, "go away")
+
+        peer = scripted_peer(refuse)
+        with pytest.raises(protocol.HandshakeError,
+                           match="refused HELLO: go away") as caught:
+            protocol.dial(*peer.address, "probe", role="broker", timeout=5.0)
+        assert not caught.value.transient
+
+    def test_hello_names_the_client_and_the_wire_version(self, scripted_peer):
+        hellos = []
+
+        def record(connection):
+            hellos.append(protocol.recv_message(connection))
+            protocol.send_message(connection, protocol.WELCOME,
+                                  protocol.welcome_info("broker", tasks=0))
+
+        peer = scripted_peer(record)
+        sock, _info = protocol.dial(*peer.address, "probe", role="broker",
+                                    timeout=5.0)
+        sock.close()
+        assert hellos == [(protocol.HELLO, {"id": "probe",
+                                            "wire": protocol.WIRE_VERSION})]
 
     def test_refused_connects_are_retried_until_one_succeeds(self,
                                                              scripted_peer):
-        peer = scripted_peer(_welcome({"tasks": 1, "stats": True}))
+        welcome = protocol.welcome_info("broker", tasks=1)
+        peer = scripted_peer(_welcome(welcome))
         plan = FaultPlan(refuse_connects=2)
         sock, info = protocol.dial(
-            *peer.address, "probe", require={"stats": "no stats"},
+            *peer.address, "probe", role="broker",
             timeout=5.0, retry=RetryPolicy(max_attempts=3, base_delay=0.0),
             connect_factory=plan.connect)
         sock.close()
-        assert info == {"tasks": 1, "stats": True}
+        assert info == welcome
         snap = plan.snapshot()
         assert snap["connects_attempted"] == 3
         assert snap["connects_refused"] == 2

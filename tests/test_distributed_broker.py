@@ -40,19 +40,20 @@ class _ScriptedWorker:
     def __init__(self, broker, worker_id="scripted"):
         host, port = broker.address
         self.sock = socket.create_connection((host, port), timeout=5.0)
-        protocol.send_message(self.sock, protocol.HELLO, worker_id)
+        protocol.send_message(self.sock, protocol.HELLO,
+                              {"id": worker_id, "wire": protocol.WIRE_VERSION})
         kind, info = protocol.recv_message(self.sock)
         assert kind == protocol.WELCOME
         self.welcome_info = info
         self.announced_tasks = info["tasks"]
 
-    def get(self, capacity=None):
-        """GET with an advertised lease capacity (None = pre-1.4 worker)."""
+    def get(self, capacity=1):
+        """GET naming the most tasks this worker takes in one lease."""
         protocol.send_message(self.sock, protocol.GET, capacity)
         return protocol.recv_message(self.sock)
 
     def stats(self):
-        """Request one STATS snapshot over this connection (1.5+)."""
+        """Request one STATS snapshot over this connection."""
         protocol.send_message(self.sock, protocol.STATS)
         kind, snapshot = protocol.recv_message(self.sock)
         assert kind == protocol.STATS
@@ -94,8 +95,8 @@ class TestBrokerProtocol:
             worker = _ScriptedWorker(broker)
             assert worker.announced_tasks == 2
             for expected_index in (0, 1):
-                kind, (index, task) = worker.get()
-                assert kind == protocol.TASK and index == expected_index
+                kind, [(index, task)] = worker.get()
+                assert kind == protocol.TASKS and index == expected_index
                 assert worker.send_result(index, result=f"r{index}") is True
             kind, _ = worker.get()
             assert kind == protocol.SHUTDOWN
@@ -112,14 +113,14 @@ class TestBrokerProtocol:
         """A dropped connection (kill -9 equivalent) returns the lease."""
         with SweepBroker(_tiny_tasks(1)) as broker:
             doomed = _ScriptedWorker(broker, "doomed")
-            kind, (index, _) = doomed.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _)] = doomed.get()
+            assert kind == protocol.TASKS and index == 0
             doomed.close()                       # dies holding the lease
             _wait_until(lambda: broker.requeued_tasks == 1,
                         message="disconnect requeue")
             survivor = _ScriptedWorker(broker, "survivor")
-            kind, (index, _) = survivor.get()
-            assert kind == protocol.TASK and index == 0   # same task again
+            kind, [(index, _)] = survivor.get()
+            assert kind == protocol.TASKS and index == 0   # same task again
             assert survivor.send_result(0) is True
             assert broker.join(timeout=1.0)
             survivor.close()
@@ -128,13 +129,13 @@ class TestBrokerProtocol:
         """A hung worker (connected, no heartbeats) loses its lease."""
         with SweepBroker(_tiny_tasks(1), heartbeat_timeout=0.3) as broker:
             hung = _ScriptedWorker(broker, "hung")
-            kind, (index, _) = hung.get()
-            assert kind == protocol.TASK
+            kind, [(index, _)] = hung.get()
+            assert kind == protocol.TASKS
             _wait_until(lambda: broker.requeued_tasks == 1, timeout=3.0,
                         message="lease expiry")
             survivor = _ScriptedWorker(broker, "survivor")
-            kind, (index, _) = survivor.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _)] = survivor.get()
+            assert kind == protocol.TASKS and index == 0
             survivor.send_result(0)
             assert broker.join(timeout=1.0)
             hung.close()
@@ -143,8 +144,8 @@ class TestBrokerProtocol:
     def test_heartbeats_keep_a_slow_trial_leased(self):
         with SweepBroker(_tiny_tasks(1), heartbeat_timeout=0.4) as broker:
             worker = _ScriptedWorker(broker)
-            kind, (index, _) = worker.get()
-            assert kind == protocol.TASK
+            kind, [(index, _)] = worker.get()
+            assert kind == protocol.TASKS
             for _ in range(10):                  # 1s of training, beating at 0.1s
                 time.sleep(0.1)
                 worker.heartbeat()
@@ -157,13 +158,13 @@ class TestBrokerProtocol:
         """First delivery wins; the duplicate is acked but dropped."""
         with SweepBroker(_tiny_tasks(1), heartbeat_timeout=0.2) as broker:
             slow = _ScriptedWorker(broker, "slow")
-            kind, (index, _) = slow.get()
-            assert kind == protocol.TASK
+            kind, [(index, _)] = slow.get()
+            assert kind == protocol.TASKS
             _wait_until(lambda: broker.requeued_tasks == 1, timeout=3.0,
                         message="lease expiry")   # slow looks dead; task requeued
             fast = _ScriptedWorker(broker, "fast")
-            kind, (index, _) = fast.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _)] = fast.get()
+            assert kind == protocol.TASKS and index == 0
             assert fast.send_result(0, result="first") is True
             # ...now the "dead" worker wakes up and delivers anyway.
             assert slow.send_result(0, result="second") is False
@@ -177,8 +178,8 @@ class TestBrokerProtocol:
         the next GET sees SHUTDOWN, not a pointless re-lease."""
         with SweepBroker(_tiny_tasks(1), heartbeat_timeout=0.2) as broker:
             slow = _ScriptedWorker(broker, "slow")
-            kind, (index, _) = slow.get()
-            assert kind == protocol.TASK
+            kind, [(index, _)] = slow.get()
+            assert kind == protocol.TASKS
             _wait_until(lambda: broker.requeued_tasks == 1, timeout=3.0,
                         message="lease expiry")
             # The original holder delivers anyway — still the first result.
@@ -196,13 +197,13 @@ class TestBrokerProtocol:
         disconnect must not yank the new holder's lease."""
         with SweepBroker(_tiny_tasks(1), heartbeat_timeout=0.2) as broker:
             stale = _ScriptedWorker(broker, "stale")
-            kind, (index, _) = stale.get()
-            assert kind == protocol.TASK
+            kind, [(index, _)] = stale.get()
+            assert kind == protocol.TASKS
             _wait_until(lambda: broker.requeued_tasks == 1, timeout=3.0,
                         message="lease expiry")
             current = _ScriptedWorker(broker, "current")
-            kind, (index, _) = current.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _)] = current.get()
+            assert kind == protocol.TASKS and index == 0
             stale.close()                        # must not requeue task 0 again
             time.sleep(0.1)
             assert broker.requeued_tasks == 1
@@ -216,7 +217,7 @@ class TestBrokerProtocol:
         with SweepBroker(_tiny_tasks(1)) as broker:
             holder = _ScriptedWorker(broker, "holder")
             kind, _ = holder.get()
-            assert kind == protocol.TASK
+            assert kind == protocol.TASKS
             idle = _ScriptedWorker(broker, "idle")
             kind, seconds = idle.get()
             assert kind == protocol.WAIT and seconds > 0
@@ -312,6 +313,124 @@ class TestObserverHandshake:
         assert peer.connections == 1
 
 
+def _raw_hello(broker, payload):
+    """A socket that sent ``payload`` as its HELLO, and the broker's reply."""
+    sock = socket.create_connection(broker.address, timeout=5.0)
+    protocol.send_message(sock, protocol.HELLO, payload)
+    return sock, protocol.recv_message(sock)
+
+
+def _assert_dropped(sock):
+    try:
+        assert sock.recv(1) == b""
+    except ConnectionError:
+        pass            # a reset is as dropped as it gets
+    sock.close()
+
+
+class TestBrokerHandshake:
+    @pytest.mark.parametrize("hello", [
+        "worker-1",                                       # a 1.x/2.0 client
+        {"id": "w", "wire": protocol.WIRE_VERSION + 1},
+        {"id": "w"},
+        {"id": 7, "wire": protocol.WIRE_VERSION},
+    ], ids=["bare-string", "other-wire", "no-wire", "non-str-id"])
+    def test_bad_hello_is_refused_and_others_are_served(self, hello):
+        with SweepBroker(_tiny_tasks(1)) as broker:
+            sock, (kind, reason) = _raw_hello(broker, hello)
+            assert kind == protocol.ERROR
+            assert "wire version" in reason or "id must be a str" in reason
+            _assert_dropped(sock)
+            worker = _ScriptedWorker(broker, "polite")
+            kind, [(index, _task)] = worker.get()
+            assert (kind, index) == (protocol.TASKS, 0)
+            assert worker.send_result(index) is True
+            worker.close()
+            assert broker.workers_seen == {"polite"}
+
+    def test_a_frame_before_hello_is_refused(self):
+        with SweepBroker(_tiny_tasks(1)) as broker:
+            sock = socket.create_connection(broker.address, timeout=5.0)
+            protocol.send_message(sock, protocol.GET, 1)
+            kind, reason = protocol.recv_message(sock)
+            assert (kind, reason) == (protocol.ERROR,
+                                      "expected HELLO, got 'get'")
+            _assert_dropped(sock)
+            assert broker.stats_snapshot()["tasks"]["leased"] == 0
+
+    def test_dial_asking_for_another_role_is_definitive(self):
+        with SweepBroker(_tiny_tasks(1)) as broker:
+            with pytest.raises(protocol.HandshakeError,
+                               match="is a sweep broker, not a policy "
+                                     "server") as caught:
+                protocol.dial(*broker.address, "probe", role="serving",
+                              timeout=5.0,
+                              retry=RetryPolicy(max_attempts=3,
+                                                base_delay=0.0))
+            assert not caught.value.transient
+
+
+class TestBrokerConnections:
+    @pytest.mark.parametrize("kind, payload", [
+        (protocol.RESULT, "garbage"),
+        (protocol.RESULT, (0, "r")),
+        (protocol.RESULT, ("0", "r", "distributed")),
+        (protocol.RESULT, (99, "r", "distributed")),
+        (protocol.GET, None),
+        (protocol.GET, 0),
+        (protocol.GET, True),
+        (protocol.GET, {"capacity": 8, "drain": True}),
+        (protocol.DRAIN, "w0"),
+        ("frobnicate", None),
+        (protocol.HELLO, {"id": "again", "wire": protocol.WIRE_VERSION}),
+    ])
+    def test_a_bad_frame_drops_only_its_connection(self, kind, payload):
+        crashes = []
+        previous_hook = threading.excepthook
+        threading.excepthook = crashes.append
+        try:
+            with SweepBroker(_tiny_tasks(1)) as broker:
+                steady = _ScriptedWorker(broker, "steady")
+                rogue = _ScriptedWorker(broker, "rogue")
+                protocol.send_message(rogue.sock, kind, payload)
+                _assert_dropped(rogue.sock)
+                kind, [(index, _task)] = steady.get()
+                assert steady.send_result(index) is True
+                assert broker.join(timeout=1.0)
+                steady.close()
+        finally:
+            threading.excepthook = previous_hook
+        assert crashes == []
+
+    @pytest.mark.parametrize("wrapped", [False, True],
+                             ids=["plain", "fault-wrapped"])
+    def test_close_drops_live_connections_promptly(self, wrapped):
+        from repro.chaos import FaultPlan
+
+        plan = FaultPlan() if wrapped else None
+        broker = SweepBroker(_tiny_tasks(1), fault_plan=plan).start()
+        peers = [_ScriptedWorker(broker, f"idle-{i}") for i in range(3)]
+        began = time.perf_counter()
+        broker.close()
+        assert time.perf_counter() - began < 1.0
+        for peer in peers:
+            peer.sock.settimeout(1.0)
+            _assert_dropped(peer.sock)
+        assert broker.active_connections == 0
+
+    def test_finished_connection_threads_are_pruned(self):
+        with SweepBroker(_tiny_tasks(1)) as broker:
+            host, port = broker.address
+            for _ in range(30):
+                fetch_fleet_stats(host, port)
+            _wait_until(lambda: broker.active_connections == 0,
+                        message="observers gone")
+            fetch_fleet_stats(host, port)
+            # accept + monitor, the last observer's thread, and at most one
+            # more still finishing when it was accepted.
+            assert len(broker._threads) <= 4
+
+
 class TestLeaseBatching:
     def test_lease_batch_serves_k_tasks_per_get(self):
         with SweepBroker(_tiny_tasks(3), lease_batch=2) as broker:
@@ -331,19 +450,6 @@ class TestLeaseBatching:
             assert [r for r, _ in broker.results()] == ["r0", "r1", "r2"]
             worker.close()
 
-    def test_pre_batching_worker_gets_classic_task_frames(self):
-        """Capability negotiation: a worker that does not advertise a lease
-        capacity (a pre-1.4 `repro worker`) must keep receiving one TASK
-        frame per GET even from a batching broker."""
-        with SweepBroker(_tiny_tasks(2), lease_batch=4) as broker:
-            legacy = _ScriptedWorker(broker, worker_id="legacy")
-            for expected_index in (0, 1):
-                kind, (index, _task) = legacy.get()      # None capacity
-                assert kind == protocol.TASK and index == expected_index
-                legacy.send_result(index, result=f"r{index}")
-            assert broker.join(timeout=1.0)
-            legacy.close()
-
     def test_capacity_caps_batch_below_broker_lease_batch(self):
         with SweepBroker(_tiny_tasks(3), lease_batch=3) as broker:
             worker = _ScriptedWorker(broker)
@@ -351,18 +457,20 @@ class TestLeaseBatching:
             assert kind == protocol.TASKS and len(leased) == 2
             for index, _ in leased:
                 worker.send_result(index, result=f"r{index}")
-            kind, payload = worker.get(capacity=1)       # single-task request
-            assert kind == protocol.TASK
-            worker.send_result(payload[0], result="r-last")
+            kind, [(index, _task)] = worker.get(capacity=1)   # one task
+            assert kind == protocol.TASKS
+            worker.send_result(index, result="r-last")
             assert broker.join(timeout=1.0)
             worker.close()
 
-    def test_lease_batch_one_keeps_classic_task_frames(self):
-        with SweepBroker(_tiny_tasks(1), lease_batch=1) as broker:
+    def test_lease_batch_one_leases_one_task_per_frame(self):
+        with SweepBroker(_tiny_tasks(2), lease_batch=1) as broker:
             worker = _ScriptedWorker(broker)
-            kind, payload = worker.get()
-            assert kind == protocol.TASK           # wire-compatible default
-            worker.send_result(payload[0], result="r")
+            kind, [(index, _task)] = worker.get(capacity=8)
+            assert kind == protocol.TASKS and index == 0
+            worker.send_result(index, result="r")
+            assert worker.get(capacity=8)[1][0][0] == 1
+            worker.send_result(1, result="r")
             worker.close()
             assert broker.join(timeout=1.0)
 
@@ -432,8 +540,6 @@ class TestLeaseBatching:
     @staticmethod
     def _indices(reply):
         kind, payload = reply
-        if kind == protocol.TASK:
-            return [payload[0]]
         assert kind == protocol.TASKS
         return [index for index, _ in payload]
 
@@ -465,8 +571,8 @@ class TestLeaseBatching:
                          training=TrainingConfig(max_episodes=3), root_seed=99)
         with SweepBroker(spec.tasks(), fleet_size=1) as broker:
             worker = _ScriptedWorker(broker)
-            kind, (index, task) = worker.get(capacity=1024)
-            assert kind == protocol.TASK and (index, task.design) == (0, "DQN")
+            kind, [(index, task)] = worker.get(capacity=1024)
+            assert kind == protocol.TASKS and (index, task.design) == (0, "DQN")
             assert self._indices(worker.get(capacity=1024)) == [1]
             assert self._indices(worker.get(capacity=1024)) == [2, 3]
             worker.close()
@@ -490,11 +596,11 @@ class TestLeaseBatching:
             assert leases == [[0, 2], [1, 3], [4, 6], [5, 7]]
             worker.close()
 
-    def test_without_a_fleet_size_the_default_lease_is_one_task_frame(self):
+    def test_without_a_fleet_size_the_default_lease_is_one_task(self):
         with SweepBroker(_tiny_tasks(16)) as broker:
             worker = _ScriptedWorker(broker)
-            kind, (index, _task) = worker.get(capacity=1024)
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = worker.get(capacity=1024)
+            assert kind == protocol.TASKS and index == 0
             snap = broker.stats_snapshot()
             assert snap["lease_batch"] is None
             text = format_fleet_status(snap)
@@ -544,12 +650,13 @@ class TestLeaseBatching:
 
 
 class TestStatsChannel:
-    """The 1.5 STATS frame + `repro fleet status` client, wire level."""
+    """The STATS frame + `repro fleet status` client, wire level."""
 
-    def test_welcome_advertises_stats_capability(self):
+    def test_welcome_names_the_wire_version_and_role(self):
         with SweepBroker(_tiny_tasks(1)) as broker:
             worker = _ScriptedWorker(broker)
-            assert worker.welcome_info["stats"] is True
+            assert worker.welcome_info == {"wire": protocol.WIRE_VERSION,
+                                           "role": "broker", "tasks": 1}
             worker.close()
 
     def test_stats_on_untouched_grid(self):
@@ -645,24 +752,6 @@ class TestStatsChannel:
             assert snap["counters"]["requeued_tasks"] == 1
             observer.close()
 
-    def test_pre_stats_worker_serves_unchanged(self):
-        """Mixed fleet: a worker that ignores the stats flag and never sends
-        a STATS frame (a pre-1.5 `repro worker`) completes tasks exactly as
-        before, and its work is still attributed in the snapshot."""
-        with SweepBroker(_tiny_tasks(2)) as broker:
-            legacy = _ScriptedWorker(broker, "legacy")   # never calls .stats()
-            assert legacy.announced_tasks == 2           # reads only "tasks"
-            for index in (0, 1):
-                kind, (got, _task) = legacy.get()
-                assert kind == protocol.TASK and got == index
-                legacy.send_result(index, result=f"r{index}")
-            assert broker.join(timeout=1.0)
-            host, port = broker.address
-            snap = fetch_fleet_stats(host, port)
-            assert snap["workers"]["legacy"]["completed"] == 2
-            assert snap["tasks"]["done"] == 2
-            legacy.close()
-
     def test_observer_stays_out_of_worker_accounting(self):
         with SweepBroker(_tiny_tasks(1)) as broker:
             worker = _ScriptedWorker(broker, "real-worker")
@@ -682,26 +771,28 @@ class TestStatsChannel:
         with pytest.raises(FleetStatusError, match="cannot reach"):
             fetch_fleet_stats("127.0.0.1", port, timeout=0.5)
 
-    def test_fetch_fleet_stats_rejects_pre_stats_broker(self):
-        """Wire-level downgrade: a broker whose WELCOME lacks the stats flag
-        (repro < 1.5) yields an actionable error, not a hang or traceback."""
+    def test_fetch_fleet_stats_rejects_another_wire_version(self):
+        """A broker whose WELCOME names another wire version yields an
+        actionable, definitive error, not a hang or traceback."""
         server = socket.socket()
         server.bind(("127.0.0.1", 0))
         server.listen(1)
         host, port = server.getsockname()[:2]
 
-        def legacy_broker():
+        def other_broker():
             connection, _ = server.accept()
             with connection:
                 kind, _ = protocol.recv_message(connection)
                 assert kind == protocol.HELLO
                 protocol.send_message(connection, protocol.WELCOME,
-                                      {"tasks": 5})   # pre-1.5: no stats flag
-        thread = threading.Thread(target=legacy_broker, daemon=True)
+                                      {"wire": protocol.WIRE_VERSION - 1,
+                                       "role": "broker", "tasks": 5})
+        thread = threading.Thread(target=other_broker, daemon=True)
         thread.start()
         try:
-            with pytest.raises(FleetStatusError, match="does not advertise"):
+            with pytest.raises(FleetStatusError, match="wire version") as caught:
                 fetch_fleet_stats(host, port, timeout=2.0)
+            assert not caught.value.transient
             thread.join(timeout=2.0)
         finally:
             server.close()
@@ -762,20 +853,35 @@ class TestWorkerReconnectAccounting:
             assert broker.stats_snapshot()["counters"]["workers_seen"] == 1
             second.close()
 
+    def test_old_connection_closing_late_keeps_the_worker_connected(self):
+        """The reconnected worker's new connection is live even when the
+        broker notices the old one's EOF only afterwards."""
+        with SweepBroker(_tiny_tasks(2)) as broker:
+            old = _ScriptedWorker(broker, "w0")
+            new = _ScriptedWorker(broker, "w0")
+            old.close()
+            _wait_until(lambda: broker.active_connections == 1,
+                        message="old connection gone")
+            assert broker.stats_snapshot()["workers"]["w0"]["connected"] is True
+            assert broker.mark_draining(["w0"])["marked"] == ["w0"]
+            new.close()
+            _wait_until(lambda: not broker.stats_snapshot()["workers"]["w0"]
+                        ["connected"], message="new connection gone")
+
     def test_duplicate_result_from_reconnected_worker_is_deduped(self):
         """A worker dies holding a lease, someone else retrains the task,
         then the original worker reconnects and redelivers its stranded
-        result — the exact redelivery race the 1.8 reconnect loop creates."""
+        result — the exact redelivery race the reconnect loop creates."""
         with SweepBroker(_tiny_tasks(1)) as broker:
             original = _ScriptedWorker(broker, "flaky")
-            kind, (index, _task) = original.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = original.get()
+            assert kind == protocol.TASKS and index == 0
             original.close()                     # connection cut mid-trial
             _wait_until(lambda: broker.requeued_tasks == 1,
                         message="lease requeued")
             other = _ScriptedWorker(broker, "steady")
-            kind, (index, _task) = other.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = other.get()
+            assert kind == protocol.TASKS and index == 0
             assert other.send_result(0, result="retrained") is True
             # The flaky worker comes back under its old id and redelivers.
             revenant = _ScriptedWorker(broker, "flaky")
@@ -787,17 +893,8 @@ class TestWorkerReconnectAccounting:
             revenant.close()
 
 
-DRAIN_CAPACITY = {"capacity": 8, "drain": True}   # a 1.7+ worker's GET payload
-
-
 class TestDrainProtocol:
-    """The negotiated DRAIN frame: graceful worker retirement (1.7+)."""
-
-    def test_welcome_advertises_drain_capability(self):
-        with SweepBroker(_tiny_tasks(1)) as broker:
-            worker = _ScriptedWorker(broker)
-            assert worker.welcome_info["drain"] is True
-            worker.close()
+    """The DRAIN frame: graceful worker retirement."""
 
     def test_marked_worker_finishes_lease_then_gets_drain_frame(self):
         """The full choreography: mark -> deliver in-flight -> DRAIN -> exit,
@@ -807,15 +904,15 @@ class TestDrainProtocol:
         with SweepBroker(_tiny_tasks(3)) as broker:
             host, port = broker.address
             worker = _ScriptedWorker(broker, "w0")
-            kind, (index, _task) = worker.get(DRAIN_CAPACITY)
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = worker.get()
+            assert kind == protocol.TASKS and index == 0
             report = request_drain(host, port, ["w0"])
             assert report == {"marked": ["w0"], "already_draining": [],
                               "unknown": [], "gone": []}
             # In-flight result still lands normally after the mark...
             assert worker.send_result(0) is True
             # ...and the next GET is the retirement order, not a lease.
-            kind, payload = worker.get(DRAIN_CAPACITY)
+            kind, payload = worker.get()
             assert kind == protocol.DRAIN and payload is None
             worker.close()
             _wait_until(lambda: broker.drains_completed == 1,
@@ -826,29 +923,9 @@ class TestDrainProtocol:
             assert len(broker.drain_durations) == 1
             # The drained worker's delivered result is never re-leased.
             survivor = _ScriptedWorker(broker, "w1")
-            kind, (index, _task) = survivor.get(DRAIN_CAPACITY)
-            assert kind == protocol.TASK and index == 1
+            kind, [(index, _task)] = survivor.get()
+            assert kind == protocol.TASKS and index == 1
             survivor.close()
-
-    def test_legacy_worker_marked_for_drain_degrades_gracefully(self):
-        """A pre-1.7 worker (bare-int GET payload) never negotiated DRAIIN,
-        so a drain mark must not change what it is served — the supervisor
-        retires such workers by signal instead."""
-        with SweepBroker(_tiny_tasks(2)) as broker:
-            legacy = _ScriptedWorker(broker, "old")
-            assert broker.mark_draining(["old"])["marked"] == ["old"]
-            kind, (index, _task) = legacy.get(8)     # int: pre-1.7 payload
-            assert kind == protocol.TASK and index == 0
-            legacy.send_result(0)
-            kind, _ = legacy.get(None)               # pre-1.4 payload form
-            assert kind == protocol.TASK
-            legacy.send_result(1)
-            legacy.close()
-            # Disconnecting with everything delivered still settles as a
-            # graceful drain on the broker's books.
-            _wait_until(lambda: broker.drains_completed == 1,
-                        message="legacy drain settled")
-            assert broker.drain_requeued_tasks == 0
 
     def test_self_drain_announce_is_unsolicited(self):
         """(DRAIN, None) from a worker (SIGTERM landed) marks it without a
@@ -869,8 +946,8 @@ class TestDrainProtocol:
         is pinned on drain_requeued_tasks (the counter CI asserts is 0)."""
         with SweepBroker(_tiny_tasks(2)) as broker:
             doomed = _ScriptedWorker(broker, "doomed")
-            kind, (index, _task) = doomed.get(DRAIN_CAPACITY)
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = doomed.get()
+            assert kind == protocol.TASKS and index == 0
             broker.mark_draining(["doomed"])
             doomed.close()                       # dies holding the lease
             _wait_until(lambda: broker.drain_requeued_tasks == 1,
@@ -880,8 +957,8 @@ class TestDrainProtocol:
             survivor = _ScriptedWorker(broker, "survivor")
             served = set()
             for _ in range(2):                   # task 1 + the requeued task 0
-                kind, (index, _task) = survivor.get(DRAIN_CAPACITY)
-                assert kind == protocol.TASK
+                kind, [(index, _task)] = survivor.get()
+                assert kind == protocol.TASKS
                 served.add(index)
             assert served == {0, 1}              # the lost lease came back
             survivor.close()
@@ -909,7 +986,7 @@ class TestDrainProtocol:
     def test_stats_snapshot_reports_drain_state(self):
         with SweepBroker(_tiny_tasks(1)) as broker:
             worker = _ScriptedWorker(broker, "w0")
-            worker.get(DRAIN_CAPACITY)
+            worker.get()
             broker.mark_draining(["w0"])
             snap = broker.stats_snapshot()
             assert snap["workers"]["w0"]["draining"] is True
@@ -939,13 +1016,13 @@ class TestDrainProtocol:
             # join: two workers lease one task each
             a = _ScriptedWorker(broker, "a")
             b = _ScriptedWorker(broker, "b")
-            _, (ia, _t) = a.get(DRAIN_CAPACITY)
-            _, (ib, _t) = b.get(DRAIN_CAPACITY)
+            _, [(ia, _t)] = a.get()
+            _, [(ib, _t)] = b.get()
             assert check(broker)["leased"] == 2
             # drain: a delivers its last result, is marked, disconnects
             assert a.send_result(ia) is True
             request_drain(host, port, ["a"])
-            kind, _ = a.get(DRAIN_CAPACITY)
+            kind, _ = a.get()
             assert kind == protocol.DRAIN
             a.close()
             _wait_until(lambda: broker.drains_completed == 1,
@@ -965,11 +1042,11 @@ class TestDrainProtocol:
             assert check(broker)["done"] == done_after_drain
             # c finishes the rest of the grid; totals reconcile to the end
             while True:
-                kind, payload = c.get(DRAIN_CAPACITY)
+                kind, payload = c.get()
                 if kind == protocol.SHUTDOWN:
                     break
-                assert kind == protocol.TASK
-                index, _task = payload
+                assert kind == protocol.TASKS
+                [(index, _task)] = payload
                 c.send_result(index)
                 check(broker)
             assert broker.join(timeout=2.0)
@@ -979,73 +1056,26 @@ class TestDrainProtocol:
             c.close()
 
 
-class TestDrainCrossVersion:
-    """Version hygiene: 1.7 workers against pre-1.7 brokers and vice versa."""
+class TestWorkerDrain:
+    """A real worker loop retired by the broker or by its own signal."""
 
-    def test_new_worker_against_pre_drain_broker_sends_legacy_get(self):
-        """A 1.7 worker that sees no drain flag in WELCOME must fall back to
-        the bare-int GET payload a pre-1.7 broker understands."""
-        from repro.distributed.worker import (LEASE_CAPACITY, WorkerOptions,
-                                              run_worker)
-
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        host, port = server.getsockname()[:2]
-        seen_payloads = []
-
-        def legacy_broker():
-            connection, _ = server.accept()
-            with connection:
-                kind, _ = protocol.recv_message(connection)
-                assert kind == protocol.HELLO
-                protocol.send_message(connection, protocol.WELCOME,
-                                      {"tasks": 1, "stats": True})  # no drain
-                kind, payload = protocol.recv_message(connection)
-                assert kind == protocol.GET
-                seen_payloads.append(payload)
-                protocol.send_message(connection, protocol.SHUTDOWN, None)
-
-        thread = threading.Thread(target=legacy_broker, daemon=True)
-        thread.start()
-        try:
-            completed = run_worker(host, port,
-                                   WorkerOptions(worker_id="new-worker",
-                                                 handle_signals=False))
-            thread.join(timeout=2.0)
-        finally:
-            server.close()
-        assert completed == 0
-        assert seen_payloads == [LEASE_CAPACITY]   # bare int, never a dict
-
-    def test_request_drain_rejects_pre_drain_broker(self):
+    def test_request_drain_rejects_a_policy_server(self):
         from repro.fleet import FleetControlError, request_drain
+        from repro.serving import PolicyServer
 
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        host, port = server.getsockname()[:2]
+        class Idle:
+            def act_batch(self, states, explore=False):
+                return [0] * len(states)
 
-        def legacy_broker():
-            connection, _ = server.accept()
-            with connection:
-                kind, _ = protocol.recv_message(connection)
-                assert kind == protocol.HELLO
-                protocol.send_message(connection, protocol.WELCOME,
-                                      {"tasks": 1, "stats": True})
+        with PolicyServer({"d": Idle()}) as server:
+            with pytest.raises(FleetControlError,
+                               match="not a sweep broker") as caught:
+                request_drain(*server.address, ["w0"], timeout=2.0)
+        assert not caught.value.transient
 
-        thread = threading.Thread(target=legacy_broker, daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(FleetControlError, match="does not advertise"):
-                request_drain(host, port, ["w0"], timeout=2.0)
-            thread.join(timeout=2.0)
-        finally:
-            server.close()
-
-    def test_new_worker_against_new_broker_negotiates_drain(self):
-        """End to end over real sockets: the worker upgrades its GET payload
-        to the capability dict and honours a DRAIN reply by exiting."""
+    def test_worker_honours_a_drain_reply(self):
+        """End to end over real sockets: a worker marked for drain is
+        answered DRAIN at its next GET and exits."""
         from repro.distributed.worker import WorkerOptions, run_worker
         from repro.fleet import request_drain
 

@@ -2,6 +2,8 @@
 
 import socket
 import struct
+import threading
+import time
 from collections import defaultdict
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro.core.os_elm import OSELM
 from repro.core.qfunction import QFunction
 from repro.core.regularization import RegularizationConfig
 from repro.distributed import protocol
+from repro.distributed.broker import SweepBroker
 from repro.envs.registry import registry as env_registry
 from repro.fpga.accelerator import FPGAAcceleratedOSELM
 from repro.fixedpoint.qformat import Q20, QFormat
@@ -387,3 +390,90 @@ class TestFramingProperties:
             assert isinstance(kind, str)
         finally:
             reader.close()
+
+
+#: Frames a client could send a broker: every kind it knows and others,
+#: with payloads of the shapes sweep traffic carries and near misses.
+broker_frames = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([protocol.HELLO, protocol.GET,
+                                   protocol.RESULT, protocol.HEARTBEAT,
+                                   protocol.STATS, protocol.DRAIN]),
+                  st.text(max_size=8)),
+        st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                  st.text(max_size=8), st.binary(max_size=64),
+                  st.lists(st.text(max_size=8), max_size=3),
+                  st.tuples(st.integers(-1, 3), st.text(max_size=4),
+                            st.text(max_size=4)),
+                  st.fixed_dictionaries({"id": st.text(max_size=8),
+                                         "wire": st.integers(0, 5)}))),
+    max_size=6)
+
+
+def _fuzz_broker(broker, frames, raw, handshake):
+    """Send ``frames`` then ``raw`` bytes, half-close, and read every reply
+    until the broker drops the connection."""
+    sock = socket.create_connection(broker.address, timeout=5.0)
+    try:
+        if handshake:
+            protocol.send_message(sock, protocol.HELLO,
+                                  {"id": "fuzz", "wire": protocol.WIRE_VERSION})
+            assert protocol.recv_message(sock)[0] == protocol.WELCOME
+        try:
+            sock.sendall(b"".join(protocol.encode_frame(kind, payload)
+                                  for kind, payload in frames) + raw)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:   # the broker has already dropped the connection
+            pass
+        while True:   # a socket.timeout here would mean a stuck broker
+            try:
+                kind, _payload = protocol.recv_message(sock)
+            except (protocol.ProtocolError, ConnectionError):
+                return
+            assert kind in {protocol.WELCOME, protocol.TASKS, protocol.WAIT,
+                            protocol.SHUTDOWN, protocol.ACK, protocol.STATS,
+                            protocol.DRAIN, protocol.ERROR}
+    finally:
+        sock.close()
+
+
+class TestBrokerReader:
+    @settings(max_examples=25, deadline=None)
+    @given(frames=broker_frames, raw=st.one_of(st.just(b""), wire_bytes),
+           handshake=st.booleans())
+    def test_live_broker_survives_arbitrary_frames(self, frames, raw,
+                                                   handshake):
+        """Whatever a peer sends, in place of HELLO or after it, costs the
+        broker that connection at most: no connection thread dies, and a
+        worker on a second connection still leases and delivers."""
+        tasks = SweepSpec(designs=("OS-ELM-L2",), n_seeds=2, n_hidden=8,
+                          training=TrainingConfig(max_episodes=3),
+                          root_seed=99).tasks()
+        crashes = []
+        previous_hook = threading.excepthook
+        threading.excepthook = crashes.append
+        try:
+            with SweepBroker(tasks, max_frame_bytes=4096) as broker:
+                _fuzz_broker(broker, frames, raw, handshake)
+                sock, _info = protocol.dial(*broker.address, "steady",
+                                            role="broker", timeout=5.0)
+                with sock:
+                    while True:
+                        protocol.send_message(sock, protocol.GET, 8)
+                        kind, payload = protocol.recv_message(sock)
+                        if kind == protocol.WAIT:   # fuzz leases requeueing
+                            time.sleep(payload)
+                            continue
+                        if kind == protocol.SHUTDOWN:  # fuzz delivered all
+                            assert broker.completed_count == len(tasks)
+                            break
+                        assert kind == protocol.TASKS
+                        for index, _task in payload:
+                            protocol.send_message(
+                                sock, protocol.RESULT,
+                                (index, "result", "distributed"))
+                            assert protocol.recv_message(sock)[0] == protocol.ACK
+                        break
+        finally:
+            threading.excepthook = previous_hook
+        assert crashes == []

@@ -92,8 +92,19 @@ class _EchoAgent:
         return np.asarray(firsts) + self.offset
 
 
+def _row(design, state):
+    """A one-row ``ACT_BATCH`` frame for ``state``."""
+    row = np.asarray(state, dtype=np.float64)
+    return protocol.ACT_BATCH, (design, row.size, row.tobytes())
+
+
 def _act(value, design="d"):
-    return protocol.ACT, (design, [float(value), 0.0, 0.0, 0.0])
+    return _row(design, [float(value), 0.0, 0.0, 0.0])
+
+
+def _action(action):
+    """The reply to a one-row frame: its action."""
+    return protocol.ACTIONS, [action]
 
 
 # ---------------------------------------------------------------- scripted sockets
@@ -104,7 +115,9 @@ class _RawClient:
         host, port = server.address
         self.sock = socket.create_connection((host, port), timeout=5.0)
         if handshake:
-            protocol.send_message(self.sock, protocol.HELLO, client_id)
+            protocol.send_message(self.sock, protocol.HELLO,
+                                  {"id": client_id,
+                                   "wire": protocol.WIRE_VERSION})
             kind, info = protocol.recv_message(self.sock)
             assert kind == protocol.WELCOME
             self.welcome_info = info
@@ -143,10 +156,11 @@ class TestServerProtocol:
         with pytest.raises(ValueError, match="max_batch"):
             PolicyServer({"d": _EchoAgent()}, max_batch=0)
 
-    def test_welcome_advertises_serving(self, agents):
+    def test_welcome_names_the_wire_version_and_role(self, agents):
         with PolicyServer({"OS-ELM": _clone(agents["OS-ELM"])}) as server:
             raw = _RawClient(server)
-            assert raw.welcome_info["serving"] is True
+            assert raw.welcome_info["wire"] == protocol.WIRE_VERSION
+            assert raw.welcome_info["role"] == "serving"
             assert raw.welcome_info["designs"] == ["OS-ELM"]
             assert raw.welcome_info["max_batch"] == 8
             raw.close()
@@ -216,8 +230,7 @@ class TestServerProtocol:
         states = _probe_states(agent, 8, seed=3)
         with PolicyServer({"OS-ELM": _clone(agent)}, max_batch=4) as server:
             doomed = _RawClient(server, "doomed")
-            doomed.send_many([(protocol.ACT, ("OS-ELM", state))
-                              for state in states])
+            doomed.send_many([_row("OS-ELM", state) for state in states])
             doomed.close()  # dies with its requests unanswered
             with PolicyClient(*server.address) as survivor:
                 np.testing.assert_array_equal(survivor.act_many(states),
@@ -229,13 +242,13 @@ class TestServerProtocol:
         state = _probe_states(old, 2, seed=4)
         with PolicyServer({"OS-ELM": _clone(old)}, max_batch=8) as server:
             raw = _RawClient(server)
-            raw.send_many([(protocol.ACT, ("OS-ELM", state[0])),
+            raw.send_many([_row("OS-ELM", state[0]),
                            (protocol.SWAP, ("OS-ELM", pickle.dumps(new))),
-                           (protocol.ACT, ("OS-ELM", state[1]))])
-            assert raw.recv() == (protocol.ACTION, old.act(state[0], explore=False))
+                           _row("OS-ELM", state[1])])
+            assert raw.recv() == _action(old.act(state[0], explore=False))
             assert raw.recv() == (protocol.SWAPPED,
                                   {"design": "OS-ELM", "generation": 1})
-            assert raw.recv() == (protocol.ACTION, new.act(state[1], explore=False))
+            assert raw.recv() == _action(new.act(state[1], explore=False))
             raw.close()
 
     def test_non_finite_state_fails_only_its_request(self, agents):
@@ -244,13 +257,11 @@ class TestServerProtocol:
         states[1, 2] = np.nan
         with PolicyServer({"OS-ELM": _clone(agent)}) as server:
             raw = _RawClient(server)
-            raw.send_many([(protocol.ACT, ("OS-ELM", state)) for state in states])
-            assert raw.recv() == (protocol.ACTION,
-                                  agent.act(states[0], explore=False))
+            raw.send_many([_row("OS-ELM", state) for state in states])
+            assert raw.recv() == _action(agent.act(states[0], explore=False))
             kind, reason = raw.recv()
             assert kind == protocol.ERROR and "NaN or Inf" in reason
-            assert raw.recv() == (protocol.ACTION,
-                                  agent.act(states[2], explore=False))
+            assert raw.recv() == _action(agent.act(states[2], explore=False))
             raw.close()
 
     def test_close_returns_promptly_with_idle_clients(self, agents):
@@ -273,7 +284,7 @@ class TestServerProtocol:
 
             def send(self, data):
                 raw.send(*_act(1))
-                assert raw.recv() == (protocol.ACTION, 1)
+                assert raw.recv() == _action(1)
                 return sender.send(data)
 
             def close(self):
@@ -288,7 +299,7 @@ class TestServerProtocol:
     def test_client_that_never_reads_is_dropped(self, agents):
         agent = agents["OS-ELM"]
         states = _probe_states(agent, 64, seed=6)
-        burst = b"".join(protocol.encode_frame(protocol.ACT, ("OS-ELM", state))
+        burst = b"".join(protocol.encode_frame(*_row("OS-ELM", state))
                          for state in states)
         with PolicyServer({"OS-ELM": _clone(agent)},
                           max_frame_bytes=4096) as server:
@@ -355,6 +366,36 @@ class TestServerProtocol:
                 PolicyClient(host, port)
 
 
+    @pytest.mark.parametrize("hello", [
+        "client-1",                                       # a 1.x/2.0 client
+        {"id": "c", "wire": protocol.WIRE_VERSION - 1},
+        {"id": None, "wire": protocol.WIRE_VERSION},
+    ], ids=["bare-string", "other-wire", "non-str-id"])
+    def test_bad_hello_is_refused_and_others_are_served(self, agents, hello):
+        agent = agents["OS-ELM"]
+        state = _probe_states(agent, 1)[0]
+        with PolicyServer({"OS-ELM": _clone(agent)}) as server:
+            with PolicyClient(*server.address) as steady:
+                raw = _RawClient(server, handshake=False)
+                raw.send(protocol.HELLO, hello)
+                kind, reason = raw.recv()
+                assert kind == protocol.ERROR
+                assert "wire version" in reason or "id must be a str" in reason
+                raw.assert_closed_by_peer()
+                raw.close()
+                assert steady.act(state) == agent.act(state, explore=False)
+                errors = steady.stats()["metrics"]["counters"]["serving.errors"]
+        assert errors == 1
+
+    def test_dial_asking_for_a_broker_is_definitive(self, agents):
+        with PolicyServer({"OS-ELM": _clone(agents["OS-ELM"])}) as server:
+            with pytest.raises(protocol.HandshakeError,
+                               match="is a policy server, not a sweep "
+                                     "broker") as caught:
+                protocol.dial(*server.address, "probe", role="broker",
+                              timeout=5.0)
+        assert not caught.value.transient
+
     @pytest.mark.parametrize("garbled", ["welcome", "action"])
     def test_undecodable_frame_surfaces_as_serving_error(self, scripted_peer,
                                                          garbled):
@@ -368,8 +409,8 @@ class TestServerProtocol:
                 connection.sendall(struct.pack(">Q", len(garbage)) + garbage)
                 return
             protocol.send_message(connection, protocol.WELCOME,
-                                  {"serving": True, "act_batch": True,
-                                   "designs": ["OS-ELM"]})
+                                  protocol.welcome_info("serving",
+                                                        designs=["OS-ELM"]))
             protocol.recv_message(connection)                   # ACT_BATCH
             connection.sendall(struct.pack(">Q", len(garbage)) + garbage)
 
@@ -391,7 +432,7 @@ class TestTick:
             raw = _RawClient(server)
             raw.send_many([_act(i) for i in range(10)])
             assert [raw.recv() for _ in range(10)] == [
-                (protocol.ACTION, i) for i in range(10)]
+                _action(i) for i in range(10)]
             raw.close()
         assert echo.batches == batches
 
@@ -402,7 +443,7 @@ class TestTick:
             raw.send_many([_act(0, "a"), _act(1, "b"), _act(2, "a"),
                            _act(3, "b"), _act(4, "a")])
             assert [raw.recv() for _ in range(5)] == [
-                (protocol.ACTION, action) for action in (0, 101, 2, 103, 4)]
+                _action(action) for action in (0, 101, 2, 103, 4)]
             raw.close()
         assert (a.batches, b.batches) == ([[0, 2, 4]], [[1, 3]])
 
@@ -411,14 +452,14 @@ class TestTick:
         with PolicyServer({"d": echo}) as server:
             raw = _RawClient(server)
             raw.send_many([_act(0), _act(1), (protocol.STATS, None), _act(2)])
-            assert raw.recv() == (protocol.ACTION, 0)
-            assert raw.recv() == (protocol.ACTION, 1)
+            assert raw.recv() == _action(0)
+            assert raw.recv() == _action(1)
             kind, stats = raw.recv()
             assert kind == protocol.STATS
             assert stats["designs"]["d"]["requests"] == 2
             # The ACT behind the STATS frame is decoded, not yet answered.
             assert stats["batching"] == {"max_batch": 8, "queued": 1}
-            assert raw.recv() == (protocol.ACTION, 2)
+            assert raw.recv() == _action(2)
             raw.close()
         assert echo.batches == [[0, 1], [2]]
 
@@ -435,10 +476,10 @@ class TestTick:
             burst.send_many([_act(i) for i in range(12)])
             lone.send(*_act(50))
             echo.gate.set()
-            assert parker.recv() == (protocol.ACTION, 99)
-            assert lone.recv() == (protocol.ACTION, 50)
+            assert parker.recv() == _action(99)
+            assert lone.recv() == _action(50)
             assert [burst.recv() for _ in range(12)] == [
-                (protocol.ACTION, i) for i in range(12)]
+                _action(i) for i in range(12)]
             for raw in (parker, burst, lone):
                 raw.close()
         assert echo.batches[0] == [99]
@@ -450,12 +491,12 @@ class TestTick:
             raw = _RawClient(server)
             raw.send_many([_act(i) for i in range(8)])
             assert [raw.recv() for _ in range(4)] == [
-                (protocol.ACTION, i) for i in range(4)]
+                _action(i) for i in range(4)]
             for _ in range(4):
                 assert raw.recv() == (protocol.ERROR,
                                       "dispatch failed: model exploded")
             raw.send(*_act(9))  # the connection and the loop live on
-            assert raw.recv() == (protocol.ACTION, 9)
+            assert raw.recv() == _action(9)
             raw.close()
 
     def test_wrong_action_shape_fails_its_chunk(self):
@@ -550,46 +591,47 @@ class TestWirePayloads:
         np.testing.assert_array_equal(client.act_many(states), offline)
 
     def test_ndarray_and_list_payloads_get_the_same_action(self, agents):
-        """A client that sends ndarray rows is served like one sending lists."""
+        """``act_many`` serves ndarray rows and list rows alike."""
         agent = agents["OS-ELM"]
-        state = _probe_states(agent, 1, seed=9)[0]
-        expected = (protocol.ACTION, agent.act(state, explore=False))
+        states = _probe_states(agent, 3, seed=9)
+        expected = _offline_greedy(agent, states)
         with PolicyServer({"OS-ELM": _clone(agent)}) as server:
-            raw = _RawClient(server)
-            raw.send_many([(protocol.ACT, ("OS-ELM", state)),
-                           (protocol.ACT, ("OS-ELM", state.tolist()))])
-            assert raw.recv() == expected
-            assert raw.recv() == expected
-            raw.close()
+            with PolicyClient(*server.address) as client:
+                for rows in (states, states.tolist(), list(states)):
+                    np.testing.assert_array_equal(client.act_many(rows),
+                                                  expected)
+                assert client.act(states[0].tolist()) == expected[0]
 
     def test_bad_rows_in_a_group_fail_alone_and_in_order(self):
-        """NaN, wrong-width and ragged rows each get their own ERROR; the
+        """NaN, wrong-width and ragged frames each get their own ERROR; the
         good rows of the same group are batched and answered in place."""
         echo = _EchoAgent()
         with PolicyServer({"d": echo}) as server:
             raw = _RawClient(server)
             raw.send_many([_act(0),
-                           (protocol.ACT, ("d", [1.0, np.nan, 0.0, 0.0])),
-                           (protocol.ACT, ("d", [2.0, 0.0, 0.0])),
-                           (protocol.ACT, ("d", [3.0, [0.0, 1.0], 0.0, 0.0])),
+                           _row("d", [1.0, np.nan, 0.0, 0.0]),
+                           _row("d", [2.0, 0.0, 0.0]),
+                           (protocol.ACT_BATCH, ("d", 4, bytes(40))),
                            _act(4)])
             replies = [raw.recv() for _ in range(5)]
             raw.close()
-        assert replies[0] == (protocol.ACTION, 0)
-        assert replies[1] == (protocol.ERROR, "state contains NaN or Inf values")
+        assert replies[0] == _action(0)
+        assert replies[1] == (protocol.ERROR,
+                              "row 0: state contains NaN or Inf values")
         assert replies[2] == (protocol.ERROR,
-                              "design 'd' expects 4 state dims, got 3")
+                              "row 0: design 'd' expects 4 state dims, got 3")
         assert replies[3][0] == protocol.ERROR
-        assert replies[4] == (protocol.ACTION, 4)
+        assert replies[4] == _action(4)
         assert echo.batches == [[0, 4]]
 
     def test_unconvertible_row_fails_alone_and_the_loop_serves_on(self):
-        """A row NumPy cannot hold as float64 (an int past its range raises
-        OverflowError) answers ERROR; the loop keeps serving other clients."""
+        """Rows that are not float64 bytes (here a list holding an int past
+        the float range) answer ERROR; the loop keeps serving other clients."""
         echo = _EchoAgent()
         with PolicyServer({"d": echo}) as server:
             raw = _RawClient(server)
-            raw.send_many([(protocol.ACT, ("d", [10 ** 400, 0.0, 0.0, 0.0])),
+            raw.send_many([(protocol.ACT_BATCH,
+                            ("d", 4, [10 ** 400, 0.0, 0.0, 0.0])),
                            _act(1)])
             replies = [raw.recv() for _ in range(2)]
             raw.close()
@@ -598,8 +640,8 @@ class TestWirePayloads:
             later = other.recv()
             other.close()
         assert replies[0][0] == protocol.ERROR
-        assert replies[1] == (protocol.ACTION, 1)
-        assert later == (protocol.ACTION, 2)
+        assert replies[1] == _action(1)
+        assert later == _action(2)
 
     def test_ragged_group_without_a_design_width_fails_only_its_chunk(self):
         """With no ``config.n_states`` to check against, rows of two widths
@@ -608,8 +650,8 @@ class TestWirePayloads:
         del echo.config
         with PolicyServer({"d": echo}, max_batch=2) as server:
             raw = _RawClient(server)
-            raw.send_many([(protocol.ACT, ("d", [0.0, 0.0, 0.0])),
-                           (protocol.ACT, ("d", [1.0, 0.0, 0.0, 0.0])),
+            raw.send_many([_row("d", [0.0, 0.0, 0.0]),
+                           _row("d", [1.0, 0.0, 0.0, 0.0]),
                            _act(2), _act(3)])
             replies = [raw.recv() for _ in range(4)]
             raw.send(*_act(4))
@@ -617,8 +659,8 @@ class TestWirePayloads:
             raw.close()
         assert [kind for kind, _ in replies[:2]] == [protocol.ERROR] * 2
         assert replies[0][1].startswith("dispatch failed")
-        assert replies[2:] == [(protocol.ACTION, 2), (protocol.ACTION, 3)]
-        assert later == (protocol.ACTION, 4)
+        assert replies[2:] == [_action(2), _action(3)]
+        assert later == _action(4)
 
 
 def _batch(values, design="d", width=4):
@@ -642,18 +684,17 @@ class TestWireBatchFrames:
     @given(rows=_rows)
     def test_batch_and_single_rows_reach_act_batch_bit_exact(
             self, recording_raw_server, rows):
-        """The same rows sent as one ``ACT_BATCH`` frame and as ``ACT``
+        """The same rows sent as one ``ACT_BATCH`` frame and as one-row
         frames reach ``act_batch`` with every bit intact."""
         agent, raw = recording_raw_server
         sent = np.array(rows, dtype=np.float64)
         received = []
         for frames in ([(protocol.ACT_BATCH, ("d", 4, sent.tobytes()))],
-                       [(protocol.ACT, ("d", row)) for row in rows]):
+                       [_row("d", row) for row in rows]):
             agent.seen.clear()
             raw.send_many(frames)
             replies = [raw.recv() for _ in frames]
-            assert all(kind in (protocol.ACTION, protocol.ACTIONS)
-                       for kind, _ in replies)
+            assert all(kind == protocol.ACTIONS for kind, _ in replies)
             received.append(np.concatenate(agent.seen))
         batched, single = received
         assert batched.dtype == single.dtype == np.float64
@@ -690,16 +731,16 @@ class TestWireBatchFrames:
                 assert other.act([4.0, 0.0, 0.0, 0.0]) == 4
         assert echo.batches == [[1, 2, 3], [4]]
 
-    def test_act_and_act_batch_interleave_in_fifo_order(self):
+    def test_one_row_and_many_row_frames_interleave_in_fifo_order(self):
         echo = _EchoAgent()
         with PolicyServer({"d": echo}, max_batch=4) as server:
             raw = _RawClient(server)
             raw.send_many([_act(0), _batch([1, 2, 3]), _act(4), _batch([]),
                            _batch([5, 6]), _act(7)])
             assert [raw.recv() for _ in range(6)] == [
-                (protocol.ACTION, 0), (protocol.ACTIONS, [1, 2, 3]),
-                (protocol.ACTION, 4), (protocol.ACTIONS, []),
-                (protocol.ACTIONS, [5, 6]), (protocol.ACTION, 7)]
+                _action(0), (protocol.ACTIONS, [1, 2, 3]),
+                _action(4), (protocol.ACTIONS, []),
+                (protocol.ACTIONS, [5, 6]), _action(7)]
             raw.close()
         # The blocks are laid end to end, then cut per max_batch rows.
         assert echo.batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
@@ -798,8 +839,8 @@ class TestClientIO:
         def server(connection):
             protocol.recv_message(connection)                   # HELLO
             protocol.send_message(connection, protocol.WELCOME,
-                                  {"serving": True, "act_batch": True,
-                                   "designs": ["d"]})
+                                  protocol.welcome_info("serving",
+                                                        designs=["d"]))
             protocol.recv_message(connection)                   # ACT_BATCH
             connection.sendall(struct.pack(">Q", 1 << 40) + b"x" * 1024)
             connection.recv(1)              # hold the line until the client hangs up
@@ -835,7 +876,7 @@ def _recording_connect(sockets):
 
 
 class TestClientBatchFrames:
-    def test_client_sends_one_act_batch_per_call_and_never_act(self):
+    def test_client_sends_one_act_batch_per_call(self):
         sockets = []
         with PolicyServer({"d": _EchoAgent()}) as server:
             with PolicyClient(*server.address,
@@ -863,14 +904,16 @@ class TestClientBatchFrames:
                 assert actions.dtype == np.int64 and actions.shape == (0,)
                 assert client.stats()["metrics"]["counters"]["serving.errors"] == 0
 
-    def test_server_without_act_batch_is_refused_at_connect(self, scripted_peer):
+    def test_server_of_another_wire_version_is_refused_at_connect(
+            self, scripted_peer):
         def server(connection):
             protocol.recv_message(connection)                   # HELLO
             protocol.send_message(connection, protocol.WELCOME,
-                                  {"serving": True, "designs": ["d"]})
+                                  {"serving": True, "act_batch": True,
+                                   "designs": ["d"]})         # a 2.0 server
 
         peer = scripted_peer(server)
-        with pytest.raises(ServingError, match="ACT_BATCH") as caught:
+        with pytest.raises(ServingError, match="wire version") as caught:
             PolicyClient(*peer.address, timeout=5.0)
         assert not caught.value.transient
 
@@ -878,8 +921,8 @@ class TestClientBatchFrames:
         def server(connection):
             protocol.recv_message(connection)                   # HELLO
             protocol.send_message(connection, protocol.WELCOME,
-                                  {"serving": True, "act_batch": True,
-                                   "designs": ["d"]})
+                                  protocol.welcome_info("serving",
+                                                        designs=["d"]))
             protocol.recv_message(connection)                   # ACT_BATCH
             protocol.send_message(connection, protocol.ACTIONS, [0])
 
@@ -1056,7 +1099,9 @@ class TestFrameSizeGuard:
             hostile.close()
             # A well-behaved worker still registers afterwards.
             polite = socket.create_connection((host, port), timeout=5.0)
-            protocol.send_message(polite, protocol.HELLO, "polite")
+            protocol.send_message(polite, protocol.HELLO,
+                                  {"id": "polite",
+                                   "wire": protocol.WIRE_VERSION})
             kind, info = protocol.recv_message(polite)
             assert kind == protocol.WELCOME and info["tasks"] == 1
             polite.close()
