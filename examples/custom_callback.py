@@ -6,7 +6,7 @@ loop, and callbacks are how you observe (or lightly steer) that loop
 without forking it.  This example builds an early-stopping callback that
 watches the 100-episode moving average plateau, attaches it next to the
 built-in progress streamer, and shows that the same callback works
-unchanged on the serial driver and on a lock-step batch.
+unchanged on one agent (``Trainer.fit``) and on a lock-step batch.
 
 Run it:
 
@@ -67,7 +67,7 @@ class PlateauLogger(Callback):
 def main() -> int:
     config = TrainingConfig(max_episodes=80, seed=0)
 
-    print("serial driver with a custom callback + progress streaming:")
+    print("one agent (Trainer.fit) with a custom callback + progress streaming:")
     trainer = Trainer(callbacks=[
         PlateauLogger(patience=25),
         ProgressCallback(20, stream=sys.stdout),

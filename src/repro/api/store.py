@@ -193,7 +193,7 @@ class ArtifactStore:
             return None
 
     # ------------------------------------------------------------------ mid-trial state
-    # The serial Trainer's CheckpointCallback persists its full in-flight
+    # A one-trial Trainer's CheckpointCallback persists its full in-flight
     # training state here (pickled agent + env + bookkeeping, all RNG
     # streams included), so an interrupted `repro run` resumes *inside* a
     # trial and still reproduces the uninterrupted curve bit-for-bit.

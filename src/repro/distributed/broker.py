@@ -556,8 +556,18 @@ class SweepBroker:
         index, result, backend_used = payload
         if type(index) is not int or not 0 <= index < len(self.tasks):
             raise protocol.ProtocolError(f"result for unknown task {index!r}")
+        if not isinstance(result, TrainingResult):
+            raise protocol.ProtocolError(
+                f"RESULT for task {index} must carry a TrainingResult, got "
+                f"{type(result).__name__}")
+        task = self.tasks[index]
+        if (result.design, result.n_hidden, result.seed) \
+                != (task.design, task.n_hidden, task.seed):
+            raise protocol.ProtocolError(
+                f"RESULT for task {index} trained {result.design}/"
+                f"{result.n_hidden}/seed {result.seed}, not the task's "
+                f"{task.design}/{task.n_hidden}/seed {task.seed}")
         fresh = False
-        task: Optional[SweepTask] = None
         with self._lock:
             lease = self._leases.get(index)
             if lease is not None and lease.owner is held:
@@ -568,7 +578,6 @@ class SweepBroker:
             else:
                 fresh = True
                 self._results[index] = (result, backend_used)
-                task = self.tasks[index]
                 # The lease may have expired and bounced the index back onto
                 # the queue before this (still valid) result arrived; drop
                 # the requeued copy so nobody retrains a finished trial.

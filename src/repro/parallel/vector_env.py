@@ -239,6 +239,20 @@ class SyncVectorEnv(VectorEnv):
             self._started[:] = True
             return observations, infos
 
+    def continue_from(self, observations) -> np.ndarray:
+        """Start from sub-envs that were just reset elsewhere, without resetting.
+
+        ``observations[i]`` must be what sub-env ``i``'s last ``reset()``
+        returned (a checkpoint saved right after an auto-reset, say); the
+        batch then steps exactly as if this vector env had drawn them.
+        """
+        observations = np.array(observations, dtype=np.float64).reshape(
+            self.num_envs, self._obs_dim)
+        self._states = observations.copy()
+        self._steps[:] = 0
+        self._started[:] = True
+        return observations
+
     def step(self, actions) -> VectorStepResult:
         with span("vector_env.step"):
             actions = self._check_actions(actions)
@@ -276,24 +290,22 @@ class SyncVectorEnv(VectorEnv):
         Produces trajectories identical to the per-env loop; the sub-env
         objects themselves are refreshed at episode boundaries only (their
         ``state`` attribute is stale between resets on this path).  Small
-        batches integrate the dynamics with a scalar Python loop (NumPy ufunc
-        dispatch costs more than the arithmetic below ~16 cart-poles); large
-        batches go through :meth:`CartPoleEnv.batch_dynamics`.  Both evaluate
-        the identical Euler step.
+        batches take :meth:`_step_scalar` (NumPy ufunc dispatch costs more
+        than the arithmetic below ~16 cart-poles); large batches go through
+        :meth:`CartPoleEnv.batch_dynamics`.  Both evaluate the identical
+        Euler step.
         """
         if self.validate:
             self._validate_batch_actions(actions)
+        if self.num_envs <= 16:
+            return self._step_scalar(actions)
         env0 = self.envs[0]
         params = env0.params
         max_steps = env0.max_episode_steps
         self._steps += 1
-        if self.num_envs <= 16:
-            new_states, term_flags = self._scalar_dynamics(actions, params)
-            terminated = np.array(term_flags)
-        else:
-            new_states = CartPoleEnv.batch_dynamics(self._states, actions, params)
-            terminated = (np.abs(new_states[:, 0]) > params.position_threshold) \
-                | (np.abs(new_states[:, 2]) > params.angle_threshold)
+        new_states = CartPoleEnv.batch_dynamics(self._states, actions, params)
+        terminated = (np.abs(new_states[:, 0]) > params.position_threshold) \
+            | (np.abs(new_states[:, 2]) > params.angle_threshold)
         self._states = new_states
         if max_steps is None:
             dones = terminated
@@ -310,6 +322,30 @@ class SyncVectorEnv(VectorEnv):
         self._reset_finished(dones, observations, infos)
         return VectorStepResult(observations, self._unit_rewards.copy(),
                                 terminated, truncated, infos)
+
+    def _step_scalar(self, actions: np.ndarray) -> VectorStepResult:
+        """The small-batch CartPole step in scalar Python, from state to
+        auto-reset: one array built per output, no per-step ufunc."""
+        env0 = self.envs[0]
+        max_steps = env0.max_episode_steps
+        rows, terminated = CartPoleEnv.batch_dynamics_scalar(
+            self._states.tolist(), actions.tolist(), env0.params)
+        steps = [n + 1 for n in self._steps.tolist()]
+        truncated = ([False] * self.num_envs if max_steps is None
+                     else [n >= max_steps for n in steps])
+        infos: List[Dict[str, Any]] = [{"steps": n} for n in steps]
+        observations = np.array(rows)
+        self._states = observations.copy()
+        for i, (term, trunc) in enumerate(zip(terminated, truncated)):
+            if term or trunc:
+                infos[i]["final_observation"] = self._states[i].copy()
+                obs, _ = self.envs[i].reset()
+                self._states[i] = obs
+                observations[i] = obs
+                steps[i] = 0
+        self._steps[:] = steps
+        return VectorStepResult(observations, self._unit_rewards.copy(),
+                                np.array(terminated), np.array(truncated), infos)
 
     def _reset_finished(self, dones: np.ndarray, observations: np.ndarray,
                         infos: List[Dict[str, Any]]) -> None:
@@ -371,13 +407,6 @@ class SyncVectorEnv(VectorEnv):
         self._reset_finished(dones, observations, infos)
         return VectorStepResult(observations, np.asarray(rewards, dtype=np.float64),
                                 terminated, truncated, infos)
-
-    def _scalar_dynamics(self, actions: np.ndarray,
-                         params) -> Tuple[np.ndarray, List[bool]]:
-        """Per-env Euler step in scalar Python — same arithmetic, no ufunc dispatch."""
-        rows, term_flags = CartPoleEnv.batch_dynamics_scalar(
-            self._states.tolist(), actions.tolist(), params)
-        return np.array(rows), term_flags
 
     def _autoreset(self, result: VectorStepResult) -> None:
         for i in np.flatnonzero(result.dones):

@@ -3,13 +3,15 @@
 The paper's headline claim is that one update loop serves every design
 (ELM, OS-ELM, regularized variants, DQN baseline) on-device; this package
 is that loop in the reproduction.  :class:`Trainer` drives the canonical
-episode/step protocol for any :class:`AgentProtocol` agent, serially or in
-lock-step over a vector env, with a typed :class:`Callback` lifecycle for
-progress streaming, metric recording and mid-trial checkpointing.
+episode/step protocol for any :class:`AgentProtocol` agent, one trial or
+many in lock-step over a vector env, with a typed :class:`Callback`
+lifecycle for progress streaming, metric recording and mid-trial
+checkpointing.
 
-It is the only training entry point: ``Trainer().fit`` for one trial,
-``Trainer().fit_lockstep`` for a batch.  Fixed-seed curves replay the
-pre-Trainer hand-rolled loops bit-for-bit (``tests/data/pinned_curves.json``).
+It is the only training entry point: ``Trainer().fit`` for one trial (a
+one-trial lock-step batch), ``Trainer().fit_lockstep`` for a batch.
+Fixed-seed curves replay the pinned pre-refactor curves bit-for-bit
+(``tests/data/pinned_curves.json`` and ``pinned_training.json``).
 """
 
 from repro.training.callbacks import (

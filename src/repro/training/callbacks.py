@@ -10,7 +10,7 @@ loop through six typed hooks::
     on_checkpoint(trial)                 after a mid-trial state save
     on_train_end(run, results)           once, with the final results
 
-The same hooks fire identically whether the Trainer is running one serial
+The same hooks fire identically whether the Trainer is running one
 trial, a lock-step batch of ELM-family agents, or a lock-step batch of
 DQN/FPGA agents — callbacks are how progress streaming, metric recording
 and checkpointing stay loop-agnostic.
@@ -146,7 +146,7 @@ class MetricsRecorder(Callback):
 
     def on_train_start(self, run: "TrainingRun") -> None:
         for trial in run.trials:
-            # setdefault: a resumed serial trial pre-seeds its restored curve.
+            # setdefault: a resumed trial pre-seeds its restored curve.
             self.curves.setdefault(trial.index, TrainingCurve())
 
     def on_episode_end(self, trial: "TrialState", record: EpisodeRecord) -> None:
@@ -208,12 +208,16 @@ def progress_to_stderr(every: int = 100) -> ProgressCallback:
 class CheckpointCallback(Callback):
     """Periodic mid-trial state checkpointing into an artifact store.
 
-    Serial-driver integration: every ``every`` finished episodes the Trainer
-    captures its full state (agent, environment, criterion, curve — all RNG
-    streams included) and hands the pickled blob to :meth:`save`; at fit
-    start it calls :meth:`load` and, when a blob exists, resumes from it
-    instead of starting fresh.  Because the capture happens at an episode
-    boundary and includes every RNG, the resumed run replays the
+    Trainer integration (one-trial batches: ``fit``, or ``fit_lockstep``
+    with one agent): every ``every`` finished episodes the Trainer has the
+    lock-step strategy write its state (beta, P, theta_2, update and
+    operation counts) into the agent, then captures the full trial state
+    (agent, environment, criterion, curve — all RNG streams included — and
+    the observation the env auto-reset to) and hands the pickled blob to
+    :meth:`save`.  At fit start it calls :meth:`load` and, when a blob
+    exists, resumes from it instead of starting fresh, from that env and
+    observation without another reset.  Because the capture happens at an
+    episode boundary and includes every RNG, the resumed run replays the
     uninterrupted run bit-for-bit.
 
     ``store`` is duck-typed (``save_trial_state`` / ``load_trial_state`` /

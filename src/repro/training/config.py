@@ -1,4 +1,4 @@
-"""The training protocol configuration shared by every Trainer driver.
+"""The training protocol configuration shared by both Trainer entry points.
 
 It lives next to :class:`~repro.training.trainer.Trainer` so that the
 protocol's input language sits beside the loop that interprets it.
@@ -18,7 +18,7 @@ class TrainingConfig:
     once per *decision point* and the environment advances up to that many
     steps with it (stopping early at episode end), the agent observing one
     aggregate transition.  The default of 1 is the paper's per-step protocol
-    (Algorithm 1).  Both drivers implement k > 1 by wrapping the trial's env
+    (Algorithm 1).  The trainer implements k > 1 by wrapping each trial's env
     in :class:`~repro.envs.wrappers.ActionRepeat`.
     """
 

@@ -1,4 +1,4 @@
-"""Lock-step strategies: the per-step math behind ``Trainer.fit_lockstep``.
+"""Lock-step strategies: the per-step math of the Trainer's one step loop.
 
 The Trainer owns episode semantics (criterion, records, solved/reset
 handling, callbacks); a strategy owns how N trials' *agents* advance each
@@ -8,9 +8,9 @@ decision point.  Two implementations:
     Drives any :class:`~repro.training.protocols.AgentProtocol` agent
     through its own per-agent ``act``/``observe`` hooks while the
     environment stepping is vectorized.  Because every trial's arithmetic
-    is executed by the agent's own (scalar) code in the serial call order,
-    results are bit-for-bit identical to the serial driver for *every*
-    design — including the DQN baseline, the FPGA fixed-point model and
+    is executed by the agent's own (scalar) code, one call per step in
+    order, results replay the pinned per-step curves bit-for-bit for
+    *every* design — including the DQN baseline, the FPGA fixed-point model and
     the unregularized OS-ELM variants whose chaotic P update rules the
     batched strategy out.
 :class:`BatchedELMStrategy`
@@ -98,8 +98,8 @@ class LockstepStrategy:
         """Fill ``actions`` (int64, one per sub-env) for the active trials.
 
         Returns the per-trial raw actions handed to ``observe`` — the
-        object each agent's own ``act`` produced, so serial call semantics
-        are preserved exactly.
+        object each agent's own ``act`` produced, so per-agent call
+        semantics are preserved exactly.
         """
         raise NotImplementedError
 
@@ -123,6 +123,9 @@ class LockstepStrategy:
 
     def after_weight_reset(self, i: int) -> None:
         """The stall-reset rule re-initialised trial ``i``'s weights."""
+
+    def sync_agent(self, i: int) -> None:
+        """Write trial ``i``'s state and operation counts so far into its agent."""
 
     def end_step(self) -> None:
         """Bottom of the step loop (buffer rotation)."""
@@ -163,12 +166,13 @@ class BatchedELMStrategy(LockstepStrategy):
     ``(N, n_actions, n_in) @ (N, n_in, H)`` matmuls), and one batched
     OS-ELM sequential update (targets, Sherman-Morrison ``P`` update and
     ``beta`` update stacked over the agents whose random update gate fired).
-    The RNG draw order per trial is exactly the serial loop's, so trials
-    replay the serial driver bit-for-bit.
+    The RNG draw order per trial is exactly the agent's own ``act`` /
+    ``observe`` order, so trials replay the per-agent hooks bit-for-bit.
 
     Operation counts: each trial's batched acts, bootstraps and sequential
     updates are tallied here and added to its agent's ``operation_counts``
-    in :meth:`finalize`, so the counts equal the serial loop's exactly.
+    by :meth:`sync_agent` (at a checkpoint and in :meth:`finalize`), so the
+    counts equal the per-agent hooks' exactly.
     """
 
     def bind(self, trials: List[Any], venv: Any) -> None:
@@ -237,7 +241,7 @@ class BatchedELMStrategy(LockstepStrategy):
         # The per-step epsilon-greedy and update-gate decisions are inlined
         # from EpsilonGreedyPolicy.select / RandomUpdateGate.should_update:
         # same RNG objects, same draw order, so trials stay bit-identical to
-        # the serial loop while skipping per-call validation overhead.
+        # the agents' own hooks while skipping per-call validation overhead.
         self.policies = [agent.policy for agent in agents]
         self.gates = [getattr(agent, "update_gate", None) for agent in agents]
 
@@ -260,6 +264,18 @@ class BatchedELMStrategy(LockstepStrategy):
         self.hidden_next: Optional[np.ndarray] = None
         self.spare: Optional[np.ndarray] = None
 
+        # An agent that already trained (a second fit, or a resumed
+        # checkpoint) acts on its model from the first step.
+        for i, agent in enumerate(agents):
+            if self.delegate_observe[i]:
+                if agent.model.beta is not None:
+                    self.beta[i] = agent.model.beta
+                    self.has_beta[i] = True
+                    self.any_beta = True
+            elif agent.initial_training_done:
+                self.seq_phase[i] = True
+                self._sync_from_model(i)
+
     # ---------------------------------------------------------------- helpers
     def _compute_hidden(self, out: np.ndarray) -> np.ndarray:
         """Hidden layers of all trials for the states currently in sweep_inputs."""
@@ -272,11 +288,12 @@ class BatchedELMStrategy(LockstepStrategy):
         return out
 
     def _sync_from_model(self, i: int) -> None:
-        """Copy a freshly initial-trained model's (beta, P, theta_2) into the stacks."""
+        """Copy a trained model's (beta, P, theta_2, update count) into the stacks."""
         model = self.agents[i].model
         self.beta[i] = model.beta
         if isinstance(model, OSELM) and model._recursive is not None:
             self.p_stack[i] = model._recursive.p
+            self.n_applied_updates[i] = model._recursive.updates
         if self.agents[i]._target_beta is not None:
             self.target_beta[i] = self.agents[i]._target_beta
         self.has_beta[i] = True
@@ -392,7 +409,7 @@ class BatchedELMStrategy(LockstepStrategy):
         # fancy indexing would cost O(H^2) per update).  The input row is
         # the chosen-action slice of the hidden tensor the action sweep
         # already evaluated; the operation sequence per trial is exactly
-        # the serial RecursiveInverse.update, i.e. the _sherman_morrison /
+        # the agent's RecursiveInverse.update, i.e. the _sherman_morrison /
         # _beta_update pair in repro.linalg.incremental.
         h = self.hidden_cur[idx, actions[idx]]                           # (U, H)
         for pos, i in enumerate(batched_updates):
@@ -402,7 +419,7 @@ class BatchedELMStrategy(LockstepStrategy):
             ph = p_i @ h_row
             denom = 1.0 + float(h_row @ ph)
             if denom <= 0:
-                # The serial path raises LinAlgError here and the agent
+                # The agent's own path raises LinAlgError here and it
                 # skips the update (plain OS-ELM's instability).
                 self.agents[i].skipped_updates += 1
                 continue
@@ -449,17 +466,21 @@ class BatchedELMStrategy(LockstepStrategy):
     def end_step(self) -> None:
         self.hidden_cur, self.spare = self.hidden_next, self.hidden_cur
 
+    def sync_agent(self, i: int) -> None:
+        self._flush_to_model(i)
+        agent, n_actions = self.agents[i], self.n_actions
+        if self.acts_init[i]:
+            agent._count("predict_init", self.acts_init[i] * n_actions)
+        if self.acts_seq[i]:
+            agent._count("predict_seq", self.acts_seq[i] * n_actions)
+        if self.seq_updates[i]:
+            agent._count("predict_seq", self.seq_updates[i] * n_actions)
+            agent._count("seq_train", self.seq_updates[i])
+        self.acts_init[i] = self.acts_seq[i] = self.seq_updates[i] = 0
+
     def finalize(self) -> None:
-        n_actions = self.n_actions
-        for i, agent in enumerate(self.agents):
-            self._flush_to_model(i)
-            if self.acts_init[i]:
-                agent._count("predict_init", self.acts_init[i] * n_actions)
-            if self.acts_seq[i]:
-                agent._count("predict_seq", self.acts_seq[i] * n_actions)
-            if self.seq_updates[i]:
-                agent._count("predict_seq", self.seq_updates[i] * n_actions)
-                agent._count("seq_train", self.seq_updates[i])
+        for i in range(len(self.agents)):
+            self.sync_agent(i)
 
 
 __all__ = [

@@ -12,24 +12,31 @@ agent implementing :class:`~repro.training.protocols.AgentProtocol`, with:
 * ``action_repeat`` frame skip, one
   :class:`~repro.envs.wrappers.ActionRepeat` around each trial's env.
 
-Two drivers share that one set of episode semantics:
+One step loop runs every trial: N independent trials advance in lock-step
+through one :class:`~repro.parallel.vector_env.SyncVectorEnv`, and a
+:mod:`~repro.training.strategies` object does the per-step math — the
+batched ELM/OS-ELM strategy (stacked matmuls + batched Sherman-Morrison) or
+the generic strategy that drives *any* protocol agent, DQN and the FPGA
+fixed-point design included.  Two entry points feed it:
 
 :meth:`Trainer.fit`
-    One agent against one scalar :class:`~repro.envs.core.Env`; fixed-seed
-    curves replay the pre-Trainer serial loop bit-for-bit.
+    One agent: a one-trial batch with the ``"auto"`` strategy, on a caller's
+    :class:`~repro.envs.core.Env` instance or one built from the config.
 :meth:`Trainer.fit_lockstep`
-    N independent trials advanced in lock-step through one vector env,
-    delegating the per-step math to a
-    :mod:`~repro.training.strategies` object: the batched ELM/OS-ELM
-    strategy (stacked matmuls + batched Sherman-Morrison) or the generic
-    strategy that drives *any* protocol agent — which is what lets the DQN
-    baseline and the FPGA fixed-point design train under the lock-step
-    backend.  Per-trial results are bit-for-bit those of the serial driver
-    on fixed seeds.
+    N trials that share an ``env_id``.  A trial's curve and operation counts
+    do not depend on the batch it trains in.
+
+A :class:`~repro.training.callbacks.CheckpointCallback` makes a one-trial
+batch resumable mid-trial; with more trials it raises.
+
+The independent reference is the pinned curves and operation counts in
+``tests/data`` (``pinned_curves.json``, made by the hand-rolled loops before
+the Trainer, and ``pinned_training.json``, made by the per-step serial loop
+before ``fit`` became a one-trial batch).
 
 Every per-episode decision — criterion update, record construction, solved
 handling, the stall-reset rule, callback firing — lives in exactly one
-place (:meth:`Trainer._finish_episode`), so the drivers cannot drift apart.
+place (:meth:`Trainer._finish_episode`).
 """
 
 from __future__ import annotations
@@ -63,11 +70,13 @@ from repro.utils.seeding import spawn_seeds
 _LOGGER = get_logger("repro.training.trainer")
 
 #: Format tag inside pickled mid-trial checkpoints (bumped on layout change).
-CHECKPOINT_STATE_VERSION = 1
+#: Version 2 pickles the env after its auto-reset, plus the observation it
+#: drew; a version-1 blob reads as "no checkpoint".
+CHECKPOINT_STATE_VERSION = 2
 
 
 class TrialState:
-    """Canonical per-trial bookkeeping, shared by both drivers."""
+    """Canonical per-trial bookkeeping of the step loop."""
 
     __slots__ = ("index", "agent", "config", "criterion", "episode", "steps",
                  "shaped_return", "active", "solved", "episodes_to_solve")
@@ -91,14 +100,14 @@ class TrialState:
 class TrainingRun:
     """What ``on_train_start`` / ``on_train_end`` see: the whole fit call."""
 
-    mode: str                               #: "serial" or "lockstep"
+    mode: str                               #: "serial" (fit) or "lockstep" (fit_lockstep)
     trials: List[TrialState] = field(default_factory=list)
-    strategy: Optional[str] = None          #: lock-step strategy name, if any
-    resumed: bool = False                   #: serial driver restored a checkpoint
+    strategy: Optional[str] = None          #: lock-step strategy name
+    resumed: bool = False                   #: fit restored a mid-trial checkpoint
 
 
 def resolve_env(env: Union[str, Env, None], config: TrainingConfig) -> Env:
-    """Build (or pass through) the scalar env one serial trial runs in."""
+    """Build (or pass through) the scalar env one trial runs in."""
     if env is None:
         env = config.env_id
     if isinstance(env, str):
@@ -160,7 +169,7 @@ class Trainer:
         run.  A :class:`MetricsRecorder` is appended automatically when none
         is present (the trainer needs the curves it collects); a
         :class:`CheckpointCallback` additionally enables mid-trial
-        checkpoint/resume on the serial driver.
+        checkpoint/resume of a one-trial batch.
     """
 
     def __init__(self, *, callbacks: Sequence[Callback] = ()) -> None:
@@ -238,11 +247,15 @@ class Trainer:
             seed=trial.config.seed,
         )
 
-    # ------------------------------------------------------------------ serial driver
+    # ------------------------------------------------------------------ entry points
     def fit(self, agent: Any, env: Union[str, Env, None] = None, *,
             config: TrainingConfig = TrainingConfig(),
             n_hidden: Optional[int] = None) -> TrainingResult:
         """Train one agent until solved or the episode budget is exhausted.
+
+        The agent trains as a one-trial lock-step batch with the ``"auto"``
+        strategy, so its curve and operation counts are those of the same
+        trial inside any :meth:`fit_lockstep` batch.
 
         Parameters
         ----------
@@ -250,122 +263,20 @@ class Trainer:
             Any :class:`~repro.training.protocols.AgentProtocol` agent.
         env:
             Environment instance, registered id, or ``None`` to build
-            ``config.env_id``.
+            ``config.env_id``.  An instance is stepped in place (frame skip
+            wraps it), and like every sub-env of a vector env it is reset
+            again after the final episode.
         config:
             Protocol parameters.
         n_hidden:
             Recorded in the result for reporting; inferred from the agent's
             config when omitted.
         """
-        environment = resolve_env(env, config)
         if n_hidden is None:
-            n_hidden = getattr(getattr(agent, "config", None), "n_hidden", 0)
-        trial = TrialState(0, agent, config)
-        self.recorder.curves[trial.index] = TrainingCurve()
-        checkpoint = self.callbacks.first_of(CheckpointCallback)
-        elapsed_before = 0.0
-        resumed = False
-        if checkpoint is not None:
-            restored = self._load_checkpoint(checkpoint, config)
-            if restored is not None:
-                trial, environment, elapsed_before = restored
-                agent = trial.agent
-                resumed = True
-                _LOGGER.info("resumed mid-trial", design=getattr(agent, "name", "agent"),
-                             episode=trial.episode)
-        # Checkpoints pickle the bare env, so wrap only after resolve/restore.
-        stepper = _frame_skip(environment, config)
-        run = TrainingRun(mode="serial", trials=[trial], resumed=resumed)
-        self.callbacks.train_start(run)
-        emit_steps = self.callbacks.wants_steps
-        start_wall = time.perf_counter()
+            n_hidden = _n_hidden(agent)
+        return self._fit([agent], [config], "auto", mode="serial",
+                         envs=[resolve_env(env, config)], n_hidden=[n_hidden])[0]
 
-        stop = trial.solved and config.stop_when_solved
-        while not stop and trial.episode <= config.max_episodes:
-            with span("trial.episode"):
-                agent.begin_episode(trial.episode)
-                self.callbacks.episode_start(trial)
-                state, _ = stepper.reset()
-                trial.steps = 0
-                trial.shaped_return = 0.0
-                done = False
-                while not done:
-                    action = agent.act(state)
-                    result = stepper.step(action)
-                    frames = result.info.get("frames", 1)
-                    trial.steps += frames
-                    reward = self._shaped_reward(trial, result.terminated,
-                                                 result.truncated, result.reward)
-                    trial.shaped_return += reward
-                    agent.observe(state, action, reward, result.observation,
-                                  result.done)
-                    if emit_steps:
-                        self.callbacks.step(trial, StepEvent(
-                            state=state, action=action, reward=reward,
-                            next_state=result.observation, done=result.done,
-                            frames=frames))
-                    state = result.observation
-                    done = result.done
-                agent.end_episode(trial.episode)
-                _, stop, _ = self._finish_episode(trial)
-                if checkpoint is not None and checkpoint.due_after_episode() and not stop:
-                    self._save_checkpoint(checkpoint, trial, environment,
-                                          elapsed_before + time.perf_counter() - start_wall)
-                    self.callbacks.checkpoint(trial)
-                trial.episode += 1
-        trial.episode -= 1          # back to the last episode actually run
-
-        wall_time = elapsed_before + time.perf_counter() - start_wall
-        if checkpoint is not None:
-            checkpoint.clear()      # the finished artifact supersedes mid-trial state
-        result = self._result(trial, n_hidden, wall_time)
-        self.callbacks.train_end(run, [result])
-        return result
-
-    # ------------------------------------------------------------------ serial checkpointing
-    def _save_checkpoint(self, checkpoint: CheckpointCallback, trial: TrialState,
-                         environment: Env, elapsed: float) -> None:
-        payload = {
-            "version": CHECKPOINT_STATE_VERSION,
-            "agent": trial.agent,
-            "environment": environment,
-            "episode": trial.episode,           # last completed episode
-            "criterion": trial.criterion,
-            "curve": self.recorder.curve(trial.index),
-            "solved": trial.solved,
-            "episodes_to_solve": trial.episodes_to_solve,
-            "elapsed_seconds": elapsed,
-        }
-        checkpoint.save(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def _load_checkpoint(self, checkpoint: CheckpointCallback,
-                         config: TrainingConfig):
-        blob = checkpoint.load()
-        if blob is None:
-            return None
-        try:
-            payload = pickle.loads(blob)
-            if payload.get("version") != CHECKPOINT_STATE_VERSION:
-                return None
-        except Exception:           # corrupt blob reads as "no checkpoint"
-            _LOGGER.warning("ignoring unreadable mid-trial checkpoint")
-            return None
-        # Rebuild the trial around the *restored* protocol state.  The config
-        # is the caller's (it defines the budget); everything mutable comes
-        # from the snapshot.
-        trial = TrialState(0, payload["agent"], config)
-        return self._restore_trial(trial, payload), payload["environment"], \
-            payload["elapsed_seconds"]
-
-    def _restore_trial(self, trial: TrialState, payload: dict) -> TrialState:
-        trial.criterion = payload["criterion"]
-        trial.episode = payload["episode"] + 1     # resume at the next episode
-        trial.solved = payload["solved"]
-        trial.episodes_to_solve = payload["episodes_to_solve"]
-        self.recorder.curves[trial.index] = payload["curve"]
-        return trial
-
-    # ------------------------------------------------------------------ lock-step driver
     def fit_lockstep(self, agents: Sequence[Any],
                      configs: Sequence[TrainingConfig], *,
                      strategy: Union[str, Any] = "auto") -> List[TrainingResult]:
@@ -377,9 +288,10 @@ class Trainer:
             One protocol agent and one :class:`TrainingConfig` per trial.
             ``env_id`` must match across the batch; one
             :class:`~repro.parallel.vector_env.SyncVectorEnv` drives every
-            trial, each sub-env the env serial :meth:`fit` would step (frame
-            skip included).  Budgets, thresholds, seeds and
-            ``action_repeat`` may differ per trial.
+            trial, each sub-env the env :meth:`fit` would step (frame skip
+            included).  Budgets, thresholds, seeds and ``action_repeat`` may
+            differ per trial.  A :class:`CheckpointCallback` needs a
+            one-trial batch.
         strategy:
             ``"auto"`` picks the batched ELM/OS-ELM strategy when every
             agent qualifies (see
@@ -387,8 +299,6 @@ class Trainer:
             generic per-agent strategy otherwise; ``"batched"`` /
             ``"generic"`` force one; or pass a strategy instance.
         """
-        from repro.training import strategies as _strategies
-
         if not agents:
             raise ValueError("fit_lockstep needs at least one agent")
         if len(agents) != len(configs):
@@ -397,23 +307,53 @@ class Trainer:
         if len(env_ids) != 1:
             raise ValueError(
                 f"all trials in a lock-step batch must share env_id, got {env_ids}")
+        return self._fit(list(agents), list(configs), strategy, mode="lockstep",
+                         envs=[resolve_env(None, config) for config in configs],
+                         n_hidden=[_n_hidden(agent) for agent in agents])
 
-        strat = _strategies.resolve_strategy(strategy, agents)
+    def _fit(self, agents: List[Any], configs: List[TrainingConfig],
+             strategy: Union[str, Any], *, mode: str, envs: List[Env],
+             n_hidden: List[int]) -> List[TrainingResult]:
+        """Restore a checkpointed trial if there is one, then run the batch."""
+        from repro.training.strategies import resolve_strategy
+
         trials = [TrialState(i, agent, config)
                   for i, (agent, config) in enumerate(zip(agents, configs))]
-        venv = _build_vector_env(configs)
+        callback = self.callbacks.first_of(CheckpointCallback)
+        checkpoint = None
+        if callback is not None:
+            if len(trials) != 1:
+                raise ValueError("mid-trial checkpoints need a one-trial batch, "
+                                 f"got {len(trials)} trials")
+            checkpoint = self._load_checkpoint(callback, trials[0])
+            if checkpoint is None:
+                checkpoint = _Checkpoint(callback, envs[0])
+            else:
+                envs[0] = checkpoint.environment
+                _LOGGER.info("resumed mid-trial",
+                             design=getattr(trials[0].agent, "name", "agent"),
+                             episode=trials[0].episode)
+        strat = resolve_strategy(strategy, [trial.agent for trial in trials])
+        venv = _build_vector_env(configs, envs)
+        run = TrainingRun(mode=mode, trials=trials, strategy=type(strat).__name__,
+                          resumed=checkpoint is not None
+                          and checkpoint.observation is not None)
         try:
             with span("trainer.fit_lockstep"):
-                return self._run_lockstep(trials, venv, strat)
+                return self._run_lockstep(run, venv, strat, n_hidden, checkpoint)
         finally:
-            venv.close()
+            if mode == "lockstep":      # fit leaves the env it was handed open
+                venv.close()
 
-    def _run_lockstep(self, trials: List[TrialState], venv: Any,
-                      strat: Any) -> List[TrainingResult]:
-        run = TrainingRun(mode="lockstep", trials=trials,
-                          strategy=type(strat).__name__)
+    # ------------------------------------------------------------------ the step loop
+    def _run_lockstep(self, run: TrainingRun, venv: Any, strat: Any,
+                      n_hidden: List[int],
+                      checkpoint: Optional["_Checkpoint"]) -> List[TrainingResult]:
+        trials = run.trials
         for trial in trials:
             self.recorder.curves[trial.index] = TrainingCurve()
+        if run.resumed:
+            self.recorder.curves[0] = checkpoint.curve
         self.callbacks.train_start(run)
         emit_steps = self.callbacks.wants_steps
         n_trials = len(trials)
@@ -423,7 +363,12 @@ class Trainer:
         for trial in trials:
             trial.agent.begin_episode(trial.episode)
             self.callbacks.episode_start(trial)
-        states, _ = venv.reset()
+        if run.resumed:
+            # The sub-env was saved right after it auto-reset: it already
+            # drew the observation the next episode starts from.
+            states = venv.continue_from(checkpoint.observation[None, :])
+        else:
+            states, _ = venv.reset()
         strat.start(states)
         actions = np.zeros(n_trials, dtype=np.int64)
         active_indices = list(range(n_trials))
@@ -436,6 +381,7 @@ class Trainer:
             finished: List[int] = []
             terminated_flags = step.terminated.tolist()
             truncated_flags = step.truncated.tolist()
+            rewards = step.rewards.tolist()
             for i in active_indices:
                 trial = trials[i]
                 term, trunc = terminated_flags[i], truncated_flags[i]
@@ -445,8 +391,7 @@ class Trainer:
                 trial.steps += frames
                 next_obs = (info["final_observation"] if done
                             else step.observations[i])
-                reward = self._shaped_reward(trial, term, trunc,
-                                             float(step.rewards[i]))
+                reward = self._shaped_reward(trial, term, trunc, rewards[i])
                 trial.shaped_return += reward
                 strat.observe(i, states[i], raw_actions[i], reward, next_obs, done)
                 if emit_steps:
@@ -467,6 +412,11 @@ class Trainer:
                 if stop:
                     trial.active = False
                     continue
+                if checkpoint is not None and checkpoint.callback.due_after_episode():
+                    strat.sync_agent(i)
+                    self._save_checkpoint(checkpoint, trial, step.observations[i],
+                                          time.perf_counter() - start_wall)
+                    self.callbacks.checkpoint(trial)
                 trial.episode += 1
                 trial.steps = 0
                 trial.shaped_return = 0.0
@@ -479,26 +429,87 @@ class Trainer:
 
         wall_time = time.perf_counter() - start_wall
         strat.finalize()
-        results = [self._result(trial, getattr(getattr(trial.agent, "config", None),
-                                               "n_hidden", 0), wall_time)
-                   for trial in trials]
+        if checkpoint is not None:
+            wall_time += checkpoint.elapsed_seconds
+            checkpoint.callback.clear()   # the finished artifact supersedes it
+        results = [self._result(trial, hidden, wall_time)
+                   for trial, hidden in zip(trials, n_hidden)]
         self.callbacks.train_end(run, results)
         return results
 
+    # ------------------------------------------------------------------ checkpointing
+    def _save_checkpoint(self, checkpoint: "_Checkpoint", trial: TrialState,
+                         observation: np.ndarray, elapsed: float) -> None:
+        payload = {
+            "version": CHECKPOINT_STATE_VERSION,
+            "agent": trial.agent,
+            "environment": checkpoint.environment,
+            "observation": np.array(observation),
+            "episode": trial.episode,           # last completed episode
+            "criterion": trial.criterion,
+            "curve": self.recorder.curve(trial.index),
+            "solved": trial.solved,
+            "episodes_to_solve": trial.episodes_to_solve,
+            "elapsed_seconds": checkpoint.elapsed_seconds + elapsed,
+        }
+        checkpoint.callback.save(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
-def _trial_env(config: TrainingConfig) -> Env:
-    """The env one trial steps: the serial driver's, frame skip included."""
-    return _frame_skip(resolve_env(None, config), config)
+    def _load_checkpoint(self, callback: CheckpointCallback,
+                         trial: TrialState) -> Optional["_Checkpoint"]:
+        """The saved state of ``trial``, restored into it; ``None`` if none.
+
+        The config stays the caller's (it defines the budget); everything
+        mutable comes from the snapshot.
+        """
+        blob = callback.load()
+        if blob is None:
+            return None
+        try:
+            payload = pickle.loads(blob)
+            if payload.get("version") != CHECKPOINT_STATE_VERSION:
+                return None
+        except Exception:           # corrupt blob reads as "no checkpoint"
+            _LOGGER.warning("ignoring unreadable mid-trial checkpoint")
+            return None
+        trial.agent = payload["agent"]
+        trial.criterion = payload["criterion"]
+        trial.episode = payload["episode"] + 1     # resume at the next episode
+        trial.solved = payload["solved"]
+        trial.episodes_to_solve = payload["episodes_to_solve"]
+        return _Checkpoint(callback, payload["environment"],
+                           observation=payload["observation"], curve=payload["curve"],
+                           elapsed_seconds=payload["elapsed_seconds"])
 
 
-def _build_vector_env(configs: Sequence[TrainingConfig]) -> Any:
-    """One in-process sub-env per trial config, in trial order."""
+@dataclass
+class _Checkpoint:
+    """Mid-trial checkpointing of a one-trial batch, and what it restored."""
+
+    callback: CheckpointCallback
+    environment: Env                            #: the bare env under the sub-env
+    observation: Optional[np.ndarray] = None    #: restored: the sub-env's observation
+    curve: Optional[TrainingCurve] = None       #: restored: the curve so far
+    elapsed_seconds: float = 0.0                #: restored: time trained before the save
+
+
+def _n_hidden(agent: Any) -> int:
+    return getattr(getattr(agent, "config", None), "n_hidden", 0)
+
+
+def _build_vector_env(configs: Sequence[TrainingConfig],
+                      envs: Optional[Sequence[Env]] = None) -> Any:
+    """One in-process sub-env per trial, frame skip included, in trial order.
+
+    ``envs`` are the bare envs to wrap; by default each config builds its own.
+    """
     from repro.parallel.vector_env import SyncVectorEnv
 
-    env_fns = [partial(_trial_env, config) for config in configs]
+    if envs is None:
+        envs = [resolve_env(None, config) for config in configs]
     # The trainer emits guaranteed-valid int64 actions every step, so the
     # per-step validation of the batched path is pure overhead here.
-    return SyncVectorEnv(env_fns, validate=False)
+    return SyncVectorEnv([partial(_frame_skip, env, config)
+                          for env, config in zip(envs, configs)], validate=False)
 
 
 __all__ = ["CHECKPOINT_STATE_VERSION", "Trainer", "TrainingRun", "TrialState",

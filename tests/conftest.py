@@ -7,6 +7,7 @@ import socket
 import sys
 import threading
 import types
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,28 @@ from hypothesis import settings
 _SRC = Path(__file__).resolve().parents[1] / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+
+from repro.training.records import TrainingCurve, TrainingResult
+
+
+@dataclass
+class TaggedResult(TrainingResult):
+    """A real :class:`TrainingResult` for one task, told apart by ``tag``.
+
+    Scripted broker peers deliver these: the broker refuses a ``RESULT``
+    that is not a ``TrainingResult`` of the task's design, size and seed.
+    """
+
+    tag: str = ""
+
+
+def tagged_result(task, tag: str) -> TaggedResult:
+    """An empty trained-trial result for ``task``, labelled ``tag``."""
+    return TaggedResult(design=task.design, n_hidden=task.n_hidden, solved=False,
+                        episodes=0, episodes_to_solve=None, wall_time_seconds=0.0,
+                        curve=TrainingCurve(), operation_counts={}, seed=task.seed,
+                        tag=tag)
+
 
 #: ``--hypothesis-profile ci-deep``: a deeper search for CI's serving
 #: contract step.  It deepens every property test that does not pin its own

@@ -19,7 +19,9 @@ from repro.api import run as run_experiment
 from repro.api.spec import Budget, ExperimentSpec
 from repro.api.store import ArtifactStore
 from repro.envs.cartpole import CartPoleEnv
-from repro.training import Callback, CheckpointCallback, Trainer
+from repro.core.designs import make_design
+from repro.training import Callback, CheckpointCallback, Trainer, TrainingConfig
+from repro.training.trainer import CHECKPOINT_STATE_VERSION
 
 
 def _spec(**overrides):
@@ -134,6 +136,81 @@ class TestTrainerMidTrialResume:
         assert recovered.operation_counts == clean.operation_counts
 
 
+class TestOneTrialBatchResume:
+    """``fit`` is a one-trial lock-step batch: at a checkpoint the strategy
+    writes its state (beta, P, theta_2, update and operation counts) into the
+    agent, and a resumed run replays the uninterrupted one on every design."""
+
+    @pytest.mark.parametrize("design", ["OS-ELM-L2", "ELM", "OS-ELM", "DQN", "FPGA"])
+    def test_every_design_resumes_bit_for_bit(self, tmp_path, design):
+        store = ArtifactStore(tmp_path / "store")
+        task = _spec(designs=(design,), budget=Budget(max_episodes=12)).tasks()[0]
+        uninterrupted_agent = task.make_agent()
+        uninterrupted = Trainer().fit(uninterrupted_agent, config=task.training)
+        with pytest.raises(_KillAfter.Killed):
+            Trainer(callbacks=[CheckpointCallback(store, task, every=3),
+                               _KillAfter(10)]).fit(task.make_agent(),
+                                                    config=task.training)
+        payload = pickle.loads(store.load_trial_state(task))
+        assert payload["episode"] == 9
+        resumed = Trainer(callbacks=[CheckpointCallback(store, task, every=3)]
+                          ).fit(task.make_agent(), config=task.training)
+        np.testing.assert_array_equal(uninterrupted.curve.steps,
+                                      resumed.curve.steps)
+        assert [r.shaped_return.hex() for r in uninterrupted.curve.records] \
+            == [r.shaped_return.hex() for r in resumed.curve.records]
+        assert [r.moving_average.hex() for r in uninterrupted.curve.records] \
+            == [r.moving_average.hex() for r in resumed.curve.records]
+        assert uninterrupted.operation_counts == resumed.operation_counts
+
+    def test_checkpoint_writes_the_batched_state_into_the_agent(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        task = _spec(budget=Budget(max_episodes=12)).tasks()[0]
+        with pytest.raises(_KillAfter.Killed):
+            Trainer(callbacks=[CheckpointCallback(store, task, every=9),
+                               _KillAfter(10)]).fit(task.make_agent(),
+                                                    config=task.training)
+        saved = pickle.loads(store.load_trial_state(task))["agent"]
+        # The same agent trained for exactly the saved episodes.
+        reference = task.make_agent()
+        Trainer().fit(reference, config=replace(task.training, max_episodes=9))
+        assert saved.initial_training_done
+        assert saved.model.beta.tobytes() == reference.model.beta.tobytes()
+        assert saved.model.p_matrix.tobytes() == reference.model.p_matrix.tobytes()
+        assert saved._target_beta.tobytes() == reference._target_beta.tobytes()
+        assert saved.model.n_sequential_updates == reference.model.n_sequential_updates
+        assert saved.operation_counts == reference.operation_counts
+
+    def test_a_version_1_state_reads_as_fresh_start(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        task = _spec().tasks()[0]
+        with pytest.raises(_KillAfter.Killed):
+            Trainer(callbacks=[CheckpointCallback(store, task, every=2),
+                               _KillAfter(5)]).fit(task.make_agent(),
+                                                   config=task.training)
+        payload = pickle.loads(store.load_trial_state(task))
+        payload["version"] = 1
+        store.save_trial_state(task, pickle.dumps(payload))
+        clean = Trainer().fit(task.make_agent(), config=task.training)
+        recovered = Trainer(callbacks=[CheckpointCallback(store, task, every=4)]
+                            ).fit(task.make_agent(), config=task.training)
+        np.testing.assert_array_equal(clean.curve.steps, recovered.curve.steps)
+        assert recovered.operation_counts == clean.operation_counts
+
+    def test_fit_lockstep_with_a_checkpoint_needs_one_trial(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        task = _spec().tasks()[0]
+        trainer = Trainer(callbacks=[CheckpointCallback(store, task, every=2)])
+        agents = [make_design("OS-ELM-L2", n_hidden=8, seed=s) for s in (0, 1)]
+        configs = [TrainingConfig(max_episodes=2, seed=s) for s in (0, 1)]
+        with pytest.raises(ValueError, match="one-trial batch"):
+            trainer.fit_lockstep(agents, configs)
+        one = trainer.fit_lockstep(agents[:1], configs[:1])[0]
+        solo = Trainer().fit(make_design("OS-ELM-L2", n_hidden=8, seed=0),
+                             config=configs[0])
+        np.testing.assert_array_equal(one.curve.steps, solo.curve.steps)
+
+
 class TestFrameSkipResume:
     """Mid-trial checkpoints under ``action_repeat=2``."""
 
@@ -160,15 +237,16 @@ class TestFrameSkipResume:
         assert uninterrupted.operation_counts == resumed.operation_counts
 
     def test_payload_with_the_bare_env_resumes_with_frame_skip(self, tmp_path):
-        """The payload keeps the format written before frame skip became a
-        wrapper: the bare registry env, no ActionRepeat.  Resuming from it
-        wraps the env again."""
+        """The payload holds the bare registry env, no ActionRepeat, plus the
+        observation its auto-reset drew.  Resuming from it wraps the env
+        again and starts from that observation."""
         store = ArtifactStore(tmp_path / "store")
         task, config, uninterrupted = self._killed_run(store)
         payload = pickle.loads(store.load_trial_state(task))
-        assert set(payload) == {"version", "agent", "environment", "episode",
-                                "criterion", "curve", "solved",
+        assert set(payload) == {"version", "agent", "environment", "observation",
+                                "episode", "criterion", "curve", "solved",
                                 "episodes_to_solve", "elapsed_seconds"}
+        assert payload["version"] == CHECKPOINT_STATE_VERSION
         assert type(payload["environment"]) is CartPoleEnv
         store.save_trial_state(task, pickle.dumps(payload))
 

@@ -27,6 +27,8 @@ from repro.telemetry.fleet import (
 )
 from repro.utils.retry import RetryClock, RetryPolicy
 
+from conftest import tagged_result
+
 
 def _tiny_tasks(n_seeds=2):
     spec = SweepSpec(designs=("OS-ELM-L2",), n_seeds=n_seeds, n_hidden=8,
@@ -45,6 +47,7 @@ class _ScriptedWorker:
         kind, info = protocol.recv_message(self.sock)
         assert kind == protocol.WELCOME
         self.welcome_info = info
+        self.tasks = broker.tasks
         self.announced_tasks = info["tasks"]
 
     def get(self, capacity=1):
@@ -60,8 +63,10 @@ class _ScriptedWorker:
         return snapshot
 
     def send_result(self, index, result="result", backend="distributed"):
+        """Deliver a result for task ``index`` tagged ``result``."""
         protocol.send_message(self.sock, protocol.RESULT,
-                              (index, result, backend))
+                              (index, tagged_result(self.tasks[index], result),
+                               backend))
         kind, fresh = protocol.recv_message(self.sock)
         assert kind == protocol.ACK
         return fresh
@@ -101,7 +106,7 @@ class TestBrokerProtocol:
             kind, _ = worker.get()
             assert kind == protocol.SHUTDOWN
             assert broker.join(timeout=1.0)
-            assert [r for r, _ in broker.results()] == ["r0", "r1"]
+            assert [r.tag for r, _ in broker.results()] == ["r0", "r1"]
             worker.close()
 
     def test_results_raises_while_incomplete(self):
@@ -169,7 +174,7 @@ class TestBrokerProtocol:
             # ...now the "dead" worker wakes up and delivers anyway.
             assert slow.send_result(0, result="second") is False
             assert broker.duplicate_results == 1
-            assert [r for r, _ in broker.results()] == ["first"]
+            assert [r.tag for r, _ in broker.results()] == ["first"]
             slow.close()
             fast.close()
 
@@ -188,7 +193,7 @@ class TestBrokerProtocol:
             other = _ScriptedWorker(broker, "other")
             kind, _ = other.get()
             assert kind == protocol.SHUTDOWN     # requeued copy was dropped
-            assert [r for r, _ in broker.results()] == ["late-but-first"]
+            assert [r.tag for r, _ in broker.results()] == ["late-but-first"]
             slow.close()
             other.close()
 
@@ -230,7 +235,7 @@ class TestBrokerProtocol:
     def test_callback_streams_fresh_results_only(self):
         seen = []
         tasks = _tiny_tasks(2)
-        with SweepBroker(tasks, callback=lambda t, r: seen.append((t.trial, r))
+        with SweepBroker(tasks, callback=lambda t, r: seen.append((t.trial, r.tag))
                          ) as broker:
             worker = _ScriptedWorker(broker)
             for index in (0, 1):
@@ -402,6 +407,46 @@ class TestBrokerConnections:
             threading.excepthook = previous_hook
         assert crashes == []
 
+    @pytest.mark.parametrize("result", [
+        "not a TrainingResult",
+        {"design": "OS-ELM-L2", "n_hidden": 8},
+        "another task's result",
+    ], ids=["string", "dict", "other-task"])
+    def test_a_result_that_is_not_the_tasks_is_refused(self, result):
+        """A RESULT must carry a TrainingResult of the task's design, size
+        and seed: anything else gets no ACK, the connection drops, nothing
+        is stored, and the broker keeps serving the other workers."""
+        crashes = []
+        previous_hook = threading.excepthook
+        threading.excepthook = crashes.append
+        tasks = _tiny_tasks(2)
+        if result == "another task's result":
+            result = tagged_result(tasks[1], "forged")
+        stored = []
+        try:
+            with SweepBroker(tasks, callback=lambda t, r: stored.append(r.tag)
+                             ) as broker:
+                steady = _ScriptedWorker(broker, "steady")
+                rogue = _ScriptedWorker(broker, "rogue")
+                kind, [(index, _task)] = rogue.get()
+                assert kind == protocol.TASKS and index == 0
+                protocol.send_message(rogue.sock, protocol.RESULT,
+                                      (index, result, None))
+                _assert_dropped(rogue.sock)
+                _wait_until(lambda: broker.requeued_tasks == 1,
+                            message="the rogue's lease requeued")
+                assert broker.completed_count == 0
+                for _ in range(2):
+                    kind, [(index, _task)] = steady.get()
+                    assert steady.send_result(index, result=f"r{index}") is True
+                assert broker.join(timeout=1.0)
+                assert sorted(r.tag for r, _ in broker.results()) == ["r0", "r1"]
+                steady.close()
+        finally:
+            threading.excepthook = previous_hook
+        assert crashes == []
+        assert sorted(stored) == ["r0", "r1"]
+
     @pytest.mark.parametrize("wrapped", [False, True],
                              ids=["plain", "fault-wrapped"])
     def test_close_drops_live_connections_promptly(self, wrapped):
@@ -447,7 +492,7 @@ class TestLeaseBatching:
             assert worker.send_result(2, result="r2") is True
             kind, _ = worker.get(capacity=8)
             assert kind == protocol.SHUTDOWN
-            assert [r for r, _ in broker.results()] == ["r0", "r1", "r2"]
+            assert [r.tag for r, _ in broker.results()] == ["r0", "r1", "r2"]
             worker.close()
 
     def test_capacity_caps_batch_below_broker_lease_batch(self):
@@ -490,7 +535,7 @@ class TestLeaseBatching:
             for index, _ in leased:
                 survivor.send_result(index, result=f"retry-{index}")
             assert broker.join(timeout=1.0)
-            results = [r for r, _ in broker.results()]
+            results = [r.tag for r, _ in broker.results()]
             assert results == ["done-before-death", "retry-1", "retry-2"]
             survivor.close()
 
@@ -888,7 +933,7 @@ class TestWorkerReconnectAccounting:
             assert revenant.send_result(0, result="stranded-copy") is False
             assert broker.duplicate_results == 1
             assert broker.worker_reconnections == 1
-            assert [r for r, _ in broker.results()] == ["retrained"]
+            assert [r.tag for r, _ in broker.results()] == ["retrained"]
             other.close()
             revenant.close()
 

@@ -23,6 +23,8 @@ from repro.distributed.journal import (
 from repro.parallel.sweep import SweepSpec
 from repro.training import TrainingConfig
 
+from conftest import tagged_result
+
 
 def _tiny_tasks(n_seeds=2, root_seed=99):
     spec = SweepSpec(designs=("OS-ELM-L2",), n_seeds=n_seeds, n_hidden=8,
@@ -42,14 +44,17 @@ class _ScriptedWorker:
         kind, info = protocol.recv_message(self.sock)
         assert kind == protocol.WELCOME
         self.welcome_info = info
+        self.tasks = broker.tasks
 
     def get(self, capacity=1):
         protocol.send_message(self.sock, protocol.GET, capacity)
         return protocol.recv_message(self.sock)
 
     def send_result(self, index, result="result", backend="distributed"):
+        """Deliver a result for task ``index`` tagged ``result``."""
         protocol.send_message(self.sock, protocol.RESULT,
-                              (index, result, backend))
+                              (index, tagged_result(self.tasks[index], result),
+                               backend))
         kind, fresh = protocol.recv_message(self.sock)
         assert kind == protocol.ACK
         return fresh
@@ -176,7 +181,7 @@ class TestBrokerJournalReplay:
             assert kind == protocol.TASKS and index == 1   # not task 0 again
             assert worker.send_result(1, result="r1") is True
             assert second.join(timeout=2.0)
-            assert [r for r, _ in second.results()] == ["r0", "r1"]
+            assert [r.tag for r, _ in second.results()] == ["r0", "r1"]
             worker.close()
         finally:
             second.close()
@@ -243,7 +248,7 @@ class TestBrokerJournalReplay:
             late = _ScriptedWorker(second, "w0")
             assert late.send_result(0, result="stale-copy") is False
             assert second.duplicate_results == 1
-            assert [r for r, _ in second.results()] == ["original"]
+            assert [r.tag for r, _ in second.results()] == ["original"]
             late.close()
         finally:
             second.close()

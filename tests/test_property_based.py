@@ -35,6 +35,8 @@ from repro.serving import PolicyClient, PolicyServer
 from repro.training import Trainer, TrainingConfig, supports_lockstep
 from repro.utils.metrics import MovingAverage, RunningStats
 
+from conftest import tagged_result
+
 # Keep hypothesis fast and deterministic for CI-style runs.
 _SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -471,7 +473,8 @@ class TestBrokerReader:
                         for index, _task in payload:
                             protocol.send_message(
                                 sock, protocol.RESULT,
-                                (index, "result", "distributed"))
+                                (index, tagged_result(tasks[index], "result"),
+                                 "distributed"))
                             assert protocol.recv_message(sock)[0] == protocol.ACK
                         break
         finally:

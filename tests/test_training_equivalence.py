@@ -27,6 +27,10 @@ from repro.utils import validation
 
 PINS = json.loads((Path(__file__).parent / "data" / "pinned_curves.json")
                   .read_text(encoding="utf-8"))
+#: Pins the legacy file misses: a DQN trial that trains, and training
+#: continued on trained agents (``tests/data/generate_training_pins.py``).
+TRAINING_PINS = json.loads((Path(__file__).parent / "data" / "pinned_training.json")
+                           .read_text(encoding="utf-8"))
 
 
 def _assert_matches_pin(result, pin):
@@ -62,6 +66,39 @@ class TestSerialDriverMatchesLegacy:
         agent, config = _serial_case(case)
         result = Trainer().fit(agent, config=config, n_hidden=case["n_hidden"])
         _assert_matches_pin(result, case["result"])
+
+
+class TestTrainingPins:
+    def test_dqn_trains_and_replays_its_pin(self):
+        case = TRAINING_PINS["dqn"]
+        agent = make_design(case["design"], n_hidden=case["n_hidden"],
+                            seed=case["seed"])
+        config = TrainingConfig(max_episodes=case["max_episodes"], seed=case["seed"])
+        result = Trainer().fit(agent, config=config, n_hidden=case["n_hidden"])
+        _assert_matches_pin(result, case["result"])
+        assert agent.train_steps == case["train_steps"] >= 500
+        assert result.operation_counts == case["result"]["operation_counts"]
+
+    @pytest.mark.parametrize("entry", ["fit", "fit_lockstep"])
+    @pytest.mark.parametrize("case", TRAINING_PINS["continued"],
+                             ids=[f"{c['design']}-{c['seed']}"
+                                  for c in TRAINING_PINS["continued"]])
+    def test_training_a_trained_agent_again_replays_its_pin(self, case, entry):
+        """A second call acts on the model the first call trained, from its
+        first step, through either entry point."""
+        agent = make_design(case["design"], n_hidden=case["n_hidden"],
+                            seed=case["seed"])
+        Trainer().fit(agent, config=TrainingConfig(
+            max_episodes=case["first_episodes"], seed=case["seed"],
+            stop_when_solved=False))
+        second = TrainingConfig(max_episodes=case["second_episodes"],
+                                seed=case["second_seed"], stop_when_solved=False)
+        if entry == "fit":
+            result = Trainer().fit(agent, config=second)
+        else:
+            result = Trainer().fit_lockstep([agent], [second])[0]
+        _assert_matches_pin(result, case["result"])
+        assert result.operation_counts == case["result"]["operation_counts"]
 
 
 class TestGenericLockstepMatchesSerial:
