@@ -3,7 +3,7 @@ Approach using Online Sequential Learning" (Watanabe, Tsukada & Matsutani).
 
 The package implements the paper's OS-ELM Q-Network approach to on-device
 reinforcement learning together with every substrate it needs: a Gym-style
-environment suite, a NumPy backpropagation framework for the DQN baseline,
+environment suite, a NumPy DQN baseline with hand-written backpropagation,
 32-bit Q20 fixed-point arithmetic, and resource / latency models of the
 PYNQ-Z1 FPGA platform.
 

@@ -2,7 +2,8 @@
 
 Currently this is the conventional three-layer DQN (Section 2.4): deep
 Q-learning with experience replay, a fixed target network, the Huber loss and
-the Adam optimizer — implemented on the :mod:`repro.nn` NumPy framework.
+the Adam optimizer — written as plain NumPy forward, backward and Adam
+functions in :mod:`repro.baselines.dqn`.
 """
 
 from repro.baselines.replay_buffer import ReplayBuffer

@@ -1,4 +1,4 @@
-"""Activation functions with forward and derivative evaluation.
+"""Element-wise activation functions ``G`` and their Lipschitz constants.
 
 The paper uses ReLU as the activation ``G`` in both the ELM/OS-ELM hidden
 layer and the DQN baseline; tanh and sigmoid are provided because they are
@@ -12,17 +12,13 @@ import numpy as np
 
 
 class Activation:
-    """Base class: a differentiable element-wise function."""
+    """Base class: an element-wise function."""
 
     name = "activation"
     #: Lipschitz constant of the activation (<= 1 for all provided activations).
     lipschitz_constant = 1.0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        """Derivative with respect to the pre-activation ``x``."""
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -40,9 +36,6 @@ class ReLU(Activation):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        return (x > 0.0).astype(np.float64)
-
 
 class Tanh(Activation):
     """Hyperbolic tangent."""
@@ -51,10 +44,6 @@ class Tanh(Activation):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x)
-
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        t = np.tanh(x)
-        return 1.0 - t * t
 
 
 class Sigmoid(Activation):
@@ -71,21 +60,14 @@ class Sigmoid(Activation):
         out[~pos] = expx / (1.0 + expx)
         return out
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        s = self.forward(x)
-        return s * (1.0 - s)
-
 
 class Identity(Activation):
-    """Linear pass-through (output layers of regression networks)."""
+    """Linear pass-through."""
 
     name = "identity"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)
-
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        return np.ones_like(x, dtype=np.float64)
 
 
 class LeakyReLU(Activation):
@@ -101,9 +83,6 @@ class LeakyReLU(Activation):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.where(x >= 0, x, self.negative_slope * x)
-
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x >= 0, 1.0, self.negative_slope)
 
 
 _ACTIVATIONS = {

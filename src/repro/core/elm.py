@@ -13,10 +13,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.activations import Activation, get_activation
 from repro.core.regularization import RegularizationConfig, lipschitz_bound
 from repro.linalg.pseudo_inverse import pinv, regularized_gram_inverse, ridge_solve
 from repro.linalg.spectral import spectral_normalize
-from repro.nn.activations import Activation, get_activation
 from repro.utils.exceptions import NotFittedError
 from repro.utils.seeding import np_random
 from repro.utils.validation import ensure_2d

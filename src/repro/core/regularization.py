@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.activations import get_activation
 from repro.linalg.spectral import spectral_norm
-from repro.nn.activations import get_activation
 
 
 @dataclass(frozen=True)

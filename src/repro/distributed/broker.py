@@ -170,6 +170,8 @@ class SweepBroker:
         self._key_totals = Counter(self._task_keys)
         self._leases: Dict[int, _Lease] = {}
         self._results: Dict[int, Tuple[TrainingResult, str]] = {}
+        #: Fresh results recorded but not yet journaled, stored and ACKed.
+        self._finishing = 0
         self._all_done = threading.Event()
         if not self.tasks:
             self._all_done.set()
@@ -588,23 +590,32 @@ class SweepBroker:
                 info = self._workers.get(worker_id)
                 if info is not None:
                     info["completed"] = int(info["completed"]) + 1
-                if len(self._results) == len(self.tasks):
-                    self._all_done.set()
+                self._finishing += 1
             self._extend_leases_locked(held)
-        if fresh:
-            if self.journal is not None:
-                # Durability point: the deliver record is fsync'd *before*
-                # the ACK below, so any result a worker saw acknowledged is
-                # recoverable after a broker SIGKILL.
-                self.journal.record_deliver(self._journal_keys[index],
-                                            result, backend_used)
-            if self.store is not None:
-                self.store.save_trial(task, result, backend_used=backend_used)
-            if self.callback is not None:
-                self.callback(task, result)
-            _LOGGER.info("trial complete", task=index,
-                         done=f"{self.completed_count}/{len(self.tasks)}")
-        protocol.send_message(connection, protocol.ACK, fresh)
+        try:
+            if fresh:
+                if self.journal is not None:
+                    # Durability point: the deliver record is fsync'd *before*
+                    # the ACK below, so any result a worker saw acknowledged
+                    # is recoverable after a broker SIGKILL.
+                    self.journal.record_deliver(self._journal_keys[index],
+                                                result, backend_used)
+                if self.store is not None:
+                    self.store.save_trial(task, result, backend_used=backend_used)
+                if self.callback is not None:
+                    self.callback(task, result)
+                _LOGGER.info("trial complete", task=index,
+                             done=f"{self.completed_count}/{len(self.tasks)}")
+            protocol.send_message(connection, protocol.ACK, fresh)
+        finally:
+            if fresh:
+                # ``join`` returns only once every result is journaled,
+                # stored, called back and ACKed (or its ACK failed), so the
+                # caller never closes the broker under the last worker.
+                with self._lock:
+                    self._finishing -= 1
+                    if not self._finishing and len(self._results) == len(self.tasks):
+                        self._all_done.set()
 
     # ------------------------------------------------------------------ drain
     def mark_draining(self, worker_ids: Sequence[str]) -> Dict[str, List[str]]:

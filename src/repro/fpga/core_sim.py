@@ -20,6 +20,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.activations import get_activation
 from repro.fixedpoint.array import FixedPointArray
 from repro.fixedpoint.ops import (
     fixed_add,
@@ -29,7 +30,6 @@ from repro.fixedpoint.ops import (
     fixed_reciprocal,
 )
 from repro.fixedpoint.qformat import Q20, QFormat
-from repro.nn.activations import get_activation
 from repro.utils.exceptions import NotFittedError
 
 

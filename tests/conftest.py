@@ -79,15 +79,19 @@ def tiny_agent_config():
 def stale_pickle():
     """``dump(wrap)`` pickles ``wrap(orphan)``, where ``orphan``'s class lives
     in a module that is gone by the time the blob is read — a blob saved by
-    an older package whose module has since been deleted."""
-    def dump(wrap):
-        module = types.ModuleType("repro_deleted_module")
-        module.Orphan = type("Orphan", (), {"__module__": module.__name__})
-        sys.modules[module.__name__] = module
+    an older package whose module has since been deleted.  ``name`` is the
+    orphan class's dotted path (``"repro.nn.network.MLP"`` names a class
+    the package really had)."""
+    def dump(wrap, name="repro_deleted_module.Orphan"):
+        module_name, _, class_name = name.rpartition(".")
+        module = types.ModuleType(module_name)
+        orphan = type(class_name, (), {"__module__": module_name})
+        setattr(module, class_name, orphan)
+        sys.modules[module_name] = module
         try:
-            return pickle.dumps(wrap(module.Orphan()))
+            return pickle.dumps(wrap(orphan()))
         finally:
-            del sys.modules[module.__name__]
+            del sys.modules[module_name]
     return dump
 
 

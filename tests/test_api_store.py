@@ -205,6 +205,25 @@ class TestPolicyPersistence:
         assert len(problems) == 1
         assert f"run `repro run {spec.name} --save-policy` first" in problems[0]
 
+    def test_dqn_policy_naming_the_deleted_nn_framework_reads_as_miss(
+            self, tmp_path, stale_pickle):
+        """A DQN policy pickled while the agent held a ``repro.nn`` network
+        is a miss now that the package has no ``repro.nn``."""
+        task = _tiny_spec(designs=("DQN",)).tasks()[0]
+        store = ArtifactStore(tmp_path)
+        store.save_policy(task, task.make_agent())
+        assert store.load_policy(task) is not None
+
+        def old_policy(network):
+            agent = task.make_agent()
+            agent.q_network = network
+            return {"descriptor": trial_descriptor(task), "design": task.design,
+                    "agent": agent}
+
+        store.policy_path(task).write_bytes(
+            stale_pickle(old_policy, name="repro.nn.network.MLP"))
+        assert store.load_policy(task) is None
+
     @pytest.mark.parametrize("backend", ["serial", "vectorized", "process"])
     def test_run_save_policy_writes_every_trial(self, tmp_path, backend):
         spec = _tiny_spec(designs=("OS-ELM-L2", "ELM"))

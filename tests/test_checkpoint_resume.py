@@ -136,6 +136,26 @@ class TestTrainerMidTrialResume:
         assert recovered.operation_counts == clean.operation_counts
 
 
+    def test_dqn_state_naming_the_deleted_nn_framework_reads_as_fresh_start(
+            self, tmp_path, stale_pickle):
+        """A DQN checkpoint whose agent held a ``repro.nn`` network resumes
+        as a fresh start now that the package has no ``repro.nn``."""
+        store = ArtifactStore(tmp_path / "store")
+        task = _spec(designs=("DQN",)).tasks()[0]
+
+        def old_state(network):
+            agent = task.make_agent()
+            agent.q_network = network
+            return {"version": CHECKPOINT_STATE_VERSION, "agent": agent}
+
+        store.save_trial_state(task, stale_pickle(old_state,
+                                                  name="repro.nn.network.MLP"))
+        clean = Trainer().fit(task.make_agent(), config=task.training)
+        recovered = Trainer(callbacks=[CheckpointCallback(store, task, every=4)]
+                            ).fit(task.make_agent(), config=task.training)
+        np.testing.assert_array_equal(clean.curve.steps, recovered.curve.steps)
+        assert recovered.operation_counts == clean.operation_counts
+
 class TestOneTrialBatchResume:
     """``fit`` is a one-trial lock-step batch: at a checkpoint the strategy
     writes its state (beta, P, theta_2, update and operation counts) into the

@@ -399,11 +399,9 @@ class TestDQNAgent:
         for _ in range(40):
             agent.observe(state, agent.act(state), 0.0, state, False)
         # after training the online network differs from the target network...
-        assert not np.allclose(agent.q_network.layers[0].weights,
-                               agent.target_network.layers[0].weights)
+        assert not np.allclose(agent.params[0], agent.target_params[0])
         agent.end_episode(1)
-        np.testing.assert_array_equal(agent.q_network.layers[0].weights,
-                                      agent.target_network.layers[0].weights)
+        np.testing.assert_array_equal(agent.params[0], agent.target_params[0])
 
     def test_reset_weights(self, rng):
         agent = self._agent()
@@ -418,6 +416,11 @@ class TestDQNAgent:
     def test_q_values_shape(self, rng):
         agent = self._agent()
         assert agent.q_values(rng.normal(size=4)).shape == (2,)
+
+    def test_lipschitz_upper_bound_is_the_product_of_weight_norms(self):
+        agent = self._agent()
+        expected = np.prod([np.linalg.norm(w, 2) for w in agent.params[0::2]])
+        assert agent.lipschitz_upper_bound() == pytest.approx(expected)
 
     def test_config_validation(self):
         from repro.baselines.dqn import DQNConfig

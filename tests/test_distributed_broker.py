@@ -9,6 +9,7 @@ deterministically, without real training or process juggling.
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -245,6 +246,84 @@ class TestBrokerProtocol:
             assert broker.join(timeout=1.0)
             worker.close()
         assert seen == [(0, "r0"), (1, "r1")]
+
+
+    def test_join_waits_until_the_last_result_is_acked(self):
+        """``join`` returns only after the last result's callback and ACK,
+        so a caller that closes the broker on ``join`` never strands the
+        worker that delivered it."""
+        release = threading.Event()
+        tasks = _tiny_tasks(1)
+        with SweepBroker(tasks, callback=lambda t, r: release.wait(5.0)) as broker:
+            worker = _ScriptedWorker(broker)
+            worker.get()
+            protocol.send_message(worker.sock, protocol.RESULT,
+                                  (0, tagged_result(tasks[0], "last"), "distributed"))
+            assert not broker.join(timeout=0.3)     # still finishing the result
+            release.set()
+            assert broker.join(timeout=5.0)
+        # The broker is closed, as the coordinator closes it once join returns.
+        assert protocol.recv_message(worker.sock) == (protocol.ACK, True)
+        worker.close()
+
+    def test_join_waits_for_every_concurrent_result(self):
+        """Stress: 4 workers (more than cores) deliver 8 results at once,
+        some with slow callbacks; when ``join`` returns, every callback has
+        finished, not just the one that completed the set."""
+        tasks = _tiny_tasks(8)
+        finished = []
+
+        def callback(task, result):
+            time.sleep(0.02 if task.seed % 2 else 0.0)
+            finished.append(task.seed)
+
+        def drive(worker):
+            while True:
+                kind, payload = worker.get()
+                if kind == protocol.TASKS:
+                    for index, _ in payload:
+                        worker.send_result(index)
+                elif kind == protocol.WAIT:
+                    time.sleep(0.005)
+                else:
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SweepBroker(tasks, callback=callback) as broker:
+                workers = [_ScriptedWorker(broker, f"w{k}") for k in range(4)]
+                threads = [threading.Thread(target=drive, args=(w,), daemon=True)
+                           for w in workers]
+                for thread in threads:
+                    thread.start()
+                assert broker.join(timeout=10.0)
+                assert len(finished) == len(tasks)
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
+                for worker in workers:
+                    worker.close()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_failed_last_ack_still_ends_join(self, monkeypatch):
+        send = protocol.send_message
+
+        def send_but_fail_acks(sock, kind, payload=None):
+            if kind == protocol.ACK:
+                raise OSError("peer gone")
+            send(sock, kind, payload)
+
+        monkeypatch.setattr(protocol, "send_message", send_but_fail_acks)
+        with SweepBroker(_tiny_tasks(1)) as broker:
+            worker = _ScriptedWorker(broker)
+            worker.get()
+            protocol.send_message(worker.sock, protocol.RESULT,
+                                  (0, tagged_result(broker.tasks[0], "last"),
+                                   "distributed"))
+            assert broker.join(timeout=5.0)
+            worker.close()
 
 
 class TestProtocolHelpers:
